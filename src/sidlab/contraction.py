@@ -6,10 +6,18 @@ Evaluates sums of the form
         prod over edges (u, v) of  A[phi(u)][phi(v)]
 
 where pinned vertices are fixed to given steps and kept vertices survive as
-output axes.  The exact backend works over a common-denominator integer
-scaling of the rational weight grid; the float backend contracts numpy
-arrays via einsum and folds one 1/n into each elimination step, which keeps
-every intermediate value inside [0, 1].
+output axes.  One bucket-elimination engine (greedy min-fill order, one
+einsum per eliminated vertex) runs on either of two arrays:
+
+* exact: the rational grid times the lcm q of its denominators, as Python
+  ints in an object array.  No step divides; the result is an integer sum
+  and the entry point divides once by q^{#edges} * n^{#eliminated};
+* float: float64, with one 1/n folded into each elimination step, which
+  keeps every intermediate value inside [0, 1].
+
+The brute-force oracle enumerates every assignment over the same two grids;
+it shares the input checks and the integer scaling with the engine, not
+the elimination.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ __all__ = [
 ]
 
 BRUTEFORCE_STATE_LIMIT = 10 ** 7
+_EINSUM_MAX_OPERANDS = 32
 
 
 class WidthCapExceeded(ValueError):
@@ -115,110 +124,50 @@ def _check_pins(n_vertices, n_steps, pins, keep):
             raise ValueError(f"pinned vertex {v} out of range")
         if not (0 <= s < n_steps):
             raise ValueError(f"pin target step {s} out of range")
+    if len(keep) > 2:
+        raise ValueError("at most two kept vertices supported")
+    for v in keep:
+        if not (0 <= v < n_vertices):
+            raise ValueError(f"kept vertex {v} out of range")
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"kept vertices {keep} repeat a vertex")
     if set(pins) & set(keep):
         raise ValueError("a vertex cannot be both pinned and kept")
     return pins
 
 
-# ---------------------------------------------------------------------------
-# Exact backend.
-# ---------------------------------------------------------------------------
-
 def _scaled_integer_grid(values):
+    """The rational grid times the lcm q of its denominators, as Python ints
+    in an object array, together with q."""
     denoms = [x.denominator for row in values for x in row]
     q = lcm(*denoms) if denoms else 1
-    grid = [[int(x * q) for x in row] for row in values]
+    grid = np.array([[int(x * q) for x in row] for row in values],
+                    dtype=object)
     return grid, q
 
 
-def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=(),
-                   width_cap=8):
-    """Exact contraction over Fractions.
-
-    Returns a Fraction when ``keep`` is empty, a tuple (vector) for one kept
-    vertex, or a tuple of tuples (grid) for two.  Raises WidthCapExceeded when
-    greedy min-fill needs an intermediate factor wider than ``width_cap + 1``.
-    """
-    keep = tuple(keep)
-    if len(keep) > 2:
-        raise ValueError("at most two kept vertices supported")
-    pins = _check_pins(n_vertices, n_steps, pins, keep)
-    order = elimination_order(n_vertices, edges, pins, keep)
-    if width_cap is not None and order.width > width_cap:
-        raise WidthCapExceeded(
-            f"induced width {order.width} exceeds cap {width_cap}"
-        )
-    grid, q = _scaled_integer_grid(values)
-
-    const = 1
-    factors = []
-    for u, v in edges:
-        pu, pv = pins.get(u), pins.get(v)
-        if pu is not None and pv is not None:
-            const *= grid[pu][pv]
-        elif pu is not None:
-            factors.append(((v,), {(x,): grid[pu][x] for x in range(n_steps)}))
-        elif pv is not None:
-            factors.append(((u,), {(x,): grid[pv][x] for x in range(n_steps)}))
-        else:
-            factors.append((
-                (u, v),
-                {(x, y): grid[x][y]
-                 for x in range(n_steps) for y in range(n_steps)},
-            ))
-
-    for v in order.vertices:
-        group = [f for f in factors if v in f[0]]
-        if not group:
-            const *= n_steps  # isolated variable: plain sum of ones
-            continue
-        factors = [f for f in factors if v not in f[0]]
-        out_vars = sorted(set().union(*(f[0] for f in group)) - {v})
-        positions = [
-            tuple(out_vars.index(w) if w != v else -1 for w in fvars)
-            for fvars, _ in group
-        ]
-        table = {}
-        for assign in itertools.product(range(n_steps), repeat=len(out_vars)):
-            total = 0
-            for x in range(n_steps):
-                prod = 1
-                for (fvars, ftab), pos in zip(group, positions):
-                    prod *= ftab[tuple(assign[p] if p >= 0 else x for p in pos)]
-                    if prod == 0:
-                        break
-                total += prod
-            table[assign] = total
-        if out_vars:
-            factors.append((tuple(out_vars), table))
-        else:
-            const *= table[()]
-
-    denominator = q ** len(edges) * n_steps ** len(order.vertices)
-
-    def entry(assign_map):
-        prod = const
-        for fvars, ftab in factors:
-            prod *= ftab[tuple(assign_map[w] for w in fvars)]
-        return Fraction(prod, denominator)
-
-    if not keep:
-        assert not factors
-        return Fraction(const, denominator)
-    if len(keep) == 1:
-        return tuple(entry({keep[0]: x}) for x in range(n_steps))
-    return tuple(
-        tuple(entry({keep[0]: x, keep[1]: y}) for y in range(n_steps))
-        for x in range(n_steps)
-    )
+def _as_fractions(raw, denominator):
+    """Integers over a common denominator: a Fraction, or nested tuples of
+    them with the shape of ``raw``."""
+    if np.ndim(raw) == 0:
+        return Fraction(int(raw), denominator)
+    return tuple(_as_fractions(r, denominator) for r in raw)
 
 
 # ---------------------------------------------------------------------------
-# Float backend.
+# Elimination engine.
 # ---------------------------------------------------------------------------
 
 def _einsum_group(group, out_vars):
     """Contract the factors in ``group`` down to the axes in ``out_vars``."""
+    # np.einsum takes at most 32 operands before NumPy 2 (64 since), and a
+    # high-degree vertex can collect more factors than that: fold them in
+    # chunks, each keeping all of its variables.
+    while len(group) > _EINSUM_MAX_OPERANDS:
+        head = group[:_EINSUM_MAX_OPERANDS]
+        rest = group[_EINSUM_MAX_OPERANDS:]
+        head_vars = sorted(set().union(*(f[0] for f in head)))
+        group = [(tuple(head_vars), _einsum_group(head, head_vars))] + rest
     labels = {}
     operands = []
     for fvars, arr in group:
@@ -228,16 +177,27 @@ def _einsum_group(group, out_vars):
     return np.einsum(*operands, [labels[w] for w in out_vars])
 
 
-def contract_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):
-    """Float contraction via einsum; same semantics as contract_exact."""
-    keep = tuple(keep)
-    if len(keep) > 2:
-        raise ValueError("at most two kept vertices supported")
-    pins = _check_pins(n_vertices, n_steps, pins, keep)
-    a = np.asarray(matrix, dtype=float)
-    order = elimination_order(n_vertices, edges, pins, keep)
+def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
+               width_cap=None):
+    """Bucket elimination over the weight matrix ``a``, in either dtype.
 
-    const = 1.0
+    ``a`` is float64, or an object array of Python ints (a scaled exact
+    grid).  Float mode divides each step's sum by n; exact mode never
+    divides, so its result is the unnormalized integer sum and the caller
+    divides once by n^{#eliminated}.  Returns the result (a scalar when
+    nothing is kept, else an array with one length-n axis per kept vertex,
+    in ``keep`` order) and the number of eliminated vertices.
+    """
+    keep = tuple(keep)
+    pins = _check_pins(n_vertices, n_steps, pins, keep)
+    order = elimination_order(n_vertices, edges, pins, keep)
+    if width_cap is not None and order.width > width_cap:
+        raise WidthCapExceeded(
+            f"induced width {order.width} exceeds cap {width_cap}"
+        )
+    exact = a.dtype == object
+
+    const = 1
     factors = []
     for u, v in edges:
         pu, pv = pins.get(u), pins.get(v)
@@ -253,33 +213,62 @@ def contract_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):
     for v in order.vertices:
         group = [f for f in factors if v in f[0]]
         if not group:
-            continue  # isolated variable: sum/n == 1
+            # isolated variable: a plain sum of n ones, which float mode
+            # divides by n like every other step
+            if exact:
+                const *= n_steps
+            continue
         factors = [f for f in factors if v not in f[0]]
         out_vars = sorted(set().union(*(f[0] for f in group)) - {v})
-        result = _einsum_group(group, out_vars) / n_steps
+        result = _einsum_group(group, out_vars)
+        if not exact:
+            result = result / n_steps
         if out_vars:
             factors.append((tuple(out_vars), result))
         else:
-            const *= float(result)
+            const *= result
 
     if not keep:
         assert not factors
-        return float(const)
+        return const, len(order.vertices)
 
     covered = sorted(set().union(*(f[0] for f in factors))) if factors else []
-    partial = _einsum_group(factors, covered) if factors else np.float64(1.0)
-    partial = np.asarray(partial, dtype=float) * const
+    partial = (_einsum_group(factors, covered) if factors
+               else np.ones((), dtype=a.dtype))
+    partial = np.asarray(partial * const, dtype=a.dtype)
     if covered:
         kept_covered = [k for k in keep if k in covered]
         partial = np.transpose(
             partial, [covered.index(k) for k in kept_covered]
         )
     shape = tuple(n_steps if k in covered else 1 for k in keep)
-    return np.ones((n_steps,) * len(keep)) * partial.reshape(shape)
+    full = np.ones((n_steps,) * len(keep), dtype=a.dtype)
+    return full * partial.reshape(shape), len(order.vertices)
+
+
+def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=(),
+                   width_cap=8):
+    """Exact contraction over Fractions.
+
+    Returns a Fraction when ``keep`` is empty, a tuple (vector) for one kept
+    vertex, or a tuple of tuples (grid) for two.  Raises WidthCapExceeded when
+    greedy min-fill needs an intermediate factor wider than ``width_cap + 1``.
+    """
+    a, q = _scaled_integer_grid(values)
+    raw, eliminated = _eliminate(n_vertices, edges, a, n_steps, pins, keep,
+                                 width_cap)
+    return _as_fractions(raw, q ** len(edges) * n_steps ** eliminated)
+
+
+def contract_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):
+    """Float contraction via einsum; same semantics as contract_exact."""
+    raw, _ = _eliminate(n_vertices, edges, np.asarray(matrix, dtype=float),
+                        n_steps, pins, keep)
+    return raw if keep else float(raw)
 
 
 # ---------------------------------------------------------------------------
-# Brute-force backends (the independent oracle for the elimination engine).
+# Brute force (the independent oracle for the elimination engine).
 # ---------------------------------------------------------------------------
 
 def _bruteforce_guard(n_vertices, n_steps):
@@ -290,13 +279,16 @@ def _bruteforce_guard(n_vertices, n_steps):
         )
 
 
-def bruteforce_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
+def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
+    """Unnormalized sums of edge products over every assignment of the free
+    vertices, in either dtype of ``a``: one sum per assignment of the kept
+    vertices, shaped like ``_eliminate``'s result.  Also returns the number
+    of free vertices."""
     keep = tuple(keep)
     pins = _check_pins(n_vertices, n_steps, pins, keep)
     _bruteforce_guard(n_vertices, n_steps)
-    grid, q = _scaled_integer_grid(values)
+    rows = a.tolist()
     free = [v for v in range(n_vertices) if v not in pins and v not in keep]
-    denominator = q ** len(edges) * n_steps ** len(free)
 
     def total(fixed):
         acc = 0
@@ -305,53 +297,28 @@ def bruteforce_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
             phi.update(zip(free, assign))
             prod = 1
             for u, v in edges:
-                prod *= grid[phi[u]][phi[v]]
+                prod *= rows[phi[u]][phi[v]]
                 if prod == 0:
                     break
             acc += prod
-        return Fraction(acc, denominator)
+        return acc
 
-    base = dict(pins)
-    if not keep:
-        return total(base)
-    if len(keep) == 1:
-        return tuple(total({**base, keep[0]: x}) for x in range(n_steps))
-    if len(keep) == 2:
-        return tuple(
-            tuple(total({**base, keep[0]: x, keep[1]: y})
-                  for y in range(n_steps))
-            for x in range(n_steps)
-        )
-    raise ValueError("at most two kept vertices supported")
+    sums = [
+        total({**pins, **dict(zip(keep, xs))})
+        for xs in itertools.product(range(n_steps), repeat=len(keep))
+    ]
+    raw = np.array(sums, dtype=a.dtype).reshape((n_steps,) * len(keep))
+    return raw, len(free)
+
+
+def bruteforce_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
+    a, q = _scaled_integer_grid(values)
+    raw, free = _bruteforce(n_vertices, edges, a, n_steps, pins, keep)
+    return _as_fractions(raw, q ** len(edges) * n_steps ** free)
 
 
 def bruteforce_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):
-    keep = tuple(keep)
-    pins = _check_pins(n_vertices, n_steps, pins, keep)
-    _bruteforce_guard(n_vertices, n_steps)
-    a = np.asarray(matrix, dtype=float)
-    free = [v for v in range(n_vertices) if v not in pins and v not in keep]
-    scale = float(n_steps) ** len(free)
-
-    def total(fixed):
-        acc = 0.0
-        for assign in itertools.product(range(n_steps), repeat=len(free)):
-            phi = dict(fixed)
-            phi.update(zip(free, assign))
-            prod = 1.0
-            for u, v in edges:
-                prod *= a[phi[u], phi[v]]
-            acc += prod
-        return acc / scale
-
-    base = dict(pins)
-    if not keep:
-        return total(base)
-    if len(keep) == 1:
-        return np.array([total({**base, keep[0]: x}) for x in range(n_steps)])
-    if len(keep) == 2:
-        return np.array([
-            [total({**base, keep[0]: x, keep[1]: y}) for y in range(n_steps)]
-            for x in range(n_steps)
-        ])
-    raise ValueError("at most two kept vertices supported")
+    raw, free = _bruteforce(n_vertices, edges, np.asarray(matrix, dtype=float),
+                            n_steps, pins, keep)
+    out = raw / float(n_steps) ** free
+    return out if keep else float(out)

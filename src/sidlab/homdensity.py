@@ -79,6 +79,24 @@ def _normalize_pins(pins) -> dict:
     return out
 
 
+# (mode, strategy) -> backend call.  Each entry looks its function up in
+# ``contraction`` when called, so a wrapper installed there is honoured.
+_BACKENDS = {
+    ("exact", "eliminate"): lambda g, w, pins, cap:
+        contraction.contract_exact(g.n, g.edges, w.values, w.n_steps,
+                                   pins=pins, width_cap=cap),
+    ("exact", "bruteforce"): lambda g, w, pins, cap:
+        contraction.bruteforce_exact(g.n, g.edges, w.values, w.n_steps,
+                                     pins=pins),
+    ("float", "eliminate"): lambda g, w, pins, cap:
+        contraction.contract_float(g.n, g.edges, w.float_matrix, w.n_steps,
+                                   pins=pins),
+    ("float", "bruteforce"): lambda g, w, pins, cap:
+        contraction.bruteforce_float(g.n, g.edges, w.float_matrix,
+                                     w.n_steps, pins=pins),
+}
+
+
 def hom_density(graph: Graph, w: StepGraphon, mode: str = "exact",
                 strategy: str = "eliminate", pins=None,
                 width_cap: int = 8) -> DensityValue:
@@ -91,71 +109,52 @@ def hom_density(graph: Graph, w: StepGraphon, mode: str = "exact",
     mode (``width_cap``, None to disable).
     """
     pins = _normalize_pins(pins)
-    n = w.n_steps
-    free = graph.n - len(pins)
-    if mode == "exact":
-        if strategy == "eliminate":
-            value = contraction.contract_exact(
-                graph.n, graph.edges, w.values, n, pins=pins,
-                width_cap=width_cap,
-            )
-        elif strategy == "bruteforce":
-            value = contraction.bruteforce_exact(
-                graph.n, graph.edges, w.values, n, pins=pins,
-            )
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        return DensityValue(value, "exact", free)
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
+    backend = _BACKENDS.get((mode, strategy))
+    if backend is None:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    value = backend(graph, w, pins, width_cap)
     if mode == "float":
-        if strategy == "eliminate":
-            value = contraction.contract_float(
-                graph.n, graph.edges, w.float_matrix, n, pins=pins,
-            )
-        elif strategy == "bruteforce":
-            value = contraction.bruteforce_float(
-                graph.n, graph.edges, w.float_matrix, n, pins=pins,
-            )
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
         # Float roundoff may poke a hair outside [0, 1].
         value = min(max(value, 0.0), 1.0)
-        return DensityValue(value, "float", free)
-    raise ValueError(f"unknown mode {mode!r}")
+    return DensityValue(value, mode, graph.n - len(pins))
+
+
+def _gradient(graph: Graph, a: np.ndarray) -> np.ndarray:
+    """Density gradient from one cavity kernel per edge, both orientations.
+
+    ``a`` is float64, giving the gradient itself, or an exact graphon's
+    scaled integer grid (see ``contraction._eliminate``), giving integers
+    that ``_gradient_exact`` divides by one common denominator.
+    """
+    n = a.shape[0]
+    exact = a.dtype == object
+    grid = np.zeros((n, n), dtype=a.dtype)
+    for u, v in graph.edges:
+        rest = graph.without_edge(u, v)
+        kernel, _ = contraction._eliminate(rest.n, rest.edges, a, n,
+                                           keep=(u, v))
+        grid += kernel + kernel.T
+    if not exact:
+        grid /= n ** 2
+    # The two orientations double off-diagonal entries but must not double
+    # the diagonal, where both orientations are the same assignment.
+    diag = np.diag(grid)
+    np.fill_diagonal(grid, diag // 2 if exact else diag / 2.0)
+    return grid
 
 
 def _gradient_exact(graph: Graph, w: StepGraphon):
-    n = w.n_steps
-    grid = [[Fraction(0)] * n for _ in range(n)]
-    inv = Fraction(1, n ** 2)
-    for u, v in graph.edges:
-        rest = graph.without_edge(u, v)
-        kernel = contraction.contract_exact(
-            rest.n, rest.edges, w.values, n, keep=(u, v), width_cap=None,
-        )
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    grid[x][x] += inv * kernel[x][x]
-                else:
-                    grid[x][y] += inv * kernel[x][y]
-                    grid[y][x] += inv * kernel[x][y]
-    return tuple(tuple(row) for row in grid)
+    a, q = contraction._scaled_integer_grid(w.values)
+    # each cavity has e - 1 edges and eliminates all but its two kept
+    # vertices; the 1/n^2 of the gradient makes n^(#vertices) in all
+    scale = Fraction(q) ** (1 - graph.num_edges) / w.n_steps ** graph.n
+    return tuple(tuple(scale * x for x in row) for row in _gradient(graph, a))
 
 
 def _gradient_float(graph: Graph, a: np.ndarray):
-    n = a.shape[0]
-    grid = np.zeros((n, n))
-    for u, v in graph.edges:
-        rest = graph.without_edge(u, v)
-        kernel = contraction.contract_float(
-            rest.n, rest.edges, a, n, keep=(u, v),
-        )
-        grid += kernel + kernel.T
-    grid /= n ** 2
-    # The two orientations double off-diagonal entries but must not double
-    # the diagonal, where both orientations are the same assignment.
-    np.fill_diagonal(grid, np.diag(grid) / 2.0)
-    return grid
+    return _gradient(graph, np.asarray(a, dtype=float))
 
 
 def density_gradient(graph: Graph, w: StepGraphon, mode: str = "exact"):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sidlab.contraction import WidthCapExceeded
+from sidlab.contraction import (
+    WidthCapExceeded,
+    bruteforce_exact,
+    bruteforce_float,
+    contract_exact,
+    contract_float,
+)
 from sidlab.graphs import (
     Graph,
     ReplacementSpec,
@@ -95,6 +101,30 @@ def test_pin_out_of_range():
         hom_density(Graph(2, ((0, 1),)), BIP, pins={0: 5})
 
 
+@pytest.mark.parametrize("backend, grid", [
+    (contract_exact, BIP.values),
+    (bruteforce_exact, BIP.values),
+    (contract_float, BIP.float_matrix),
+    (bruteforce_float, BIP.float_matrix),
+])
+@pytest.mark.parametrize("keep, match", [
+    ((7,), "out of range"),
+    ((-1,), "out of range"),
+    ((0, 0), "repeat"),
+    ((0, 1, 2), "at most two"),
+])
+def test_keep_validated(backend, grid, keep, match):
+    with pytest.raises(ValueError, match=match):
+        backend(3, ((0, 1), (1, 2)), grid, 2, keep=keep)
+
+
+def test_bruteforce_rejects_three_kept_before_enumerating():
+    # 4^30 assignments would trip the state guard; the keep check comes first
+    with pytest.raises(ValueError, match="at most two"):
+        bruteforce_exact(30, (), constant_graphon(F(1, 2), 4).values, 4,
+                         keep=(0, 1, 2))
+
+
 def test_edgeless_graph_density_is_one():
     assert hom_density(Graph(3), BIP).value == 1
 
@@ -113,6 +143,19 @@ def test_bruteforce_guard():
     with pytest.raises(ValueError, match="refused"):
         hom_density(Graph(30), constant_graphon(F(1, 2), 4),
                     strategy="bruteforce")
+
+
+def test_high_degree_vertex_contracts():
+    # the hub collects one factor per leaf: more than one einsum call accepts
+    w = random_symmetric(random.Random(71), 3)
+    leaves = 70
+    star = Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
+    expected = sum(
+        (sum(w.values[x]) / 3) ** leaves for x in range(3)
+    ) / 3
+    assert hom_density(star, w).value == expected
+    assert abs(hom_density(star, w, mode="float").value
+               - float(expected)) < 1e-12
 
 
 def test_width_cap_enforced():
@@ -135,11 +178,27 @@ def test_elimination_order_reports_width():
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_eliminate_equals_bruteforce(seed):
     rng = random.Random(seed)
-    g = random_graph(rng, rng.randint(2, 6))
+    g = disjoint_union(random_graph(rng, rng.randint(2, 6)),
+                       Graph(rng.randint(0, 2)))
+    g = g.relabel(rng.sample(range(g.n), g.n))  # scatter isolated vertices
     w = random_symmetric(rng, rng.randint(2, 4))
+    n = w.n_steps
+    order = rng.sample(range(g.n), g.n)
+    n_pins = rng.randint(0, min(2, g.n))
+    pins = {v: rng.randrange(n) for v in order[:n_pins]}
+    keep = tuple(order[n_pins:n_pins + rng.randint(0, min(2, g.n - n_pins))])
     a = hom_density(g, w, strategy="eliminate").value
     b = hom_density(g, w, strategy="bruteforce").value
     assert a == b
+    exact = contract_exact(g.n, g.edges, w.values, n, pins=pins, keep=keep)
+    assert exact == bruteforce_exact(g.n, g.edges, w.values, n, pins=pins,
+                                     keep=keep)
+    ref = np.array(exact, dtype=float)
+    assert ref.shape == (n,) * len(keep)
+    for backend in (contract_float, bruteforce_float):
+        fl = backend(g.n, g.edges, w.float_matrix, n, pins=pins, keep=keep)
+        assert np.shape(fl) == ref.shape
+        assert np.max(np.abs(fl - ref)) < 1e-12
 
 
 def test_pins_realize_counting_kernel_entries():
@@ -292,12 +351,17 @@ def test_gradient_matches_finite_differences_random():
 
 
 def test_gradient_float_mode_matches_exact():
-    w = random_symmetric(random.Random(53), 3)
-    g = cycle_graph(4)
-    exact = np.array([[float(x) for x in row]
-                      for row in density_gradient(g, w)])
-    fl = density_gradient(g, w, mode="float")
-    assert np.max(np.abs(exact - fl)) < 1e-13
+    rng = random.Random(53)
+    graphs = [
+        cycle_graph(4),
+        Graph(4, ((0, 1), (1, 2))),  # vertex 3 isolated
+        Graph(3),                    # no edges: the gradient vanishes
+    ] + [random_graph(rng, rng.randint(2, 5)) for _ in range(4)]
+    for g in graphs:
+        w = random_symmetric(rng, rng.randint(2, 4))
+        exact = np.array(density_gradient(g, w), dtype=float)
+        fl = density_gradient(g, w, mode="float")
+        assert np.max(np.abs(exact - fl)) < 1e-13, g
 
 
 # -- deficits ----------------------------------------------------------------
