@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -170,7 +169,7 @@ def _cmd_verify(args) -> int:
             f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}"
         )
     suite = SUITES[args.suite]
-    report = suite(trials=args.trials, seed=args.seed, jobs=args.jobs)
+    report = suite(trials=args.trials, seed=args.seed)
     payload = report.to_json_dict()
     payload["header"] = _header(args, seed=args.seed)
     _emit(payload, args.out)
@@ -261,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("SIDLAB_JOBS", "1")))
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.set_defaults(func=_cmd_verify)
 

@@ -117,8 +117,23 @@ def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
     )
 
 
+def _normalize_pins(pins) -> dict:
+    """A pin map from a dict or an iterable of (vertex, step) pairs; a vertex
+    pinned twice is rejected rather than overwritten."""
+    if pins is None:
+        return {}
+    if isinstance(pins, dict):
+        return dict(pins)
+    out = {}
+    for v, s in pins:
+        if v in out:
+            raise ValueError(f"pin collision at vertex {v}")
+        out[v] = s
+    return out
+
+
 def _check_pins(n_vertices, n_steps, pins, keep):
-    pins = dict(pins or {})
+    pins = _normalize_pins(pins)
     for v, s in pins.items():
         if not (0 <= v < n_vertices):
             raise ValueError(f"pinned vertex {v} out of range")

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import contraction
+from .contraction import _normalize_pins
 from .contraction import EliminationOrder, elimination_order  # re-export
 from .graphs import Graph, ReplacementSpec, complete_graph
 from .stepgraphon import StepGraphon, edge_density, kernel_power
@@ -64,19 +65,6 @@ class DensityValue:
         mode = data["mode"]
         value = Fraction(data["value"]) if mode == "exact" else float(data["value"])
         return cls(value, mode, int(data["vH"]))
-
-
-def _normalize_pins(pins) -> dict:
-    if pins is None:
-        return {}
-    if isinstance(pins, dict):
-        return dict(pins)
-    out = {}
-    for v, s in pins:
-        if v in out:
-            raise ValueError(f"pin collision at vertex {v}")
-        out[v] = s
-    return out
 
 
 # (mode, strategy) -> backend call.  Each entry looks its function up in

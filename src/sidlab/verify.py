@@ -1,22 +1,28 @@
 """Randomized verification suites, one per proved inequality or identity.
 
-Each suite draws deterministic instances from its seed, checks the claimed
-relation at the stated tolerance, and reports failures with reproducible
-per-trial seeds.  Failing instances are re-tested downward (smaller step
-count first, then smaller graphs) so reported witnesses are minimal for the
-trial's recipe.  Exact identities are checked with rational arithmetic and
-zero tolerance; searched local-density claims get a looser floor because the
-box search is best-effort.
+Each suite is a list of ``(check, trial_seed)`` tasks run by one runner.  A
+check ``check(trial_seed, sizes=None) -> (gap, record | None, sizes_used)``
+draws its instance from ``random.Random(trial_seed)`` and tests the claimed
+relation; ``gap = lhs - rhs`` and a record is returned only on failure.
+Every check draws its sizes before it applies a ``sizes`` override, so the
+rest of the stream does not depend on the override.  A failing trial is then
+re-run over the size lattice ``product(range(2, s + 1) for s in sizes_used)``
+in product order, and the first failing point is reported, marked
+``minimized``; the lattice's top point is the drawn instance itself.  Exact
+identities are checked with rational arithmetic and zero tolerance; searched
+local-density claims get a looser floor because the box search is
+best-effort.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .graphs import (
     Graph,
@@ -27,6 +33,7 @@ from .graphs import (
     complete_multipartite,
     cycle_graph,
     disjoint_union,
+    flower,
     generalized_theta,
     path_graph,
     replace_edges,
@@ -117,40 +124,36 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _run_checks(suite_id, seed, checks, jobs=1):
-    """Run check callables, collect failures and the worst observed gap.
-
-    Each check returns ``(gap, failure_record_or_None)`` with gap = lhs - rhs.
-    Results aggregate in deterministic submission order regardless of the
-    executor interleaving.
-    """
+def _run_suite(suite_id, seed, tasks):
+    """Run ``(check, trial_seed)`` tasks in order, minimize each failure over
+    its size lattice, and collect the failures and the worst observed gap."""
     t0 = time.perf_counter()
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: c(), checks))
-    else:
-        results = [c() for c in checks]
-    failures = [rec for _, rec in results if rec is not None]
-    max_gap = max((-gap for gap, _ in results), default=0.0)
-    runtime_ms = (time.perf_counter() - t0) * 1000.0
+    gaps = []
+    failures = []
+    for check, trial_seed in tasks:
+        gap, record, sizes = check(trial_seed)
+        gaps.append(gap)
+        if record is None:
+            continue
+        for point in itertools.product(*(range(2, s + 1) for s in sizes)):
+            record = check(trial_seed, point)[1]
+            if record is not None:
+                break
+        else:
+            raise RuntimeError(
+                f"{suite_id} trial {trial_seed} passes at its own sizes {sizes}"
+            )
+        record["trial_seed"] = trial_seed
+        record["minimized"] = True
+        failures.append(record)
     return SuiteReport(
         suite=suite_id,
-        trials=len(results),
+        trials=len(gaps),
         failures=failures,
         seed=seed,
-        max_gap=max_gap,
-        runtime_ms=runtime_ms,
+        max_gap=max((-gap for gap in gaps), default=0.0),
+        runtime_ms=(time.perf_counter() - t0) * 1000.0,
     )
-
-
-def _minimize(check_at, sizes):
-    """First failing record over downward size candidates (smallest first)."""
-    for size in sizes:
-        rec = check_at(size)
-        if rec is not None:
-            rec["minimized"] = True
-            return rec
-    return None
 
 
 def _trial_seeds(seed, count):
@@ -248,134 +251,106 @@ def _random_tree(rng, nv) -> Graph:
 # Suite: exact counting-kernel identity  t_{H'}(W) == t_H(W^F).
 # ---------------------------------------------------------------------------
 
-def verify_counting_identity(trials: int = 200, seed: int = 0,
-                             jobs: int = 1) -> SuiteReport:
+def _check_counting_identity(trial_seed, sizes=None):
+    rng = random.Random(trial_seed)
+    nv = rng.randint(2, 5)
+    gadget = _random_theta(rng)
+    n = rng.randint(2, 4)
+    if sizes is not None:
+        n, nv = sizes
+    host = _random_graph(rng, nv)
+    w = _random_rational_graphon(rng, n)
+    replaced = replace_edges(host, gadget)
+    lhs = hom_density(replaced, w).value
+    rhs = hom_density(host, counting_kernel(w, gadget)).value
+    gap = -abs(float(lhs - rhs))
+    record = None
+    if lhs != rhs:
+        record = {
+            "inputs": {
+                "host": host.to_json_dict(),
+                "gadget": gadget.to_json_dict(),
+                "graphon": w.to_json_dict(),
+            },
+            "lhs": _frac_str(lhs),
+            "rhs": _frac_str(rhs),
+            "gap": gap,
+        }
+    return gap, record, (n, nv)
+
+
+def verify_counting_identity(trials: int = 200, seed: int = 0) -> SuiteReport:
     """Replacing every host edge by a rooted gadget, then evaluating, equals
     evaluating the host against the gadget's counting kernel.  Exact rational
     equality on randomized (H, F, W); any inequality is a hard failure."""
-
-    def run_one(trial_seed, nv=None, n=None):
-        rng = random.Random(trial_seed)
-        nv_drawn = rng.randint(2, 5)
-        gadget = _random_theta(rng)
-        n_drawn = rng.randint(2, 4)
-        nv_used = nv if nv is not None else nv_drawn
-        n_used = n if n is not None else n_drawn
-        host = _random_graph(rng, nv_used)
-        w = _random_rational_graphon(rng, n_used)
-        replaced = replace_edges(host, gadget)
-        lhs = hom_density(replaced, w).value
-        rhs = hom_density(host, counting_kernel(w, gadget)).value
-        gap = -abs(float(lhs - rhs))
-        record = None
-        if lhs != rhs:
-            record = {
-                "inputs": {
-                    "host": host.to_json_dict(),
-                    "gadget": gadget.to_json_dict(),
-                    "graphon": w.to_json_dict(),
-                },
-                "lhs": _frac_str(lhs),
-                "rhs": _frac_str(rhs),
-                "gap": gap,
-                "trial_seed": trial_seed,
-            }
-        return gap, record, (n_used, nv_used)
-
-    def make_check(trial_seed):
-        def check():
-            gap, record, (n_used, nv_used) = run_one(trial_seed)
-            if record is not None:
-                sizes = sorted(
-                    (nn, vv)
-                    for nn in range(2, n_used + 1)
-                    for vv in range(2, nv_used + 1)
-                )
-                minimized = _minimize(
-                    lambda s: run_one(trial_seed, nv=s[1], n=s[0])[1], sizes
-                )
-                record = minimized or record
-            return gap, record
-        return check
-
-    checks = [make_check(s) for s in _trial_seeds(seed, trials)]
-    return _run_checks("lemma31", seed, checks, jobs)
+    tasks = [(_check_counting_identity, s) for s in _trial_seeds(seed, trials)]
+    return _run_suite("lemma31", seed, tasks)
 
 
 # ---------------------------------------------------------------------------
 # Suite: local denseness of counting kernels and Hadamard attachments.
 # ---------------------------------------------------------------------------
 
-def verify_local_density(trials: int = 50, seed: int = 0, jobs: int = 1,
-                         budget: SearchBudget | None = None) -> SuiteReport:
+def _check_local_density(style, trial_seed, sizes=None):
+    """``style`` 0 checks an even-theta counting kernel, 1 a Hadamard
+    attachment."""
+    rng = random.Random(trial_seed)
+    n = rng.randint(2, 6)
+    if sizes is not None:
+        (n,) = sizes
+    budget = SearchBudget(seed=rng.randrange(2 ** 31))
+    if style == 0:
+        w = _random_regular_graphon(rng, n)
+        theta = _random_theta(rng, parity="even")
+        kernel = counting_kernel(w, theta)
+        d = regularity(w)[0]
+        target = d ** theta.num_edges
+        inputs = {
+            "style": "even-theta-kernel",
+            "graphon": w.to_json_dict(),
+            "theta": theta.to_json_dict(),
+        }
+    else:
+        d1 = Fraction(rng.randint(2, 8), 10)
+        w1 = pointwise_dense_graphon(
+            n, d1, Fraction(1, 2), rng.randrange(2 ** 31)
+        )
+        w2 = _random_regular_graphon(rng, n)
+        d2 = regularity(w2)[0]
+        k = rng.randint(1, 2)
+        kernel = hadamard(w1, kernel_power(w2, 2 * k))
+        target = d1 * d2 ** (2 * k)
+        inputs = {
+            "style": "hadamard-attachment",
+            "dense_floor": _frac_str(d1),
+            "power": 2 * k,
+            "w1": w1.to_json_dict(),
+            "w2": w2.to_json_dict(),
+        }
+    report = local_density_deficit(kernel, target, budget)
+    gap = report.deficit
+    record = None
+    if gap < -SEARCH_TOL:
+        record = {
+            "inputs": inputs,
+            "lhs": report.deficit,
+            "rhs": 0.0,
+            "gap": gap,
+            "witness": list(report.witness),
+        }
+    return gap, record, (n,)
+
+
+def verify_local_density(trials: int = 50, seed: int = 0) -> SuiteReport:
     """Counting kernels of even thetas over d-regular graphons must be
     d^e-locally dense, and the entrywise product of a d1-locally-dense grid
     with an even kernel power of a d2-regular graphon must be d1*d2^2k-locally
     dense.  Searched deficits below -1e-9 are failures."""
-
-    def run_one(trial_seed, style, n=None):
-        rng = random.Random(trial_seed)
-        n_drawn = rng.randint(2, 6)
-        n_used = n if n is not None else n_drawn
-        b = budget or SearchBudget(seed=rng.randrange(2 ** 31))
-        if style == 0:
-            w = _random_regular_graphon(rng, n_used)
-            theta = _random_theta(rng, parity="even")
-            kernel = counting_kernel(w, theta)
-            d = regularity(w)[0]
-            target = d ** theta.num_edges
-            inputs = {
-                "style": "even-theta-kernel",
-                "graphon": w.to_json_dict(),
-                "theta": theta.to_json_dict(),
-            }
-        else:
-            d1 = Fraction(rng.randint(2, 8), 10)
-            w1 = pointwise_dense_graphon(
-                n_used, d1, Fraction(1, 2), rng.randrange(2 ** 31)
-            )
-            w2 = _random_regular_graphon(rng, n_used)
-            d2 = regularity(w2)[0]
-            k = rng.randint(1, 2)
-            kernel = hadamard(w1, kernel_power(w2, 2 * k))
-            target = d1 * d2 ** (2 * k)
-            inputs = {
-                "style": "hadamard-attachment",
-                "dense_floor": _frac_str(d1),
-                "power": 2 * k,
-                "w1": w1.to_json_dict(),
-                "w2": w2.to_json_dict(),
-            }
-        report = local_density_deficit(kernel, target, b)
-        gap = report.deficit
-        record = None
-        if gap < -SEARCH_TOL:
-            record = {
-                "inputs": inputs,
-                "lhs": report.deficit,
-                "rhs": 0.0,
-                "gap": gap,
-                "witness": list(report.witness),
-                "trial_seed": trial_seed,
-            }
-        return gap, record, n_used
-
-    def make_check(trial_seed, style):
-        def check():
-            gap, record, n_used = run_one(trial_seed, style)
-            if record is not None:
-                sizes = [(nn,) for nn in range(2, n_used + 1)]
-                minimized = _minimize(
-                    lambda s: run_one(trial_seed, style, n=s[0])[1], sizes
-                )
-                record = minimized or record
-            return gap, record
-        return check
-
-    checks = [
-        make_check(s, i % 2) for i, s in enumerate(_trial_seeds(seed, trials))
+    tasks = [
+        (partial(_check_local_density, i % 2), s)
+        for i, s in enumerate(_trial_seeds(seed, trials))
     ]
-    return _run_checks("local_density", seed, checks, jobs)
+    return _run_suite("local_density", seed, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -408,259 +383,209 @@ def _theorem12_instances():
 
 
 def sidorenko_family_instances():
-    """Named (family, graph, check_mode) triples exercised by the suite."""
+    """Named (family, graph) pairs exercised by the suite."""
     theta2 = generalized_theta([2], "even")
     theta22 = generalized_theta([2, 2], "even")
     theta24 = generalized_theta([2, 4], "even")
     instances = [
-        ("C6", replace_edges(complete_graph(3), theta2), "float"),
-        ("theta22_K3", replace_edges(complete_graph(3), theta22), "float"),
-        ("theta22_K4", replace_edges(complete_graph(4), theta22), "float"),
-        ("theta24_K13", replace_edges(complete_multipartite([1, 3]), theta24),
-         "float"),
-        ("even_theta_224", generalized_theta([2, 2, 4], "even").graph, "float"),
+        ("C6", replace_edges(complete_graph(3), theta2)),
+        ("theta22_K3", replace_edges(complete_graph(3), theta22)),
+        ("theta22_K4", replace_edges(complete_graph(4), theta22)),
+        ("theta24_K13", replace_edges(complete_multipartite([1, 3]), theta24)),
+        ("even_theta_224", generalized_theta([2, 2, 4], "even").graph),
         ("clique_subdiv_h3", semidirect_product(
-            path_graph(2), {0}, 2, complete_graph(2), 1), "float"),
+            path_graph(2), {0}, 2, complete_graph(2), 1)),
         ("clique_subdiv_h4", semidirect_product(
-            path_graph(1), {0}, 1, complete_graph(3), 1), "float"),
+            path_graph(1), {0}, 1, complete_graph(3), 1)),
         ("glued_C4_K3", semidirect_product(
-            cycle_graph(4), {0, 2}, 1, complete_graph(3), 1), "float"),
+            cycle_graph(4), {0, 2}, 1, complete_graph(3), 1)),
         ("glued_P2_K22", semidirect_product(
-            path_graph(2), {0}, 2, complete_multipartite([2, 2]), 1), "float"),
-        ("odd_theta_31", generalized_theta([3, 1], "odd").graph, "float"),
-        ("odd_theta_53", generalized_theta([5, 3], "odd").graph, "float"),
-        ("odd_theta_331", generalized_theta([3, 3, 1], "odd").graph, "float"),
-        ("subdiv_C4_l2", subdivide(cycle_graph(4), 2), "float"),
-        ("subdiv_K3_l3", subdivide(complete_graph(3), 3), "float"),
-        ("subdiv_K4_l1", subdivide(complete_graph(4), 1), "float"),
+            path_graph(2), {0}, 2, complete_multipartite([2, 2]), 1)),
+        ("odd_theta_31", generalized_theta([3, 1], "odd").graph),
+        ("odd_theta_53", generalized_theta([5, 3], "odd").graph),
+        ("odd_theta_331", generalized_theta([3, 3, 1], "odd").graph),
+        ("subdiv_C4_l2", subdivide(cycle_graph(4), 2)),
+        ("subdiv_K3_l3", subdivide(complete_graph(3), 3)),
+        ("subdiv_K4_l1", subdivide(complete_graph(4), 1)),
     ]
     for name, host, spec in _theorem12_instances():
-        instances.append((name, replace_edges_nonuniform(host, spec), "float"))
+        instances.append((name, replace_edges_nonuniform(host, spec)))
     return instances
 
 
-def verify_sidorenko_families(trials: int = 100, seed: int = 0,
-                              jobs: int = 1) -> SuiteReport:
+def _check_family(name, graph, trial_seed, sizes=None):
+    rng = random.Random(trial_seed)
+    n = rng.randint(2, 5)
+    if sizes is not None:
+        (n,) = sizes
+    w = _random_regular_graphon(rng, n)
+    gap = deficit(graph, w, "sidorenko", mode="float")
+    record = None
+    if gap < -FLOAT_TOL:
+        record = {
+            "inputs": {"family": name, "graphon": w.to_json_dict()},
+            "lhs": gap,
+            "rhs": 0.0,
+            "gap": gap,
+        }
+    return gap, record, (n,)
+
+
+def _check_tree(trial_seed, sizes=None):
+    rng = random.Random(trial_seed)
+    nv = rng.randint(2, 6)
+    n = rng.randint(2, 5)
+    if sizes is not None:
+        n, nv = sizes
+    tree = _random_tree(rng, nv)
+    w = _random_regular_graphon(rng, n)
+    exact = deficit(tree, w, "sidorenko", mode="exact")
+    gap = -abs(float(exact))
+    record = None
+    if exact != 0:
+        record = {
+            "inputs": {
+                "family": "tree",
+                "tree": tree.to_json_dict(),
+                "graphon": w.to_json_dict(),
+            },
+            "lhs": _frac_str(exact),
+            "rhs": "0/1",
+            "gap": gap,
+        }
+    return gap, record, (n, nv)
+
+
+def verify_sidorenko_families(trials: int = 100, seed: int = 0) -> SuiteReport:
     """Every constructed family member must beat the edge-density power bound
     on random regular graphons: float deficits at least -1e-12, and tree
     deficits exactly zero in rational arithmetic."""
-    instances = sidorenko_family_instances()
-
-    def run_family(name, graph, trial_seed, n=None):
-        rng = random.Random(trial_seed)
-        n_used = n if n is not None else rng.randint(2, 5)
-        w = _random_regular_graphon(rng, n_used)
-        gap = deficit(graph, w, "sidorenko", mode="float")
-        record = None
-        if gap < -FLOAT_TOL:
-            record = {
-                "inputs": {"family": name, "graphon": w.to_json_dict()},
-                "lhs": gap,
-                "rhs": 0.0,
-                "gap": gap,
-                "trial_seed": trial_seed,
-            }
-        return gap, record, n_used
-
-    def run_tree(trial_seed, n=None, nv=None):
-        rng = random.Random(trial_seed)
-        nv_used = nv if nv is not None else rng.randint(2, 6)
-        n_used = n if n is not None else rng.randint(2, 5)
-        tree = _random_tree(rng, nv_used)
-        w = _random_regular_graphon(rng, n_used)
-        exact = deficit(tree, w, "sidorenko", mode="exact")
-        gap = -abs(float(exact))
-        record = None
-        if exact != 0:
-            record = {
-                "inputs": {
-                    "family": "tree",
-                    "tree": tree.to_json_dict(),
-                    "graphon": w.to_json_dict(),
-                },
-                "lhs": _frac_str(exact),
-                "rhs": "0/1",
-                "gap": gap,
-                "trial_seed": trial_seed,
-            }
-        return gap, record, (n_used, nv_used)
-
-    checks = []
     seeds = _trial_seeds(seed, trials)
-    for name, graph, _mode in instances:
-        for trial_seed in seeds:
-            def check(name=name, graph=graph, trial_seed=trial_seed):
-                gap, record, n_used = run_family(name, graph, trial_seed)
-                if record is not None:
-                    sizes = [(nn,) for nn in range(2, n_used + 1)]
-                    minimized = _minimize(
-                        lambda s: run_family(name, graph, trial_seed, n=s[0])[1],
-                        sizes,
-                    )
-                    record = minimized or record
-                return gap, record
-            checks.append(check)
-    for trial_seed in seeds:
-        def tree_check(trial_seed=trial_seed):
-            gap, record, (n_used, nv_used) = run_tree(trial_seed)
-            if record is not None:
-                sizes = sorted(
-                    (nn, vv)
-                    for nn in range(2, n_used + 1)
-                    for vv in range(2, nv_used + 1)
-                )
-                minimized = _minimize(
-                    lambda s: run_tree(trial_seed, n=s[0], nv=s[1])[1], sizes
-                )
-                record = minimized or record
-            return gap, record
-        checks.append(tree_check)
-    return _run_checks("sidorenko_families", seed, checks, jobs)
+    tasks = [
+        (partial(_check_family, name, graph), s)
+        for name, graph in sidorenko_family_instances()
+        for s in seeds
+    ]
+    tasks += [(_check_tree, s) for s in seeds]
+    return _run_suite("sidorenko_families", seed, tasks)
 
 
 # ---------------------------------------------------------------------------
 # Suite: flowers against locally dense graphons.
 # ---------------------------------------------------------------------------
 
-def verify_flower_knrs(trials: int = 100, seed: int = 0,
-                       jobs: int = 1) -> SuiteReport:
+def _check_flower(trial_seed, sizes=None):
+    rng = random.Random(trial_seed)
+    cycles = [rng.randint(3, 6) for _ in range(rng.randint(1, 3))]
+    n = rng.randint(2, 5)
+    if sizes is not None:
+        (n,) = sizes
+    graph = flower(cycles)
+    d = Fraction(rng.randint(2, 8), 10)
+    w = pointwise_dense_graphon(
+        n, d, Fraction(rng.randint(1, 4), 4), rng.randrange(2 ** 31)
+    )
+    if rng.random() < 0.3:
+        w2 = pointwise_dense_graphon(n, d, Fraction(1, 4), rng.randrange(2 ** 31))
+        w = mixture_graphon([w, w2], [Fraction(1, 2), Fraction(1, 2)])
+    gap = deficit(graph, w, "knrs", d=d, mode="float")
+    record = None
+    if gap < -FLOAT_TOL:
+        record = {
+            "inputs": {
+                "cycles": cycles,
+                "d": _frac_str(d),
+                "graphon": w.to_json_dict(),
+            },
+            "lhs": gap,
+            "rhs": 0.0,
+            "gap": gap,
+        }
+    return gap, record, (n,)
+
+
+def verify_flower_knrs(trials: int = 100, seed: int = 0) -> SuiteReport:
     """Cycle bouquets must beat d^e on graphons that are pointwise at least d
     (hence d-locally dense), including mixtures of such graphons."""
-    from .graphs import flower as make_flower
-
-    def run_one(trial_seed, n=None, cycles=None):
-        rng = random.Random(trial_seed)
-        cycles_drawn = [rng.randint(3, 6) for _ in range(rng.randint(1, 3))]
-        n_drawn = rng.randint(2, 5)
-        cycles_used = cycles if cycles is not None else cycles_drawn
-        n_used = n if n is not None else n_drawn
-        graph = make_flower(cycles_used)
-        d = Fraction(rng.randint(2, 8), 10)
-        w = pointwise_dense_graphon(
-            n_used, d, Fraction(rng.randint(1, 4), 4), rng.randrange(2 ** 31)
-        )
-        if rng.random() < 0.3:
-            w2 = pointwise_dense_graphon(
-                n_used, d, Fraction(1, 4), rng.randrange(2 ** 31)
-            )
-            w = mixture_graphon([w, w2], [Fraction(1, 2), Fraction(1, 2)])
-        gap = deficit(graph, w, "knrs", d=d, mode="float")
-        record = None
-        if gap < -FLOAT_TOL:
-            record = {
-                "inputs": {
-                    "cycles": list(cycles_used),
-                    "d": _frac_str(d),
-                    "graphon": w.to_json_dict(),
-                },
-                "lhs": gap,
-                "rhs": 0.0,
-                "gap": gap,
-                "trial_seed": trial_seed,
-            }
-        return gap, record, (n_used, cycles_used)
-
-    def make_check(trial_seed):
-        def check():
-            gap, record, (n_used, cycles_used) = run_one(trial_seed)
-            if record is not None:
-                sizes = [(nn,) for nn in range(2, n_used + 1)]
-                minimized = _minimize(
-                    lambda s: run_one(trial_seed, n=s[0])[1], sizes
-                )
-                record = minimized or record
-            return gap, record
-        return check
-
-    checks = [make_check(s) for s in _trial_seeds(seed, trials)]
-    return _run_checks("flower_knrs", seed, checks, jobs)
+    tasks = [(_check_flower, s) for s in _trial_seeds(seed, trials)]
+    return _run_suite("flower_knrs", seed, tasks)
 
 
 # ---------------------------------------------------------------------------
 # Suite: uniformization lower bound.
 # ---------------------------------------------------------------------------
 
-def verify_holder(trials: int = 50, seed: int = 0, jobs: int = 1) -> SuiteReport:
+def _check_holder_equality(trial_seed, sizes=None):
+    rng = random.Random(trial_seed)
+    n = rng.randint(2, 4)
+    if sizes is not None:
+        (n,) = sizes
+    host = complete_graph(rng.randint(2, 3))
+    lengths = [2 * rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+    spec = ReplacementSpec.uniform(host, lengths)
+    w = _random_regular_graphon(rng, n)
+    replaced = replace_edges_nonuniform(host, spec)
+    lhs = hom_density(replaced, w).value
+    rhs = holder_lower_bound(host, spec, w).value
+    gap = -abs(float(lhs - rhs))
+    record = None
+    if lhs != rhs:
+        record = {
+            "inputs": {
+                "kind": "uniform-complete-equality",
+                "host": host.to_json_dict(),
+                "spec": spec.to_json_dict(),
+                "graphon": w.to_json_dict(),
+            },
+            "lhs": _frac_str(lhs),
+            "rhs": _frac_str(rhs),
+            "gap": gap,
+        }
+    return gap, record, (n,)
+
+
+def _check_holder_inequality(trial_seed, sizes=None):
+    rng = random.Random(trial_seed)
+    n = rng.randint(2, 4)
+    if sizes is not None:
+        (n,) = sizes
+    host = _random_graph(rng, rng.randint(2, 4))
+    maps = [
+        {2 * rng.randint(1, 2): 1 for _ in range(rng.randint(1, 2))}
+        for _ in host.edges
+    ]
+    spec = ReplacementSpec.from_length_maps(host, maps)
+    w = _random_regular_graphon(rng, n)
+    replaced = replace_edges_nonuniform(host, spec)
+    lhs = float(hom_density(replaced, w, mode="float").value)
+    rhs = float(holder_lower_bound(host, spec, w, mode="float").value)
+    gap = lhs - rhs
+    record = None
+    if not _rel_ok(lhs, rhs, FLOAT_TOL):
+        record = {
+            "inputs": {
+                "kind": "random-replacement",
+                "host": host.to_json_dict(),
+                "spec": spec.to_json_dict(),
+                "graphon": w.to_json_dict(),
+            },
+            "lhs": lhs,
+            "rhs": rhs,
+            "gap": gap,
+        }
+    return gap, record, (n,)
+
+
+def verify_holder(trials: int = 50, seed: int = 0) -> SuiteReport:
     """The replaced-graph density must dominate the uniformized bound built
     from averaged path exponents, with exact equality when the host is
-    complete and the replacement is uniform."""
-
-    def run_equality(trial_seed, n=None):
-        rng = random.Random(trial_seed)
-        n_used = n if n is not None else rng.randint(2, 4)
-        h = rng.randint(2, 3)
-        host = complete_graph(h)
-        lengths = [2 * rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
-        spec = ReplacementSpec.uniform(host, lengths)
-        w = _random_regular_graphon(rng, n_used)
-        replaced = replace_edges_nonuniform(host, spec)
-        lhs = hom_density(replaced, w).value
-        rhs = holder_lower_bound(host, spec, w).value
-        gap = -abs(float(lhs - rhs))
-        record = None
-        if lhs != rhs:
-            record = {
-                "inputs": {
-                    "kind": "uniform-complete-equality",
-                    "host": host.to_json_dict(),
-                    "spec": spec.to_json_dict(),
-                    "graphon": w.to_json_dict(),
-                },
-                "lhs": _frac_str(lhs),
-                "rhs": _frac_str(rhs),
-                "gap": gap,
-                "trial_seed": trial_seed,
-            }
-        return gap, record, n_used
-
-    def run_inequality(trial_seed, n=None):
-        rng = random.Random(trial_seed)
-        n_used = n if n is not None else rng.randint(2, 4)
-        nv = rng.randint(2, 4)
-        host = _random_graph(rng, nv)
-        maps = [
-            {2 * rng.randint(1, 2): 1 for _ in range(rng.randint(1, 2))}
-            for _ in host.edges
-        ]
-        spec = ReplacementSpec.from_length_maps(host, maps)
-        w = _random_regular_graphon(rng, n_used)
-        replaced = replace_edges_nonuniform(host, spec)
-        lhs = float(hom_density(replaced, w, mode="float").value)
-        rhs = float(holder_lower_bound(host, spec, w, mode="float").value)
-        gap = lhs - rhs
-        record = None
-        if not _rel_ok(lhs, rhs, FLOAT_TOL):
-            record = {
-                "inputs": {
-                    "kind": "random-replacement",
-                    "host": host.to_json_dict(),
-                    "spec": spec.to_json_dict(),
-                    "graphon": w.to_json_dict(),
-                },
-                "lhs": lhs,
-                "rhs": rhs,
-                "gap": gap,
-                "trial_seed": trial_seed,
-            }
-        return gap, record, n_used
-
-    def make_check(trial_seed, equality):
-        run = run_equality if equality else run_inequality
-
-        def check():
-            gap, record, n_used = run(trial_seed)
-            if record is not None:
-                sizes = [(nn,) for nn in range(2, n_used + 1)]
-                minimized = _minimize(lambda s: run(trial_seed, n=s[0])[1], sizes)
-                record = minimized or record
-            return gap, record
-        return check
-
-    checks = [
-        make_check(s, i % 5 == 0)
+    complete and the replacement is uniform.  Every fifth trial checks the
+    equality."""
+    tasks = [
+        (_check_holder_equality if i % 5 == 0 else _check_holder_inequality, s)
         for i, s in enumerate(_trial_seeds(seed, trials))
     ]
-    return _run_checks("holder", seed, checks, jobs)
+    return _run_suite("holder", seed, tasks)
 
 
 SUITES = {

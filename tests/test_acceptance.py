@@ -122,7 +122,7 @@ def test_criterion_3_local_density_of_counting_kernels():
 def test_criterion_4_sidorenko_family_deficits():
     t0 = time.perf_counter()
     rep = verify_sidorenko_families(trials=100, seed=404)
-    names = {name for name, _, _ in sidorenko_family_instances()}
+    names = {name for name, _ in sidorenko_family_instances()}
     required_markers = ["C6", "theta22_K3", "theta22_K4", "clique_subdiv",
                         "glued", "odd_theta", "subdiv"]
     covered = all(any(m in n for n in names) for m in required_markers)

@@ -149,7 +149,7 @@ def test_verify_exit_one_on_suite_failure(monkeypatch, tmp_path):
     import sidlab.cli as cli_mod
     from sidlab.verify import SuiteReport
 
-    def failing_suite(trials, seed, jobs):
+    def failing_suite(trials, seed):
         return SuiteReport("fake", trials, [{"gap": -1.0}], seed, 1.0, 0.0)
 
     monkeypatch.setitem(cli_mod.SUITES, "fake", failing_suite)

@@ -101,12 +101,21 @@ def test_pin_out_of_range():
         hom_density(Graph(2, ((0, 1),)), BIP, pins={0: 5})
 
 
-@pytest.mark.parametrize("backend, grid", [
+every_backend = pytest.mark.parametrize("backend, grid", [
     (contract_exact, BIP.values),
     (bruteforce_exact, BIP.values),
     (contract_float, BIP.float_matrix),
     (bruteforce_float, BIP.float_matrix),
 ])
+
+
+@every_backend
+def test_repeated_pin_rejected(backend, grid):
+    with pytest.raises(ValueError, match="collision"):
+        backend(2, ((0, 1),), grid, 2, pins=((0, 0), (0, 1)))
+
+
+@every_backend
 @pytest.mark.parametrize("keep, match", [
     ((7,), "out of range"),
     ((-1,), "out of range"),
