@@ -183,13 +183,14 @@ def _einsum_group(group, out_vars):
         rest = group[_EINSUM_MAX_OPERANDS:]
         head_vars = sorted(set().union(*(f[0] for f in head)))
         group = [(tuple(head_vars), _einsum_group(head, head_vars))] + rest
+    # a leading Ellipsis carries any batch axes of a stacked grid through
     labels = {}
     operands = []
     for fvars, arr in group:
         for w in fvars:
             labels.setdefault(w, len(labels))
-        operands.extend([arr, [labels[w] for w in fvars]])
-    return np.einsum(*operands, [labels[w] for w in out_vars])
+        operands.extend([arr, [Ellipsis] + [labels[w] for w in fvars]])
+    return np.einsum(*operands, [Ellipsis] + [labels[w] for w in out_vars])
 
 
 def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
@@ -199,9 +200,12 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
     ``a`` is float64, or an object array of Python ints (a scaled exact
     grid).  Float mode divides each step's sum by n; exact mode never
     divides, so its result is the unnormalized integer sum and the caller
-    divides once by n^{#eliminated}.  Returns the result (a scalar when
-    nothing is kept, else an array with one length-n axis per kept vertex,
-    in ``keep`` order) and the number of eliminated vertices.
+    divides once by n^{#eliminated}.  A float ``a`` may also be a stack of
+    grids, shape ``(..., n, n)``: every slice is contracted as the 2-D call
+    would, and the batch axes lead the result.  Returns the result (a
+    scalar, or one value per grid, when nothing is kept, else an array with
+    one length-n axis per kept vertex, in ``keep`` order) and the number of
+    eliminated vertices.
     """
     keep = tuple(keep)
     pins = _check_pins(n_vertices, n_steps, pins, keep)
@@ -211,17 +215,18 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
             f"induced width {order.width} exceeds cap {width_cap}"
         )
     exact = a.dtype == object
+    batch = a.shape[:-2]
 
-    const = 1
+    const = np.ones(batch) if batch else 1
     factors = []
     for u, v in edges:
         pu, pv = pins.get(u), pins.get(v)
         if pu is not None and pv is not None:
-            const *= a[pu, pv]
+            const = const * a[..., pu, pv]
         elif pu is not None:
-            factors.append(((v,), a[pu, :]))
+            factors.append(((v,), a[..., pu, :]))
         elif pv is not None:
-            factors.append(((u,), a[pv, :]))
+            factors.append(((u,), a[..., pv, :]))
         else:
             factors.append(((u, v), a))
 
@@ -241,23 +246,23 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
         if out_vars:
             factors.append((tuple(out_vars), result))
         else:
-            const *= result
+            const = const * result
 
     if not keep:
         assert not factors
         return const, len(order.vertices)
 
-    covered = sorted(set().union(*(f[0] for f in factors))) if factors else []
-    partial = (_einsum_group(factors, covered) if factors
+    # every factor left spans kept vertices only; contract them straight
+    # into keep order, then broadcast over the kept vertices none covers
+    covered = set().union(*(f[0] for f in factors)) if factors else set()
+    kept_covered = [k for k in keep if k in covered]
+    partial = (_einsum_group(factors, kept_covered) if factors
                else np.ones((), dtype=a.dtype))
+    if batch:
+        const = np.reshape(const, batch + (1,) * len(kept_covered))
     partial = np.asarray(partial * const, dtype=a.dtype)
-    if covered:
-        kept_covered = [k for k in keep if k in covered]
-        partial = np.transpose(
-            partial, [covered.index(k) for k in kept_covered]
-        )
-    shape = tuple(n_steps if k in covered else 1 for k in keep)
-    full = np.ones((n_steps,) * len(keep), dtype=a.dtype)
+    shape = batch + tuple(n_steps if k in covered else 1 for k in keep)
+    full = np.ones(batch + (n_steps,) * len(keep), dtype=a.dtype)
     return full * partial.reshape(shape), len(order.vertices)
 
 
@@ -276,10 +281,14 @@ def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=(),
 
 
 def contract_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):
-    """Float contraction via einsum; same semantics as contract_exact."""
-    raw, _ = _eliminate(n_vertices, edges, np.asarray(matrix, dtype=float),
-                        n_steps, pins, keep)
-    return raw if keep else float(raw)
+    """Float contraction via einsum; same semantics as contract_exact.
+
+    A stack of grids, shape ``(..., n, n)``, gives an array of results with
+    the batch axes in front, each equal to the call on its own grid.
+    """
+    a = np.asarray(matrix, dtype=float)
+    raw, _ = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
+    return raw if keep or a.ndim > 2 else float(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -114,22 +114,24 @@ def _gradient(graph: Graph, a: np.ndarray) -> np.ndarray:
 
     ``a`` is float64, giving the gradient itself, or an exact graphon's
     scaled integer grid (see ``contraction._eliminate``), giving integers
-    that ``_gradient_exact`` divides by one common denominator.
+    that ``_gradient_exact`` divides by one common denominator.  A float
+    stack ``(..., n, n)`` gives one gradient per grid.
     """
-    n = a.shape[0]
+    n = a.shape[-1]
     exact = a.dtype == object
-    grid = np.zeros((n, n), dtype=a.dtype)
-    for u, v in graph.edges:
-        rest = graph.without_edge(u, v)
-        kernel, _ = contraction._eliminate(rest.n, rest.edges, a, n,
-                                           keep=(u, v))
-        grid += kernel + kernel.T
+    grid = np.zeros(a.shape, dtype=a.dtype)
+    edges = graph.edges
+    for k, (u, v) in enumerate(edges):
+        kernel, _ = contraction._eliminate(graph.n, edges[:k] + edges[k + 1:],
+                                           a, n, keep=(u, v))
+        grid += kernel + np.swapaxes(kernel, -1, -2)
     if not exact:
         grid /= n ** 2
     # The two orientations double off-diagonal entries but must not double
     # the diagonal, where both orientations are the same assignment.
-    diag = np.diag(grid)
-    np.fill_diagonal(grid, diag // 2 if exact else diag / 2.0)
+    i = np.arange(n)
+    diag = grid[..., i, i]
+    grid[..., i, i] = diag // 2 if exact else diag / 2.0
     return grid
 
 

@@ -7,6 +7,16 @@ signed slack of the density lower bound, minimized by projected gradient
 descent with Armijo backtracking.  A candidate violation is only ever
 announced after the float witness is rationalized and the inequality
 re-checked in exact arithmetic.
+
+All starts of a search advance together as one ``(B, n, n)`` stack: the
+contraction engine, the density gradient and the Dykstra projection each
+take the stack in one call.  Every start keeps its own path.  A start leaves
+the active set when its gradient vanishes or its line search finds no
+acceptable step; inside a line search each start shrinks its own step until
+it accepts one; inside a projection each grid is frozen at the first sweep
+whose own residual reaches the tolerance.  Each start therefore ends where
+a search on it alone would.  The starts are merged by minimum final slack,
+ties to the lower start index.
 """
 
 from __future__ import annotations
@@ -39,33 +49,46 @@ class ProjectionError(RuntimeError):
 
 
 def _affine_project(m: np.ndarray, row_target: float) -> np.ndarray:
-    """Frobenius projection onto symmetric grids with constant row sums."""
-    n = m.shape[0]
-    r = row_target - m.sum(axis=1)
-    sigma = r.sum() / (2 * n)
+    """Frobenius projection onto symmetric grids with constant row sums,
+    applied to each grid of a ``(..., n, n)`` stack."""
+    n = m.shape[-1]
+    r = row_target - m.sum(axis=-1)
+    sigma = r.sum(axis=-1, keepdims=True) / (2 * n)
     mu = (r - sigma) / n
     # form the rank-two bump first: mu_i + mu_j is commutative, so adding it
     # as one term keeps the result bit-for-bit symmetric
-    return m + (mu[:, None] + mu[None, :])
+    return m + (mu[..., :, None] + mu[..., None, :])
 
 
 def _project_regular_array(m: np.ndarray, d: float, tol: float = 1e-10,
                            max_iter: int = 5000) -> np.ndarray:
-    n = m.shape[0]
+    """Dykstra projection of a grid, or of each grid of a ``(..., n, n)``
+    stack.  A grid is frozen at the first sweep whose own residual reaches
+    ``tol``, so every slice equals the call on that grid alone."""
+    shape = m.shape
+    n = shape[-1]
     target = n * d
-    x = (m + m.T) / 2.0
+    x = np.reshape((m + np.swapaxes(m, -1, -2)) / 2.0, (-1, n, n))
     p = np.zeros_like(x)
     q = np.zeros_like(x)
+    out = np.empty_like(x)
+    live = np.arange(len(x))
     for _ in range(max_iter):
         y = _affine_project(x + p, target)
         p = x + p - y
         x_new = np.clip(y + q, 0.0, 1.0)
         q = y + q - x_new
         x = x_new
-        residual = float(np.max(np.abs(x.sum(axis=1) - target)))
-        if residual <= tol:
-            return x
-    raise ProjectionError(residual)
+        residual = np.max(np.abs(x.sum(axis=-1) - target), axis=-1)
+        done = residual <= tol
+        if done.any():
+            out[live[done]] = x[done]
+            keep = ~done
+            x, p, q, live = x[keep], p[keep], q[keep], live[keep]
+            residual = residual[keep]
+            if not len(live):
+                return out.reshape(shape)
+    raise ProjectionError(float(np.max(residual)))
 
 
 def project_regular(grid, d, tol: float = 1e-10,
@@ -123,18 +146,28 @@ class SearchResult:
         return "\n".join(lines) + "\n"
 
 
-def _sidorenko_slack(graph: Graph, a: np.ndarray, n: int) -> float:
+def _edge_densities(a: np.ndarray, n: int) -> list:
+    # Powers of these are taken in Python floats: NumPy's vectorized pow can
+    # round the last bit differently, and a start's slack should be the value
+    # a scalar evaluation of its own grid gives.
+    return (a.sum(axis=(-2, -1)) / n ** 2).tolist()
+
+
+def _sidorenko_slack(graph: Graph, a: np.ndarray, n: int) -> np.ndarray:
+    """The slack of each grid of the stack ``a``."""
     t = contraction.contract_float(graph.n, graph.edges, a, n)
-    return t - float(a.sum() / n ** 2) ** graph.num_edges
+    e = graph.num_edges
+    return t - np.array([s ** e for s in _edge_densities(a, n)])
 
 
 def _slack_gradient(graph: Graph, a: np.ndarray, n: int) -> np.ndarray:
+    """The slack gradient of each grid of the stack ``a``."""
     g = _gradient_float(graph, a)
-    dens = float(a.sum() / n ** 2)
     e = graph.num_edges
+    coef = np.array([e * s ** (e - 1) for s in _edge_densities(a, n)])
     base = np.full((n, n), 2.0 / n ** 2)
     np.fill_diagonal(base, 1.0 / n ** 2)
-    return g - e * dens ** (e - 1) * base
+    return g - coef[:, None, None] * base
 
 
 def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
@@ -144,8 +177,9 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     """Minimize the density slack of a bipartite graph over d-regular graphons.
 
     Projected gradient descent with backtracking line search (sufficient
-    decrease 1e-4, shrink factor ``armijo``).  Deterministic for a fixed
-    seed; starts are merged by minimum final slack with ties broken by start
+    decrease 1e-4, shrink factor ``armijo``, first trial step ``step``), all
+    starts advancing together as one stack.  Deterministic for a fixed seed;
+    starts are merged by minimum final slack with ties broken by start
     index.  A certificate is attached only when the exact recheck at a
     rationalized witness confirms a strict violation.
     """
@@ -153,41 +187,53 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
         raise ValueError("search targets bipartite graphs only")
     if n < 1 or starts < 1 or iters < 1:
         raise ValueError("parameters must be positive")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
+    if not 0 < armijo < 1:
+        raise ValueError(f"armijo must lie in (0, 1), got {armijo}")
     d = Fraction(d)
     if not 0 <= d <= 1:
         raise ValueError("degree must lie in [0, 1]")
     df = float(d)
 
-    children = np.random.SeedSequence(seed).spawn(starts)
-    best = None
-    for index, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        raw = rng.random((n, n))
-        x = _project_regular_array((raw + raw.T) / 2.0, df)
-        val = _sidorenko_slack(graph, x, n)
-        trace = [val]
-        for _ in range(iters):
-            grad = _slack_gradient(graph, x, n)
-            if float(np.max(np.abs(grad))) < 1e-14:
-                break
-            eta = step
-            accepted = False
-            while eta > 1e-12:
-                cand = _project_regular_array(x - eta * grad, df)
-                cand_val = _sidorenko_slack(graph, cand, n)
-                decrease = float(np.sum(grad * (cand - x)))
-                if cand_val <= val + 1e-4 * decrease:
-                    x, val = cand, cand_val
-                    trace.append(val)
-                    accepted = True
-                    break
-                eta *= armijo
-            if not accepted:
-                break
-        if best is None or val < best[0]:
-            best = (val, index, x, tuple(trace))
+    raw = np.stack([np.random.default_rng(child).random((n, n))
+                    for child in np.random.SeedSequence(seed).spawn(starts)])
+    x = _project_regular_array((raw + np.swapaxes(raw, -1, -2)) / 2.0, df)
+    val = _sidorenko_slack(graph, x, n)
+    traces = [[v] for v in val.tolist()]
+    # a start leaves the active set at a vanishing gradient or when its line
+    # search finds no acceptable step; the others keep descending
+    active = np.arange(starts)
+    for _ in range(iters):
+        if not len(active):
+            break
+        grad = _slack_gradient(graph, x[active], n)
+        moving = ~(np.max(np.abs(grad), axis=(-2, -1)) < 1e-14)
+        active, grad = active[moving], grad[moving]
+        # Armijo backtracking for every active start at once; a start stays
+        # pending until it accepts a step or its eta falls to 1e-12
+        eta = np.full(len(active), float(step))
+        pending = eta > 1e-12
+        accepted = np.zeros(len(active), dtype=bool)
+        while pending.any():
+            j = np.flatnonzero(pending)
+            xs = x[active[j]]
+            cand = _project_regular_array(xs - eta[j, None, None] * grad[j],
+                                          df)
+            cand_val = _sidorenko_slack(graph, cand, n)
+            decrease = np.sum(grad[j] * (cand - xs), axis=(-2, -1))
+            ok = cand_val <= val[active[j]] + 1e-4 * decrease
+            won = active[j[ok]]
+            x[won], val[won] = cand[ok], cand_val[ok]
+            for k, v in zip(won.tolist(), cand_val[ok].tolist()):
+                traces[k].append(v)
+            accepted[j[ok]] = True
+            eta[j[~ok]] *= armijo
+            pending[j] = ~ok & (eta[j] > 1e-12)
+        active = active[accepted]
 
-    _, _, x, trace = best
+    best = int(np.argmin(val))
+    x = x[best]
     w = StepGraphon(x)
     recomputed = float(
         contraction.contract_float(graph.n, graph.edges, w.float_matrix, n)
@@ -199,7 +245,7 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     return SearchResult(
         best_w=w,
         best_deficit=recomputed,
-        trace=trace,
+        trace=tuple(traces[best]),
         starts=starts,
         seed=seed,
         certificate=certificate,

@@ -206,7 +206,7 @@ def test_criterion_8_search_negative_controls():
         and not res4.certified_violation and not res6.certified_violation
     )
     report(8, f"search controls C4/C6 (deficits {res4.best_deficit:.2e}, "
-              f"{res6.best_deficit:.2e})", ok, elapsed, 300)
+              f"{res6.best_deficit:.2e})", ok, elapsed, 60)
 
 
 def test_criterion_9_classifier():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sidlab.cli import main
+from sidlab.cli import EXIT_USAGE, main
 from sidlab.graphs import Graph, cycle_graph
 
 
@@ -115,6 +115,13 @@ def test_search_artifacts_byte_identical(tmp_path, c4_path):
               "--out", str(out)])
         texts.append(out.read_text())
     assert texts[0] == texts[1]
+
+
+def test_search_rejects_bad_step(c4_path, capsys):
+    code = main(["search", "--graph", str(c4_path), "--n", "2", "--d", "1/2",
+                 "--starts", "1", "--iters", "5", "--step", "inf"])
+    assert code == EXIT_USAGE
+    assert "step" in capsys.readouterr().err
 
 
 def test_search_rejects_decimal_without_float_flag(c4_path, capsys):

@@ -26,6 +26,7 @@ from sidlab.graphs import (
 )
 from sidlab.homdensity import (
     DensityValue,
+    _gradient_float,
     deficit,
     density_gradient,
     elimination_order,
@@ -50,6 +51,12 @@ def random_symmetric(rng, n, den=6):
             x = F(rng.randrange(den + 1), den)
             grid[i][j] = grid[j][i] = x
     return StepGraphon(grid)
+
+
+def random_float_stack(np_rng, count, n):
+    """``count`` symmetric float grids in [0, 1), shape (count, n, n)."""
+    raw = np_rng.random((count, n, n))
+    return (raw + np.swapaxes(raw, -1, -2)) / 2.0
 
 
 def random_graph(rng, nv):
@@ -208,6 +215,14 @@ def test_eliminate_equals_bruteforce(seed):
         fl = backend(g.n, g.edges, w.float_matrix, n, pins=pins, keep=keep)
         assert np.shape(fl) == ref.shape
         assert np.max(np.abs(fl - ref)) < 1e-12
+    # a stack of grids: every slice equals the 2-D call on it, bit for bit
+    stack = random_float_stack(np.random.default_rng(seed),
+                               rng.randint(1, 4), n)
+    batched = contract_float(g.n, g.edges, stack, n, pins=pins, keep=keep)
+    assert batched.shape == stack.shape[:1] + ref.shape
+    for grid, out in zip(stack, batched):
+        assert np.all(out == contract_float(g.n, g.edges, grid, n, pins=pins,
+                                            keep=keep))
 
 
 def test_pins_realize_counting_kernel_entries():
@@ -371,6 +386,20 @@ def test_gradient_float_mode_matches_exact():
         exact = np.array(density_gradient(g, w), dtype=float)
         fl = density_gradient(g, w, mode="float")
         assert np.max(np.abs(exact - fl)) < 1e-13, g
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_gradient_float_stack_equals_per_grid(seed):
+    rng = random.Random(seed)
+    g = disjoint_union(random_graph(rng, rng.randint(2, 5)),
+                       Graph(rng.randint(0, 1)))
+    stack = random_float_stack(np.random.default_rng(seed),
+                               rng.randint(1, 4), rng.randint(2, 4))
+    batched = _gradient_float(g, stack)
+    assert batched.shape == stack.shape
+    for grid, out in zip(stack, batched):
+        assert np.all(out == _gradient_float(g, grid))
 
 
 # -- deficits ----------------------------------------------------------------

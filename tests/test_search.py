@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sidlab.graphs import complete_graph, cycle_graph
 from sidlab.search import (
     ProjectionError,
+    _project_regular_array,
     certify_violation,
     project_regular,
     search_counterexample,
@@ -67,6 +68,40 @@ def test_projection_error_carries_residual():
     assert err.value.residual > 0
 
 
+def sweeps_to_settle(grid, d):
+    for k in range(1, 5000):
+        try:
+            _project_regular_array(grid, d, max_iter=k)
+            return k
+        except ProjectionError:
+            pass
+    raise AssertionError("grid did not settle")
+
+
+def test_projection_of_stack_equals_per_grid_calls():
+    rng = np.random.default_rng(4)
+    grids = [np.full((4, 4), 0.4)] + [
+        rng.random((4, 4)) * scale - shift
+        for scale, shift in ((1, 0), (2, 0.5), (4, 1.5))
+    ]
+    # the grids settle after different sweep counts, so each one is frozen
+    # at its own sweep while the others go on
+    assert len({sweeps_to_settle(g, 0.4) for g in grids}) >= 3
+    stacked = _project_regular_array(np.stack(grids), 0.4)
+    for grid, out in zip(grids, stacked):
+        assert np.all(out == _project_regular_array(grid, 0.4))
+
+
+def test_projection_error_of_stack_carries_live_residual():
+    stack = np.stack([np.full((3, 3), 0.5), np.eye(3) * 5.0])
+    with pytest.raises(ProjectionError) as err:
+        _project_regular_array(stack, 0.5, max_iter=1)
+    with pytest.raises(ProjectionError) as alone:
+        _project_regular_array(stack[1], 0.5, max_iter=1)
+    assert err.value.residual > 0
+    assert err.value.residual == alone.value.residual
+
+
 def test_projection_rejects_bad_degree():
     with pytest.raises(ValueError):
         project_regular(np.zeros((2, 2)), F(3, 2))
@@ -77,6 +112,67 @@ def test_projection_rejects_bad_degree():
 def test_search_rejects_nonbipartite():
     with pytest.raises(ValueError, match="bipartite"):
         search_counterexample(complete_graph(3), n=3, d=F(1, 2))
+
+
+@pytest.mark.parametrize("step, armijo", [
+    (1e3, 1.0),  # eta never shrinks: the line search would not end
+    (float("inf"), 0.5),  # every projection is nan
+    (0.0, 0.5),  # no descent at all
+    (-0.05, 0.5),
+    (float("nan"), 0.5),
+    (0.05, 0.0),
+    (0.05, -0.5),
+    (0.05, float("nan")),
+])
+def test_search_rejects_bad_step_sizes(step, armijo):
+    with pytest.raises(ValueError, match="step|armijo"):
+        search_counterexample(cycle_graph(4), n=3, d=F(1, 2), starts=2,
+                              iters=5, step=step, armijo=armijo)
+
+
+# Reference outputs of a descent that ran its starts one at a time: a start
+# inside the stack must end exactly where it would alone.
+REGRESSION_CASES = {
+    "C6": (
+        dict(n=4, d=F(1, 2), starts=8, iters=40, seed=5),
+        1.032300672200448e-06, 41, 1.032300672200448e-06,
+        [[0.5988474561648504, 0.41902066163694895, 0.5369114962033452,
+          0.44522038599485547],
+         [0.41902066163694895, 0.7721386718754699, 0.44313617903036373,
+          0.3657044874572173],
+         [0.5369114962033452, 0.44313617903036373, 0.5809936449220857,
+          0.43895867984420556],
+         [0.44522038599485547, 0.3657044874572173, 0.43895867984420556,
+          0.7501164467037217]],
+    ),
+    "theta224": (
+        dict(n=3, d=F(1, 3), starts=5, iters=20, seed=9),
+        5.064841819058842e-10, 21, 5.064841819058842e-10,
+        [[0.2868082530951753, 0.3452559957993418, 0.367935751105483],
+         [0.3452559957993418, 0.43565621652549497, 0.2190877876751633],
+         [0.367935751105483, 0.2190877876751633, 0.4129764612193538]],
+    ),
+}
+
+
+def theta224():
+    from sidlab.graphs import ReplacementSpec, replace_edges_nonuniform
+
+    k3 = complete_graph(3)
+    spec = ReplacementSpec.from_length_maps(k3, [{2: 1}, {2: 1}, {4: 1}])
+    return replace_edges_nonuniform(k3, spec)
+
+
+@pytest.mark.parametrize("name", sorted(REGRESSION_CASES))
+def test_search_reproduces_recorded_results(name):
+    kwargs, deficit, length, last, matrix = REGRESSION_CASES[name]
+    graph = cycle_graph(6) if name == "C6" else theta224()
+    res = search_counterexample(graph, **kwargs)
+    assert len(res.trace) == length
+    assert abs(res.best_deficit - deficit) <= 1e-12
+    assert abs(res.trace[-1] - last) <= 1e-12
+    assert np.max(np.abs(res.best_w.float_matrix - np.array(matrix))) <= 1e-12
+    assert not res.certified_violation
 
 
 def test_search_c4_negative_control_small():
