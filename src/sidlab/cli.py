@@ -1,11 +1,12 @@
 """Command-line interface: construct graphs, evaluate densities, run suites.
 
-Exit codes: 0 success, 1 suite failure or certified violation, 2 usage
-error, 3 I/O or format error.  Rationals cross the boundary as "p/q"
-strings; decimal inputs are accepted only with --float.  Every artifact
-embeds a header recording the tool version, seed, and effective config, and
-identical command lines reproduce identical artifacts apart from the
-recorded wall-clock runtime of suite reports.
+Exit codes: 0 success, 1 suite failure, certified violation or a search
+whose regularity projection did not converge, 2 usage error, 3 I/O or
+format error.  Rationals cross the boundary as "p/q" strings; decimal
+inputs are accepted only with --float.  Every artifact embeds a header
+recording the tool version, seed, and effective config, and identical
+command lines reproduce identical artifacts apart from the recorded
+wall-clock runtime of suite reports.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .graphs import (
     subdivide,
 )
 from .homdensity import hom_density
-from .search import search_counterexample
+from .search import ProjectionError, search_counterexample
 from .stepgraphon import StepGraphon
 from .verify import SUITES, SuiteReport
 
@@ -302,6 +303,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"sidlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ProjectionError as exc:
+        print(f"sidlab: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

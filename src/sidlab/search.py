@@ -65,6 +65,8 @@ def _project_regular_array(m: np.ndarray, d: float, tol: float = 1e-10,
     """Dykstra projection of a grid, or of each grid of a ``(..., n, n)``
     stack.  A grid is frozen at the first sweep whose own residual reaches
     ``tol``, so every slice equals the call on that grid alone."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     shape = m.shape
     n = shape[-1]
     target = n * d
@@ -96,7 +98,8 @@ def project_regular(grid, d, tol: float = 1e-10,
     """Nearest d-regular step graphon in Frobenius distance (to residual tol).
 
     Accepts a StepGraphon, nested values, or an ndarray.  Raises
-    ProjectionError with the final residual if the iteration cap is hit.
+    ProjectionError with the final residual if the iteration cap is hit,
+    and ValueError if ``max_iter < 1``.
     """
     d = Fraction(d)
     if not 0 <= d <= 1:

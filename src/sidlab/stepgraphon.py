@@ -4,11 +4,13 @@ A step graphon is a symmetric n x n grid of edge weights in [0, 1], each
 step carrying measure 1/n.  Exact rationals are the source of truth; the
 float view feeds descent-based search only.  Kernel powers are scaled matrix
 powers, counting kernels contract a rooted gadget with its roots kept free,
-and local denseness reduces to box-constrained quadratic minimization.
+and local denseness reduces to box-constrained quadratic minimization,
+decided exactly up to ``EXACT_STEP_CAP`` steps.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +21,7 @@ from .contraction import contract_exact
 from .graphs import Graph, RootedGraph
 
 __all__ = [
+    "EXACT_STEP_CAP",
     "StepGraphon",
     "LocalDensityReport",
     "SearchBudget",
@@ -204,19 +207,33 @@ def permute_steps(w: StepGraphon, perm) -> StepGraphon:
 
 
 # ---------------------------------------------------------------------------
-# Local denseness: minimize q(s) = s^T A s / n^2 - d (sum s / n)^2 over the
-# box [0, 1]^n.  A negative minimum certifies a violated subset inequality;
-# a nonnegative report is best-effort evidence (the problem is an indefinite
-# box QP).  Corners alone are insufficient: fractional minima exist.
+# Local denseness: minimize q(s) = s^T (A - d J) s / n^2 over the box
+# [0, 1]^n.  A negative minimum certifies a violated subset inequality;
+# q(0) = 0, so the minimum is never positive.  Corners alone are
+# insufficient: fractional minima exist.  q is homogeneous, so its sign
+# question is whether A - d J is copositive (Kaplan, LAA 2000).
+#
+# Up to EXACT_STEP_CAP steps the minimum is decided exactly by enumerating
+# faces of the box.  A face fixes the coordinates of U at 1 and of Z at 0
+# and frees F; write B for A - d J.  A global minimizer can be moved,
+# without raising q, onto a face whose B_FF is positive definite or whose F
+# is empty: where B_FF is not PSD q has a descent direction inside the
+# face, and where B_FF is singular PSD q is flat along a null direction,
+# which reaches a lower face.  On such a face the only stationary point is
+# x = -B_FF^{-1} B_FU 1_U.  Above the cap the corners and a multi-start
+# projected descent give evidence only.
 # ---------------------------------------------------------------------------
+
+EXACT_STEP_CAP = 8
+
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Search configuration for the local density checker."""
+    """Search configuration for the local density checker above
+    ``EXACT_STEP_CAP`` steps.  ``step_size`` multiplies n times the gradient
+    of the quadratic, so one value suits every number of steps."""
 
     corner_limit: int = 20
-    grid_limit: int = 3
-    grid_step: Fraction = Fraction(1, 16)
     starts: int = 1000
     iters: int = 500
     step_size: float = 0.1
@@ -225,12 +242,15 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class LocalDensityReport:
-    """Minimum of the subset-density quadratic found by the search.
+    """Minimum of the subset-density quadratic over the box.
 
-    The deficit is the exact re-evaluation of the quadratic at the witness
-    (an occupancy vector in [0, 1]^n), rounded to float; ``deficit_exact``
-    keeps the rational value.  Negative deficits are certified violations;
-    nonnegative ones are evidence only.
+    ``deficit_exact`` is the exact value of the quadratic at the witness (an
+    occupancy vector in [0, 1]^n) and ``deficit`` its float.  With
+    ``method == "exact"`` the witness holds exact rationals and the deficit
+    is the exact global minimum, so a nonnegative deficit proves local
+    denseness.  Otherwise (``"corners"`` or ``"descent"``, above
+    ``EXACT_STEP_CAP`` steps) the witness holds floats, a negative deficit
+    is a certified violation, and a nonnegative one is evidence only.
     """
 
     target_d: Fraction
@@ -261,26 +281,104 @@ def _quadratic_exact(w: StepGraphon, d: Fraction, s) -> Fraction:
     return quad / n ** 2 - d * (total / n) ** 2
 
 
-def _descent_starts(n, budget):
-    children = np.random.SeedSequence(budget.seed).spawn(budget.starts)
-    return np.vstack([
-        np.random.default_rng(c).random(n) for c in children
-    ])
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _exact_box_minimum(w: StepGraphon, d: Fraction):
+    """Exact minimum of ``s^T (A - d J) s / n^2`` over ``[0, 1]^n`` and an
+    exact witness, by enumerating the faces whose free block is positive
+    definite.
+
+    Works on the integer matrix ``B = L (A - d J)``.  Free sets F grow one
+    index at a time (larger than all of F) in order of size; each keeps the
+    adjugate and determinant of ``B_FF``, extended by the bordered-matrix
+    update, so the determinants are the leading principal minors and F is
+    positive definite iff all of them are > 0 (Sylvester).  A free set whose
+    minor is <= 0 is not extended; a superset of it that grows from a
+    positive definite prefix fails its own minor.  For each positive
+    definite F and each nonempty U outside it, the stationary point
+    ``x = -adj r / det`` with ``r = B_FU 1_U`` is kept if it lies in the
+    box; its value is ``1_U^T B_UU 1_U + r . x``.
+    """
+    n = w.n_steps
+    shifted = [[x - d for x in row] for row in w.values]
+    scale = math.lcm(*(x.denominator for row in shifted for x in row))
+    b = [[int(x * scale) for x in row] for row in shifted]
+    full = (1 << n) - 1
+    # col[U][i] = (B 1_U)_i and quad[U] = 1_U^T B 1_U, built from U minus
+    # its lowest index
+    col = [[0] * n]
+    quad = [0]
+    for u in range(1, full + 1):
+        low = (u & -u).bit_length() - 1
+        prev = u & (u - 1)
+        col.append([c + row[low] for c, row in zip(col[prev], b)])
+        quad.append(quad[prev] + 2 * col[prev][low] + b[low][low])
+
+    # the empty subset: value 0 at s = 0
+    best_num, best_den, best = 0, 1, ((), (), 0)
+    faces = [((), 0, 1, [])]  # (free indices, free mask, det, adjugate)
+    for free, fmask, det, adj in faces:
+        rest = full ^ fmask
+        u = rest
+        while u:
+            r = [col[u][i] for i in free]
+            y = [-_dot(row, r) for row in adj]
+            if all(0 <= v <= det for v in y):
+                num = quad[u] * det + _dot(r, y)
+                if num * best_den < best_num * det:
+                    best_num, best_den, best = num, det, (free, y, u)
+            u = (u - 1) & rest
+        for j in range(free[-1] + 1 if free else 0, n):
+            mask = fmask | 1 << j
+            bj = [b[i][j] for i in free]
+            uj = [_dot(row, bj) for row in adj]
+            new_det = b[j][j] * det - _dot(bj, uj)
+            if new_det <= 0:
+                continue
+            # the top-left block of the bordered adjugate is
+            # (new_det adj + uj uj^T) / det, an integer matrix
+            new_adj = [
+                [(new_det * a + ui * uk) // det for a, uk in zip(row, uj)]
+                + [-ui]
+                for row, ui in zip(adj, uj)
+            ]
+            new_adj.append([-x for x in uj] + [det])
+            faces.append((free + (j,), mask, new_det, new_adj))
+
+    free, y, ones = best
+    witness = [Fraction(ones >> i & 1) for i in range(n)]
+    for i, v in zip(free, y):
+        witness[i] = Fraction(v, best_den)
+    return Fraction(best_num, best_den * scale * n ** 2), tuple(witness)
 
 
 def local_density_deficit(w: StepGraphon, d, budget: SearchBudget | None = None
                           ) -> LocalDensityReport:
-    """Search the box for the worst subset-density deficit against target d.
+    """Minimize the subset-density deficit against target d over the box.
 
-    Runs exhaustive corner enumeration (small n), a coarse uniform grid
-    (n <= grid_limit), and multi-start projected gradient descent, then
-    re-evaluates the best witness in exact arithmetic.
+    Up to ``EXACT_STEP_CAP`` steps the minimum and its witness are exact
+    (``method="exact"``) and ``budget`` is not used.  Above it, runs
+    exhaustive corner enumeration (n <= corner_limit) and multi-start
+    projected gradient descent, then re-evaluates the best witness in exact
+    arithmetic.
     """
     d = Fraction(d)
     if not 0 <= d <= 1:
         raise ValueError("target density must lie in [0, 1]")
-    budget = budget or SearchBudget()
     n = w.n_steps
+    if n <= EXACT_STEP_CAP:
+        exact, witness = _exact_box_minimum(w, d)
+        return LocalDensityReport(
+            target_d=d,
+            deficit=float(exact),
+            deficit_exact=exact,
+            witness=witness,
+            method="exact",
+        )
+
+    budget = budget or SearchBudget()
     a = w.float_matrix
     df = float(d)
     # the zero occupancy (empty subset) is always a candidate: both sides
@@ -299,18 +397,12 @@ def local_density_deficit(w: StepGraphon, d, budget: SearchBudget | None = None
             if vals[i] < best_val:
                 best_val, best_s, best_method = vals[i], corners[i], "corners"
 
-    if n <= budget.grid_limit:
-        ticks = np.arange(0, 1 + 1e-12, float(budget.grid_step))
-        mesh = np.stack(np.meshgrid(*([ticks] * n), indexing="ij"), axis=-1)
-        pts = mesh.reshape(-1, n)
-        quad = np.einsum("bi,ij,bj->b", pts, a, pts) / n ** 2
-        vals = quad - df * (pts.sum(axis=1) / n) ** 2
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_s, best_method = vals[i], pts[i], "grid"
-
-    s_mat = _descent_starts(n, budget)
-    scale = 2.0 / n ** 2
+    s_mat = np.random.default_rng(budget.seed).random((budget.starts, n))
+    # step along n times the gradient 2 (A - d J) s / n^2 of q: the entries
+    # of A - d J lie in [-1, 1], so its norm is at most n and a step_size
+    # below 1 is stable at every n, while steps along the plain gradient
+    # shrink like 1/n
+    scale = 2.0 / n
     for _ in range(budget.iters):
         grad = scale * (s_mat @ a - df * s_mat.sum(axis=1, keepdims=True))
         s_mat = np.clip(s_mat - budget.step_size * grad, 0.0, 1.0)

@@ -2,9 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Tolerances: exact rational equality for the counting
-identity and the oracle equivalence, 1e-12 for float inequality suites,
-1e-9 for search-based local-density claims, 1e-6 relative for the gradient
-check.  Each criterion also enforces its wall-clock budget.
+identity, the oracle equivalence and the exact local-density minima, 1e-12
+for float inequality suites, 1e-6 relative for the gradient check.  Each criterion also enforces its wall-clock budget.
 """
 
 import random
@@ -102,21 +101,20 @@ def test_criterion_3_local_density_of_counting_kernels():
         d = regularity(w)[0]
         rep = local_density_deficit(kernel, d ** theta.num_edges)
         worst = min(worst, rep.deficit)
-        if rep.deficit < -1e-9:
+        if rep.deficit_exact < 0:
             failures += 1
     # the corner-insufficiency instance must be flagged with a fractional
     # witness even though all four corners satisfy the subset bound
     w2 = StepGraphon([[F(8, 10), F(1, 20)], [F(1, 20), F(35, 100)]])
     rep2 = local_density_deficit(w2, F(3, 10))
     flagged = (
-        rep2.deficit < 0
-        and rep2.deficit <= -0.01875 + 1e-12
+        rep2.deficit_exact == F(-3, 160)
         and any(0 < x < 1 for x in rep2.witness)
     )
     elapsed = time.perf_counter() - t0
     ok = failures == 0 and flagged
-    report(3, f"kernel local density (worst searched deficit {worst:.2e}; "
-              f"2x2 instance flagged={flagged})", ok, elapsed, 300)
+    report(3, f"kernel local density (worst exact deficit {worst:.2e}; "
+              f"2x2 instance flagged={flagged})", ok, elapsed, 60)
 
 
 def test_criterion_4_sidorenko_family_deficits():

@@ -102,6 +102,12 @@ def test_projection_error_of_stack_carries_live_residual():
     assert err.value.residual == alone.value.residual
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_projection_rejects_nonpositive_max_iter(max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        project_regular(np.eye(2), F(1, 2), max_iter=max_iter)
+
+
 def test_projection_rejects_bad_degree():
     with pytest.raises(ValueError):
         project_regular(np.zeros((2, 2)), F(3, 2))

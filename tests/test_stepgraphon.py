@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sidlab.graphs import generalized_theta
 from sidlab.stepgraphon import (
+    EXACT_STEP_CAP,
     SearchBudget,
     StepGraphon,
     circulant_graphon,
@@ -24,6 +26,7 @@ from sidlab.stepgraphon import (
     regularity,
     weighted_reiher_check,
 )
+from sidlab.stepgraphon import _quadratic_exact
 
 BIP = StepGraphon([[0, 1], [1, 0]])
 C5 = circulant_graphon([0, 1, 0, 0, 1])
@@ -209,14 +212,12 @@ def test_local_density_corner_insufficiency_instance():
     w = StepGraphon([[F(8, 10), F(1, 20)], [F(1, 20), F(35, 100)]])
     d = F(3, 10)
     corners = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    from sidlab.stepgraphon import _quadratic_exact
-
     assert all(_quadratic_exact(w, d, s) >= 0 for s in corners)
     rep = local_density_deficit(w, d)
-    assert rep.deficit <= -0.01875 + 1e-12
-    assert rep.method in ("grid", "descent")
-    assert any(0 < x < 1 for x in rep.witness)
-    assert _quadratic_exact(w, d, (F(1, 2), F(1))) == F(-3, 160)
+    assert rep.method == "exact"
+    assert rep.deficit_exact == F(-3, 160)
+    assert rep.witness == (F(1, 2), F(1))
+    assert _quadratic_exact(w, d, rep.witness) == rep.deficit_exact
 
 
 def test_local_density_witness_recheck_is_exact():
@@ -232,7 +233,7 @@ def test_local_density_witness_recheck_is_exact():
 def test_local_density_report_json():
     rep = local_density_deficit(constant_graphon(F(1, 4), 2), F(1, 4))
     data = rep.to_json_dict()
-    assert data["method"] in ("corners", "grid", "descent")
+    assert data["method"] in ("exact", "corners", "descent")
     assert len(data["witness"]) == 2
 
 
@@ -256,12 +257,121 @@ def test_hadamard_attachment_c5_locally_dense():
     assert rep.deficit >= -1e-9
 
 
-def test_descent_finds_fractional_violation_when_grid_disabled():
-    w = StepGraphon([[F(8, 10), F(1, 20)], [F(1, 20), F(35, 100)]])
-    budget = SearchBudget(corner_limit=0, grid_limit=0, starts=64, iters=300)
-    rep = local_density_deficit(w, F(3, 10), budget)
-    assert rep.method == "descent"
-    assert rep.deficit <= -0.018
+def test_descent_finds_fractional_violation_above_exact_cap():
+    # 10 steps (each of the 2x2 instance's steps split in 5) is above the
+    # exact cap; its corners reach only -7/400 = -0.0175, the fractional
+    # minimum is -3/160.  The default step size must also serve 40 steps.
+    base = StepGraphon([[F(8, 10), F(1, 20)], [F(1, 20), F(35, 100)]])
+    budget = SearchBudget(corner_limit=0, starts=64, iters=300)
+    for k in (5, 20):
+        w = refine(base, k)
+        assert w.n_steps > EXACT_STEP_CAP
+        rep = local_density_deficit(w, F(3, 10), budget)
+        assert rep.method == "descent"
+        assert rep.deficit <= -0.018
+        assert _quadratic_exact(w, F(3, 10), rep.witness) == rep.deficit_exact
+
+
+# -- exact local density against an independent face enumeration ------------
+
+def refine(w, k):
+    """Split every step into k equal steps; the box minimum is unchanged."""
+    n = w.n_steps * k
+    return StepGraphon(
+        [[w.values[i // k][j // k] for j in range(n)] for i in range(n)]
+    )
+
+
+def _solve(m, rhs):
+    """Rational Gauss-Jordan; None when ``m`` is singular."""
+    k = len(m)
+    a = [list(row) + [v] for row, v in zip(m, rhs)]
+    for c in range(k):
+        p = next((i for i in range(c, k) if a[i][c] != 0), None)
+        if p is None:
+            return None
+        a[c], a[p] = a[p], a[c]
+        for i in range(k):
+            if i != c and a[i][c] != 0:
+                f = a[i][c] / a[c][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [a[i][k] / a[i][i] for i in range(k)]
+
+
+def face_oracle(w, d):
+    """Box minimum by plain 3^n enumeration: label every coordinate 0, 1 or
+    free, solve the free block's stationarity system in rationals wherever
+    it is nonsingular, and keep the points inside the box."""
+    n = w.n_steps
+    m = [[x - d for x in row] for row in w.values]
+    best = F(0)
+    for labels in itertools.product((0, 1, None), repeat=n):
+        free = [i for i in range(n) if labels[i] is None]
+        ones = [i for i in range(n) if labels[i] == 1]
+        rhs = [-sum(m[i][j] for j in ones) for i in free]
+        x = _solve([[m[i][j] for j in free] for i in free], rhs)
+        if x is None or not all(0 <= v <= 1 for v in x):
+            continue
+        s = [F(labels[i] or 0) for i in range(n)]
+        for i, v in zip(free, x):
+            s[i] = v
+        best = min(best, _quadratic_exact(w, d, s))
+    return best
+
+
+@st.composite
+def rational_grids(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 10, 64]))
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = F(draw(st.integers(0, den)), den)
+    return StepGraphon(grid)
+
+
+targets = st.integers(0, 20).map(lambda k: F(k, 20))
+
+
+# the minimum of this instance frees three coordinates, at 5/7 each
+THREE_FREE = StepGraphon([
+    [1, F(3, 5), F(3, 5), 0],
+    [F(3, 5), 1, F(3, 5), 0],
+    [F(3, 5), F(3, 5), 1, 0],
+    [0, 0, 0, F(3, 5)],
+])
+
+
+@given(rational_grids(), targets)
+@example(THREE_FREE, F(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_exact_local_density_equals_face_oracle(w, d):
+    rep = local_density_deficit(w, d)
+    assert rep.method == "exact"
+    assert rep.deficit_exact == face_oracle(w, d)
+    assert all(0 <= x <= 1 for x in rep.witness)
+    assert _quadratic_exact(w, d, rep.witness) == rep.deficit_exact
+
+
+@given(rational_grids(max_n=4), targets)
+@settings(max_examples=25, deadline=None)
+def test_exact_local_density_below_corners_and_quarter_grid(w, d):
+    low = local_density_deficit(w, d).deficit_exact
+    quarters = [F(k, 4) for k in range(5)]
+    for s in itertools.product(quarters, repeat=w.n_steps):
+        assert low <= _quadratic_exact(w, d, s)
+
+
+@given(rational_grids(), targets, st.randoms(use_true_random=False),
+       st.integers(2, 8))
+@settings(max_examples=40, deadline=None)
+def test_exact_local_density_invariant_under_relabel_and_refine(w, d, rnd, k):
+    low = local_density_deficit(w, d).deficit_exact
+    perm = list(range(w.n_steps))
+    rnd.shuffle(perm)
+    assert local_density_deficit(permute_steps(w, perm), d).deficit_exact == low
+    k = min(k, EXACT_STEP_CAP // w.n_steps)
+    assert local_density_deficit(refine(w, k), d).deficit_exact == low
 
 
 # -- weighted subset inequality ----------------------------------------------
