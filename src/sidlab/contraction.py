@@ -156,8 +156,10 @@ def _scaled_integer_grid(values):
     in an object array, together with q."""
     denoms = [x.denominator for row in values for x in row]
     q = lcm(*denoms) if denoms else 1
-    grid = np.array([[int(x * q) for x in row] for row in values],
-                    dtype=object)
+    grid = np.array(
+        [[x.numerator * (q // x.denominator) for x in row] for row in values],
+        dtype=object,
+    )
     return grid, q
 
 

@@ -13,7 +13,8 @@ contraction engine, the density gradient and the Dykstra projection each
 take the stack in one call.  Every start keeps its own path.  A start leaves
 the active set when its gradient vanishes or its line search finds no
 acceptable step; inside a line search each start shrinks its own step until
-it accepts one; inside a projection each grid is frozen at the first sweep
+it accepts one, and a trial whose projection does not settle counts as a
+rejected step; inside a projection each grid is frozen at the first sweep
 whose own residual reaches the tolerance.  Each start therefore ends where
 a search on it alone would.  The starts are merged by minimum final slack,
 ties to the lower start index.
@@ -40,6 +41,9 @@ __all__ = [
 ]
 
 
+PROJECTION_TOL = 1e-10
+
+
 class ProjectionError(RuntimeError):
     """Alternating projection failed to reach the residual target."""
 
@@ -60,11 +64,17 @@ def _affine_project(m: np.ndarray, row_target: float) -> np.ndarray:
     return m + (mu[..., :, None] + mu[..., None, :])
 
 
-def _project_regular_array(m: np.ndarray, d: float, tol: float = 1e-10,
-                           max_iter: int = 5000) -> np.ndarray:
+def _project_regular_array(m: np.ndarray, d: float,
+                           tol: float = PROJECTION_TOL, max_iter: int = 5000):
     """Dykstra projection of a grid, or of each grid of a ``(..., n, n)``
-    stack.  A grid is frozen at the first sweep whose own residual reaches
-    ``tol``, so every slice equals the call on that grid alone."""
+    stack, and the residual left on each grid that did not settle.
+
+    A grid is frozen at the first sweep whose own residual reaches ``tol``,
+    so every slice equals the call on that grid alone, and its reported
+    residual is 0.  A grid that does not settle within ``max_iter`` sweeps
+    keeps its last sweep and reports that sweep's residual (above ``tol``,
+    or nan).
+    """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     shape = m.shape
@@ -74,6 +84,7 @@ def _project_regular_array(m: np.ndarray, d: float, tol: float = 1e-10,
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     out = np.empty_like(x)
+    out_residual = np.zeros(len(x))
     live = np.arange(len(x))
     for _ in range(max_iter):
         y = _affine_project(x + p, target)
@@ -89,11 +100,21 @@ def _project_regular_array(m: np.ndarray, d: float, tol: float = 1e-10,
             x, p, q, live = x[keep], p[keep], q[keep], live[keep]
             residual = residual[keep]
             if not len(live):
-                return out.reshape(shape)
-    raise ProjectionError(float(np.max(residual)))
+                break
+    else:
+        out[live], out_residual[live] = x, residual
+    return out.reshape(shape), out_residual.reshape(shape[:-2])
 
 
-def project_regular(grid, d, tol: float = 1e-10,
+def _settled(x: np.ndarray, residual: np.ndarray, tol: float) -> np.ndarray:
+    """``x`` when every grid settled, else ProjectionError carrying the worst
+    residual among the grids that did not."""
+    if not np.all(residual <= tol):
+        raise ProjectionError(float(np.max(residual)))
+    return x
+
+
+def project_regular(grid, d, tol: float = PROJECTION_TOL,
                     max_iter: int = 5000) -> StepGraphon:
     """Nearest d-regular step graphon in Frobenius distance (to residual tol).
 
@@ -108,8 +129,9 @@ def project_regular(grid, d, tol: float = 1e-10,
         m = grid.float_matrix
     else:
         m = np.array(grid, dtype=float)
-    x = _project_regular_array(m, float(d), tol=tol, max_iter=max_iter)
-    return StepGraphon(x)
+    x, residual = _project_regular_array(m, float(d), tol=tol,
+                                         max_iter=max_iter)
+    return StepGraphon(_settled(x, residual, tol))
 
 
 @dataclass(frozen=True)
@@ -181,7 +203,9 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
 
     Projected gradient descent with backtracking line search (sufficient
     decrease 1e-4, shrink factor ``armijo``, first trial step ``step``), all
-    starts advancing together as one stack.  Deterministic for a fixed seed;
+    starts advancing together as one stack.  A trial step whose projection
+    does not settle is rejected; only the projection of the starting points
+    raises ProjectionError.  Deterministic for a fixed seed;
     starts are merged by minimum final slack with ties broken by start
     index.  A certificate is attached only when the exact recheck at a
     rationalized witness confirms a strict violation.
@@ -201,7 +225,8 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
 
     raw = np.stack([np.random.default_rng(child).random((n, n))
                     for child in np.random.SeedSequence(seed).spawn(starts)])
-    x = _project_regular_array((raw + np.swapaxes(raw, -1, -2)) / 2.0, df)
+    x = _settled(*_project_regular_array(
+        (raw + np.swapaxes(raw, -1, -2)) / 2.0, df), PROJECTION_TOL)
     val = _sidorenko_slack(graph, x, n)
     traces = [[v] for v in val.tolist()]
     # a start leaves the active set at a vanishing gradient or when its line
@@ -221,8 +246,19 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
         while pending.any():
             j = np.flatnonzero(pending)
             xs = x[active[j]]
-            cand = _project_regular_array(xs - eta[j, None, None] * grad[j],
-                                          df)
+            cand, residual = _project_regular_array(
+                xs - eta[j, None, None] * grad[j], df)
+            settled = residual <= PROJECTION_TOL
+            if not settled.all():
+                # A trial whose projection does not settle is a rejected
+                # step.  Such a trial sends the grid far out of the box, so
+                # its start next tries at most the step that moves no entry
+                # by more than the box's side.
+                u = j[~settled]
+                eta[u] = np.minimum(
+                    eta[u] * armijo,
+                    1.0 / np.max(np.abs(grad[u]), axis=(-2, -1)))
+                j, xs, cand = j[settled], xs[settled], cand[settled]
             cand_val = _sidorenko_slack(graph, cand, n)
             decrease = np.sum(grad[j] * (cand - xs), axis=(-2, -1))
             ok = cand_val <= val[active[j]] + 1e-4 * decrease
@@ -232,7 +268,7 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
                 traces[k].append(v)
             accepted[j[ok]] = True
             eta[j[~ok]] *= armijo
-            pending[j] = ~ok & (eta[j] > 1e-12)
+            pending = ~accepted & (eta > 1e-12)
         active = active[accepted]
 
     best = int(np.argmin(val))

@@ -10,8 +10,11 @@ re-run over the size lattice ``product(range(2, s + 1) for s in sizes_used)``
 in product order, and the first failing point is reported, marked
 ``minimized``; the lattice's top point is the drawn instance itself.  Exact
 identities are checked with rational arithmetic and zero tolerance.  So are
-local-density claims: the suite's kernels have at most ``EXACT_STEP_CAP``
-steps, where the box minimum is exact.
+the family, tree and flower deficits (a deficit below 0 fails), the Hölder
+bound when every path exponent is integral, and the local-density claims:
+the suite's kernels have at most ``EXACT_STEP_CAP`` steps, where the box
+minimum is exact.  Only the Hölder bound with a fractional exponent is
+checked in float, to the relative tolerance ``FLOAT_TOL``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, lru_cache, partial
 
 from .graphs import (
     Graph,
@@ -46,6 +49,7 @@ from .stepgraphon import (
     StepGraphon,
     circulant_graphon,
     counting_kernel,
+    edge_density,
     hadamard,
     kernel_power,
     local_density_deficit,
@@ -381,8 +385,9 @@ def _theorem12_instances():
     return out
 
 
+@cache
 def sidorenko_family_instances():
-    """Named (family, graph) pairs exercised by the suite."""
+    """Named (family, graph) pairs exercised by the suite, built once."""
     theta2 = generalized_theta([2], "even")
     theta22 = generalized_theta([2, 2], "even")
     theta24 = generalized_theta([2, 4], "even")
@@ -409,22 +414,32 @@ def sidorenko_family_instances():
     ]
     for name, host, spec in _theorem12_instances():
         instances.append((name, replace_edges_nonuniform(host, spec)))
-    return instances
+    return tuple(instances)
 
 
-def _check_family(name, graph, trial_seed, sizes=None):
+@lru_cache(maxsize=1)
+def _family_draw(trial_seed, sizes):
+    """The graphon of a family trial and its exact edge density.  Every
+    family draws the same graphon from a trial seed, and the suite runs the
+    families of one seed back to back, so one cached draw serves them all."""
     rng = random.Random(trial_seed)
     n = rng.randint(2, 5)
     if sizes is not None:
         (n,) = sizes
     w = _random_regular_graphon(rng, n)
-    gap = deficit(graph, w, "sidorenko", mode="float")
+    return n, w, edge_density(w)
+
+
+def _check_family(name, graph, trial_seed, sizes=None):
+    n, w, rho = _family_draw(trial_seed, sizes)
+    exact = hom_density(graph, w).value - rho ** graph.num_edges
+    gap = float(exact)
     record = None
-    if gap < -FLOAT_TOL:
+    if exact < 0:
         record = {
             "inputs": {"family": name, "graphon": w.to_json_dict()},
-            "lhs": gap,
-            "rhs": 0.0,
+            "lhs": _frac_str(exact),
+            "rhs": "0/1",
             "gap": gap,
         }
     return gap, record, (n,)
@@ -457,13 +472,14 @@ def _check_tree(trial_seed, sizes=None):
 
 def verify_sidorenko_families(trials: int = 100, seed: int = 0) -> SuiteReport:
     """Every constructed family member must beat the edge-density power bound
-    on random regular graphons: float deficits at least -1e-12, and tree
-    deficits exactly zero in rational arithmetic."""
+    on random regular graphons, and every tree must meet it with equality,
+    both decided in rational arithmetic.  The tasks run seed by seed, all
+    families of a trial on its one graphon, then the tree trials."""
     seeds = _trial_seeds(seed, trials)
     tasks = [
         (partial(_check_family, name, graph), s)
-        for name, graph in sidorenko_family_instances()
         for s in seeds
+        for name, graph in sidorenko_family_instances()
     ]
     tasks += [(_check_tree, s) for s in seeds]
     return _run_suite("sidorenko_families", seed, tasks)
@@ -487,17 +503,18 @@ def _check_flower(trial_seed, sizes=None):
     if rng.random() < 0.3:
         w2 = pointwise_dense_graphon(n, d, Fraction(1, 4), rng.randrange(2 ** 31))
         w = mixture_graphon([w, w2], [Fraction(1, 2), Fraction(1, 2)])
-    gap = deficit(graph, w, "knrs", d=d, mode="float")
+    exact = deficit(graph, w, "knrs", d=d, mode="exact")
+    gap = float(exact)
     record = None
-    if gap < -FLOAT_TOL:
+    if exact < 0:
         record = {
             "inputs": {
                 "cycles": cycles,
                 "d": _frac_str(d),
                 "graphon": w.to_json_dict(),
             },
-            "lhs": gap,
-            "rhs": 0.0,
+            "lhs": _frac_str(exact),
+            "rhs": "0/1",
             "gap": gap,
         }
     return gap, record, (n,)
@@ -505,7 +522,8 @@ def _check_flower(trial_seed, sizes=None):
 
 def verify_flower_knrs(trials: int = 100, seed: int = 0) -> SuiteReport:
     """Cycle bouquets must beat d^e on graphons that are pointwise at least d
-    (hence d-locally dense), including mixtures of such graphons."""
+    (hence d-locally dense), including mixtures of such graphons.  Deficits
+    are exact rationals; any negative deficit is a failure."""
     tasks = [(_check_flower, s) for s in _trial_seeds(seed, trials)]
     return _run_suite("flower_knrs", seed, tasks)
 
@@ -556,11 +574,19 @@ def _check_holder_inequality(trial_seed, sizes=None):
     spec = ReplacementSpec.from_length_maps(host, maps)
     w = _random_regular_graphon(rng, n)
     replaced = replace_edges_nonuniform(host, spec)
-    lhs = float(hom_density(replaced, w, mode="float").value)
-    rhs = float(holder_lower_bound(host, spec, w, mode="float").value)
-    gap = lhs - rhs
+    if all(a.denominator == 1 for a in spec.alphas().values()):
+        lhs = hom_density(replaced, w).value
+        rhs = holder_lower_bound(host, spec, w, mode="exact").value
+        gap = float(lhs - rhs)
+        failed = lhs < rhs
+        lhs, rhs = _frac_str(lhs), _frac_str(rhs)
+    else:
+        lhs = float(hom_density(replaced, w, mode="float").value)
+        rhs = float(holder_lower_bound(host, spec, w, mode="float").value)
+        gap = lhs - rhs
+        failed = not _rel_ok(lhs, rhs, FLOAT_TOL)
     record = None
-    if not _rel_ok(lhs, rhs, FLOAT_TOL):
+    if failed:
         record = {
             "inputs": {
                 "kind": "random-replacement",
@@ -579,7 +605,8 @@ def verify_holder(trials: int = 50, seed: int = 0) -> SuiteReport:
     """The replaced-graph density must dominate the uniformized bound built
     from averaged path exponents, with exact equality when the host is
     complete and the replacement is uniform.  Every fifth trial checks the
-    equality."""
+    equality.  The bound is decided in rational arithmetic when every path
+    exponent is integral, and in float to relative ``FLOAT_TOL`` otherwise."""
     tasks = [
         (_check_holder_equality if i % 5 == 0 else _check_holder_inequality, s)
         for i, s in enumerate(_trial_seeds(seed, trials))

@@ -1,11 +1,17 @@
 import json
+from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
+
+import pytest
 
 from sidlab import verify
 from sidlab.graphs import (
+    ReplacementSpec,
     Theorem12Case,
     classify_theorem12,
 )
+from sidlab.homdensity import deficit, holder_lower_bound
 from sidlab.verify import (
     SUITES,
     SuiteReport,
@@ -100,9 +106,11 @@ def test_size_override_at_drawn_sizes_reproduces_the_trial():
 
 
 def test_suite_failures_are_minimized_to_first_lattice_point(monkeypatch):
-    # A negative tolerance fails every flower check at every size, so each
-    # trial's witness must come from the lattice's first point, n = 2.
-    monkeypatch.setattr(verify, "FLOAT_TOL", -1.0)
+    # Lowering every exact deficit by 1 fails every flower check at every
+    # size, so each trial's witness must come from the lattice's first
+    # point, n = 2.
+    monkeypatch.setattr(verify, "deficit",
+                        lambda *args, **kwargs: deficit(*args, **kwargs) - 1)
     rep = verify_flower_knrs(trials=4, seed=13)
     seeds = _trial_seeds(13, 4)
     assert [rec["trial_seed"] for rec in rep.failures] == seeds
@@ -110,6 +118,79 @@ def test_suite_failures_are_minimized_to_first_lattice_point(monkeypatch):
         first = verify._check_flower(trial_seed, (2,))[1]
         assert rec == {**first, "trial_seed": trial_seed, "minimized": True}
         assert rec["inputs"]["graphon"]["n"] == 2
+
+
+@pytest.fixture
+def fresh_family_draws():
+    # a cached family draw keeps the graphon and edge density it was drawn
+    # with, so a test that patches either starts and ends with no draws
+    verify._family_draw.cache_clear()
+    yield
+    verify._family_draw.cache_clear()
+
+
+def test_family_suite_draws_one_graphon_per_trial(monkeypatch,
+                                                  fresh_family_draws):
+    draws = []
+
+    def counting(rng, n, *args):
+        draws.append(n)
+        return random_regular_graphon(rng, n, *args)
+
+    random_regular_graphon = verify._random_regular_graphon
+    monkeypatch.setattr(verify, "_random_regular_graphon", counting)
+    rep = verify_sidorenko_families(trials=3, seed=5)
+    assert rep.passed
+    assert rep.trials == 3 * (len(sidorenko_family_instances()) + 1)
+    # one graphon per trial serves all the families, one more the tree
+    assert len(draws) == 2 * 3
+
+
+def test_family_failures_are_exact_and_minimized(monkeypatch,
+                                                 fresh_family_draws):
+    # With the edge density patched to 1 every family needs t_H(W) >= 1,
+    # which fails on every graphon that is not identically 1.
+    monkeypatch.setattr(verify, "edge_density", lambda w: Fraction(1))
+    rep = verify_sidorenko_families(trials=2, seed=9)
+    seeds = _trial_seeds(9, 2)
+    names = [name for name, _ in sidorenko_family_instances()]
+    assert [(rec["inputs"]["family"], rec["trial_seed"])
+            for rec in rep.failures] == [
+        (name, s) for s in seeds for name in names
+    ]
+    for rec, (name, graph) in zip(
+            rep.failures, sidorenko_family_instances() * len(seeds)):
+        first = verify._check_family(name, graph, rec["trial_seed"], (2,))
+        assert rec["minimized"] is True
+        assert rec == {**first[1], "trial_seed": rec["trial_seed"],
+                       "minimized": True}
+        assert Fraction(rec["lhs"]) < 0
+        assert rec["gap"] == float(Fraction(rec["lhs"]))
+        assert rec["inputs"]["graphon"]["n"] == 2
+
+
+def test_holder_inequality_is_exact_for_integral_exponents(monkeypatch):
+    # Raising the bound by 1 fails every trial.  A trial whose path
+    # exponents are all integral is decided and recorded in rationals, the
+    # others in float.
+    def raised(*args, **kwargs):
+        bound = holder_lower_bound(*args, **kwargs).value
+        return SimpleNamespace(value=bound + 1)
+
+    monkeypatch.setattr(verify, "holder_lower_bound", raised)
+    kinds = []
+    for trial_seed in _trial_seeds(606, 20):
+        gap, rec, _ = verify._check_holder_inequality(trial_seed)
+        spec = ReplacementSpec.from_json_dict(rec["inputs"]["spec"])
+        integral = all(a.denominator == 1 for a in spec.alphas().values())
+        if integral:
+            assert isinstance(rec["lhs"], str) and isinstance(rec["rhs"], str)
+            diff = Fraction(rec["lhs"]) - Fraction(rec["rhs"])
+            assert diff < 0 and gap == float(diff)
+        else:
+            assert gap == rec["lhs"] - rec["rhs"] < 0
+        kinds.append(integral)
+    assert set(kinds) == {True, False}
 
 
 def test_runner_walks_the_size_lattice_in_product_order():
