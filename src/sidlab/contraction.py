@@ -12,8 +12,14 @@ einsum per eliminated vertex) runs on either of two arrays:
 * exact: the rational grid times the lcm q of its denominators, as Python
   ints in an object array.  No step divides; the result is an integer sum
   and the entry point divides once by q^{#edges} * n^{#eliminated};
-* float: float64, with one 1/n folded into each elimination step, which
-  keeps every intermediate value inside [0, 1].
+* float: float64, or a stack of float64 grids, with one 1/n folded into
+  each elimination step, which keeps every intermediate value inside [0, 1].
+
+Each contraction shape (vertex count, edge list, pinned-vertex set, kept
+vertices) is compiled once, in the elimination-order cache, into a plan:
+which grid rows feed which operand, and one einsum subscript string per
+step.  The engine executes that plan in either dtype; the pinned steps are
+read per call, so one plan serves every pin target.
 
 The brute-force oracle enumerates every assignment over the same two grids;
 it shares the input checks and the integer scaling with the engine, not
@@ -23,10 +29,13 @@ the elimination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import string
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,10 +52,39 @@ __all__ = [
 
 BRUTEFORCE_STATE_LIMIT = 10 ** 7
 _EINSUM_MAX_OPERANDS = 32
+# The letters np.einsum gives the integer labels 0, 1, ..., 51 of its
+# sublist form, so a plan's subscript strings run the very same contraction.
+_LABELS = string.ascii_uppercase + string.ascii_lowercase
+# What a plan step does with its einsum result: keep it as a new operand
+# without dividing (a chunk of an oversized bucket), divide it by n and keep
+# it, or divide it by n and multiply it into the constant.
+_FOLD, _FACTOR, _SCALAR = range(3)
 
 
 class WidthCapExceeded(ValueError):
     """Exact contraction refused: intermediate factor arity above the cap."""
+
+
+class _Plan(NamedTuple):
+    """One contraction shape, compiled.
+
+    Operand slots are numbered in creation order: first one per edge with
+    an unpinned endpoint, then one per step whose result stays an operand
+    (every step but a ``_SCALAR`` one).  The first
+    ``edge_slots`` slots hold the grid, except that each ``(s, p)`` of
+    ``rows`` puts in slot s the row of the grid at pinned vertex p's step.
+    ``steps`` are ``(subscripts, kind, *slots)``, flat to keep a cached
+    plan small.  ``tail`` is None when nothing is kept, else ``(subscripts,
+    covered, *slots)``: the einsum of what is left (None if nothing is) into
+    the kept vertices that ``covered`` marks.
+    """
+
+    edge_slots: int
+    rows: tuple
+    pinned_edges: tuple
+    steps: tuple
+    isolated: int
+    tail: tuple | None
 
 
 @dataclass(frozen=True)
@@ -55,11 +93,14 @@ class EliminationOrder:
 
     ``arities[i]`` counts the variables of the combined factor built when
     ``vertices[i]`` is summed out (the eliminated variable plus its current
-    neighbors), so ``max_arity == width + 1``.
+    neighbors), so ``max_arity == width + 1``.  ``_plan`` is the compiled
+    contraction of the shape the order was made for; it takes no part in
+    comparisons.
     """
 
     vertices: tuple
     arities: tuple
+    _plan: _Plan | None = field(default=None, compare=False, repr=False)
 
     @property
     def width(self) -> int:
@@ -68,6 +109,87 @@ class EliminationOrder:
     @property
     def max_arity(self) -> int:
         return max(self.arities, default=1)
+
+
+def _subscripts(scopes, out_vars):
+    """The einsum subscripts contracting factors over ``scopes`` down to
+    ``out_vars``: labels by first appearance, and a leading ellipsis that
+    carries any batch axes of a stacked grid through."""
+    labels, parts = {}, []
+    for scope in scopes:
+        parts.append(",...")
+        for w in scope:
+            label = labels.get(w)
+            if label is None:
+                label = labels[w] = _LABELS[len(labels)]
+            parts.append(label)
+    parts.append("->...")
+    parts += [labels[w] for w in out_vars]
+    return sys.intern("".join(parts)[1:])
+
+
+def _compile_plan(edges, pinset, keep, vertices):
+    """The plan that eliminates ``vertices`` in order, bucket by bucket."""
+    rows, pinned_edges, scopes = [], [], []
+    for edge in edges:
+        u, v = edge
+        if u in pinset and v in pinset:
+            pinned_edges.append(edge)
+            continue
+        if u in pinset:
+            rows.append((len(scopes), u))
+            edge = (v,)
+        elif v in pinset:
+            rows.append((len(scopes), v))
+            edge = (u,)
+        scopes.append(edge)
+    edge_slots = len(scopes)
+    steps = []
+
+    def fold(group):
+        # np.einsum takes at most 32 operands before NumPy 2 (64 since), and
+        # a high-degree vertex can collect more factors than that: fold them
+        # in chunks first, each keeping all of its variables.
+        while len(group) > _EINSUM_MAX_OPERANDS:
+            head = group[:_EINSUM_MAX_OPERANDS]
+            head_vars = tuple(sorted({w for s in head for w in scopes[s]}))
+            steps.append((_subscripts([scopes[s] for s in head], head_vars),
+                          _FOLD, *head))
+            scopes.append(head_vars)
+            group = [len(scopes) - 1] + group[_EINSUM_MAX_OPERANDS:]
+        return group
+
+    # ``live`` lists the slots not yet consumed, in the order the factors
+    # were made; a bucket takes its factors in that order
+    live, isolated = list(range(edge_slots)), 0
+    for v in vertices:
+        group = [s for s in live if v in scopes[s]]
+        if not group:
+            isolated += 1
+            continue
+        live = [s for s in live if v not in scopes[s]]
+        out_vars = tuple(sorted({w for s in group for w in scopes[s]
+                                 if w != v}))
+        group = fold(group)
+        steps.append((_subscripts([scopes[s] for s in group], out_vars),
+                      _FACTOR if out_vars else _SCALAR, *group))
+        if out_vars:
+            scopes.append(out_vars)
+            live.append(len(scopes) - 1)
+
+    tail = None
+    if keep:
+        # every factor left spans kept vertices only
+        covered = {w for s in live for w in scopes[s]}
+        kept_covered = tuple(k for k in keep if k in covered)
+        live = fold(live)
+        subscripts = (_subscripts([scopes[s] for s in live], kept_covered)
+                      if live else None)
+        tail = (subscripts, tuple(k in covered for k in keep), *live)
+    else:
+        assert not live
+    return _Plan(edge_slots, tuple(rows), tuple(pinned_edges), tuple(steps),
+                 isolated, tail)
 
 
 @lru_cache(maxsize=4096)
@@ -83,13 +205,16 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
     eliminable = set(present) - keepset
 
     def fill(v):
-        nbrs = list(adj[v])
-        return sum(
-            1
-            for i in range(len(nbrs))
-            for j in range(i + 1, len(nbrs))
-            if nbrs[j] not in adj[nbrs[i]]
-        )
+        # pairs of distinct neighbors that are not adjacent; past two
+        # neighbors, each pair is counted once from either end (adjacency is
+        # symmetric)
+        nbrs = adj[v]
+        if len(nbrs) < 3:
+            if len(nbrs) < 2:
+                return 0
+            a, b = nbrs
+            return int(b not in adj[a])
+        return sum(len(nbrs - adj[a]) - (a not in adj[a]) for a in nbrs) // 2
 
     order, arities = [], []
     while eliminable:
@@ -102,7 +227,8 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
             adj[a].discard(v)
         del adj[v]
         eliminable.remove(v)
-    return EliminationOrder(tuple(order), tuple(arities))
+    return EliminationOrder(tuple(order), tuple(arities),
+                            _compile_plan(edges, pinset, keep, order))
 
 
 def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
@@ -175,26 +301,6 @@ def _as_fractions(raw, denominator):
 # Elimination engine.
 # ---------------------------------------------------------------------------
 
-def _einsum_group(group, out_vars):
-    """Contract the factors in ``group`` down to the axes in ``out_vars``."""
-    # np.einsum takes at most 32 operands before NumPy 2 (64 since), and a
-    # high-degree vertex can collect more factors than that: fold them in
-    # chunks, each keeping all of its variables.
-    while len(group) > _EINSUM_MAX_OPERANDS:
-        head = group[:_EINSUM_MAX_OPERANDS]
-        rest = group[_EINSUM_MAX_OPERANDS:]
-        head_vars = sorted(set().union(*(f[0] for f in head)))
-        group = [(tuple(head_vars), _einsum_group(head, head_vars))] + rest
-    # a leading Ellipsis carries any batch axes of a stacked grid through
-    labels = {}
-    operands = []
-    for fvars, arr in group:
-        for w in fvars:
-            labels.setdefault(w, len(labels))
-        operands.extend([arr, [Ellipsis] + [labels[w] for w in fvars]])
-    return np.einsum(*operands, [Ellipsis] + [labels[w] for w in out_vars])
-
-
 def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
                width_cap=None):
     """Bucket elimination over the weight matrix ``a``, in either dtype.
@@ -216,54 +322,43 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
         raise WidthCapExceeded(
             f"induced width {order.width} exceeds cap {width_cap}"
         )
+    plan = order._plan
     exact = a.dtype == object
     batch = a.shape[:-2]
 
     const = np.ones(batch) if batch else 1
-    factors = []
-    for u, v in edges:
-        pu, pv = pins.get(u), pins.get(v)
-        if pu is not None and pv is not None:
-            const = const * a[..., pu, pv]
-        elif pu is not None:
-            factors.append(((v,), a[..., pu, :]))
-        elif pv is not None:
-            factors.append(((u,), a[..., pv, :]))
-        else:
-            factors.append(((u, v), a))
-
-    for v in order.vertices:
-        group = [f for f in factors if v in f[0]]
-        if not group:
-            # isolated variable: a plain sum of n ones, which float mode
-            # divides by n like every other step
-            if exact:
-                const *= n_steps
-            continue
-        factors = [f for f in factors if v not in f[0]]
-        out_vars = sorted(set().union(*(f[0] for f in group)) - {v})
-        result = _einsum_group(group, out_vars)
-        if not exact:
+    for u, v in plan.pinned_edges:
+        const = const * a[..., pins[u], pins[v]]
+    if exact and plan.isolated:
+        # an isolated variable is a plain sum of n ones, which float mode
+        # divides by n like every other step
+        const = const * n_steps ** plan.isolated
+    slots = [a] * plan.edge_slots
+    for s, p in plan.rows:
+        slots[s] = a[..., pins[p], :]
+    for subscripts, kind, *operands in plan.steps:
+        result = np.einsum(subscripts, *[slots[i] for i in operands])
+        for i in operands:
+            slots[i] = None
+        if kind != _FOLD and not exact:
             result = result / n_steps
-        if out_vars:
-            factors.append((tuple(out_vars), result))
-        else:
+        if kind == _SCALAR:
             const = const * result
+        else:
+            slots.append(result)
 
     if not keep:
-        assert not factors
         return const, len(order.vertices)
 
-    # every factor left spans kept vertices only; contract them straight
-    # into keep order, then broadcast over the kept vertices none covers
-    covered = set().union(*(f[0] for f in factors)) if factors else set()
-    kept_covered = [k for k in keep if k in covered]
-    partial = (_einsum_group(factors, kept_covered) if factors
-               else np.ones((), dtype=a.dtype))
+    # contract what is left straight into keep order, then broadcast over
+    # the kept vertices no factor covers
+    subscripts, covered, *operands = plan.tail
+    partial = (np.einsum(subscripts, *[slots[i] for i in operands])
+               if operands else np.ones((), dtype=a.dtype))
     if batch:
-        const = np.reshape(const, batch + (1,) * len(kept_covered))
+        const = np.reshape(const, batch + (1,) * sum(covered))
     partial = np.asarray(partial * const, dtype=a.dtype)
-    shape = batch + tuple(n_steps if k in covered else 1 for k in keep)
+    shape = batch + tuple(n_steps if c else 1 for c in covered)
     full = np.ones(batch + (n_steps,) * len(keep), dtype=a.dtype)
     return full * partial.reshape(shape), len(order.vertices)
 

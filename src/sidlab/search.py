@@ -14,9 +14,10 @@ take the stack in one call.  Every start keeps its own path.  A start leaves
 the active set when its gradient vanishes or its line search finds no
 acceptable step; inside a line search each start shrinks its own step until
 it accepts one, and a trial whose projection does not settle counts as a
-rejected step; inside a projection each grid is frozen at the first sweep
-whose own residual reaches the tolerance.  Each start therefore ends where
-a search on it alone would.  The starts are merged by minimum final slack,
+rejected step, after which that start's line searches begin no higher than
+its clamped step; inside a projection each grid is frozen at the first sweep
+whose own residual reaches the tolerance.  Each start therefore ends where a
+search on it alone would.  The starts are merged by minimum final slack,
 ties to the lower start index.
 """
 
@@ -204,8 +205,10 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     Projected gradient descent with backtracking line search (sufficient
     decrease 1e-4, shrink factor ``armijo``, first trial step ``step``), all
     starts advancing together as one stack.  A trial step whose projection
-    does not settle is rejected; only the projection of the starting points
-    raises ProjectionError.  Deterministic for a fixed seed;
+    does not settle is rejected, and the start's next trial, at most the step
+    that moves no grid entry by more than 1, also caps the first trial of its
+    later iterations; only the projection of the starting points raises
+    ProjectionError.  Deterministic for a fixed seed;
     starts are merged by minimum final slack with ties broken by start
     index.  A certificate is attached only when the exact recheck at a
     rationalized witness confirms a strict violation.
@@ -232,6 +235,9 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     # a start leaves the active set at a vanishing gradient or when its line
     # search finds no acceptable step; the others keep descending
     active = np.arange(starts)
+    # a bound on each start's first trial step, set once one of its trials
+    # did not settle
+    cap = np.full(starts, np.inf)
     for _ in range(iters):
         if not len(active):
             break
@@ -240,7 +246,7 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
         active, grad = active[moving], grad[moving]
         # Armijo backtracking for every active start at once; a start stays
         # pending until it accepts a step or its eta falls to 1e-12
-        eta = np.full(len(active), float(step))
+        eta = np.minimum(float(step), cap[active])
         pending = eta > 1e-12
         accepted = np.zeros(len(active), dtype=bool)
         while pending.any():
@@ -253,11 +259,13 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
                 # A trial whose projection does not settle is a rejected
                 # step.  Such a trial sends the grid far out of the box, so
                 # its start next tries at most the step that moves no entry
-                # by more than the box's side.
+                # by more than the box's side, and its later line searches
+                # start there rather than at ``step``.
                 u = j[~settled]
                 eta[u] = np.minimum(
                     eta[u] * armijo,
                     1.0 / np.max(np.abs(grad[u]), axis=(-2, -1)))
+                cap[active[u]] = eta[u]
                 j, xs, cand = j[settled], xs[settled], cand[settled]
             cand_val = _sidorenko_slack(graph, cand, n)
             decrease = np.sum(grad[j] * (cand - xs), axis=(-2, -1))

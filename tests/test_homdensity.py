@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sidlab import contraction
 from sidlab.contraction import (
     WidthCapExceeded,
     bruteforce_exact,
@@ -162,16 +163,28 @@ def test_bruteforce_guard():
 
 
 def test_high_degree_vertex_contracts():
-    # the hub collects one factor per leaf: more than one einsum call accepts
+    # the hub collects one factor per leaf: more than one einsum call accepts,
+    # so its bucket (or, with the hub kept, the kept-vertex tail) is folded
+    # in chunks first
     w = random_symmetric(random.Random(71), 3)
     leaves = 70
     star = Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
-    expected = sum(
-        (sum(w.values[x]) / 3) ** leaves for x in range(3)
-    ) / 3
+    at_hub = [(sum(w.values[x]) / 3) ** leaves for x in range(3)]
+    expected = sum(at_hub) / 3
     assert hom_density(star, w).value == expected
     assert abs(hom_density(star, w, mode="float").value
                - float(expected)) < 1e-12
+    assert contract_exact(star.n, star.edges, w.values, 3,
+                          keep=(0,)) == tuple(at_hub)
+    stack = random_float_stack(np.random.default_rng(71), 3, 3)
+    for keep in ((), (0,)):
+        batched = contract_float(star.n, star.edges, stack, 3, keep=keep)
+        for grid, out in zip(stack, batched):
+            alone = contract_float(star.n, star.edges, grid, 3, keep=keep)
+            assert np.all(out == alone)
+            ref = (grid.sum(axis=1) / 3) ** leaves
+            np.testing.assert_allclose(alone, ref if keep else ref.mean(),
+                                       rtol=1e-12)
 
 
 def test_width_cap_enforced():
@@ -181,6 +194,34 @@ def test_width_cap_enforced():
     hom_density(g, BIP, width_cap=5)
 
 
+def min_fill_reference(n_vertices, edges, pins, keep):
+    """Greedy min-fill, min-degree, min-index order, fill counted pair by
+    pair: (vertices, arities)."""
+    adj = {v: set() for v in range(n_vertices) if v not in pins}
+    for u, v in edges:
+        if u not in pins and v not in pins:
+            adj[u].add(v)
+            adj[v].add(u)
+
+    def fill(v):
+        return sum(b not in adj[a]
+                   for a, b in itertools.combinations(list(adj[v]), 2))
+
+    order, arities = [], []
+    eliminable = set(adj) - set(keep)
+    while eliminable:
+        v = min(eliminable, key=lambda w: (fill(w), len(adj[w]), w))
+        order.append(v)
+        arities.append(len(adj[v]) + 1)
+        nbrs = set(adj[v])
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(v)
+        del adj[v]
+        eliminable.remove(v)
+    return tuple(order), tuple(arities)
+
+
 def test_elimination_order_reports_width():
     order = elimination_order(4, cycle_graph(4).edges)
     assert sorted(order.vertices) == [0, 1, 2, 3]
@@ -188,6 +229,17 @@ def test_elimination_order_reports_width():
     assert order.max_arity == order.width + 1
     k5 = complete_graph(5)
     assert elimination_order(5, k5.edges).width == 4
+    # a raw edge list may carry loops; a loop is no fill
+    edges = ((0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (2, 5), (4, 4), (4, 5))
+    order = elimination_order(6, edges)
+    assert (order.vertices, order.arities) == \
+        min_fill_reference(6, edges, (), ())
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and \
+        x.tobytes() == y.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -206,23 +258,66 @@ def test_eliminate_equals_bruteforce(seed):
     a = hom_density(g, w, strategy="eliminate").value
     b = hom_density(g, w, strategy="bruteforce").value
     assert a == b
-    exact = contract_exact(g.n, g.edges, w.values, n, pins=pins, keep=keep)
+    order = elimination_order(g.n, g.edges, pins, keep)
+    assert (order.vertices, order.arities) == \
+        min_fill_reference(g.n, g.edges, pins, keep)
+    stack = random_float_stack(np.random.default_rng(seed),
+                               rng.randint(1, 4), n)
+    calls = [
+        lambda: contract_exact(g.n, g.edges, w.values, n, pins=pins,
+                               keep=keep),
+        lambda: contract_float(g.n, g.edges, w.float_matrix, n, pins=pins,
+                               keep=keep),
+        lambda: contract_float(g.n, g.edges, stack, n, pins=pins, keep=keep),
+    ]
+    # each call once with its plan compiled afresh, then from the cache
+    cold = []
+    for call in calls:
+        contraction._elimination_order_cached.cache_clear()
+        cold.append(call())
+    hits = contraction._elimination_order_cached.cache_info().hits
+    exact, fl, batched = cold
+    assert calls[0]() == exact
+    assert same_bits(calls[1](), fl)
+    assert same_bits(calls[2](), batched)
+    assert contraction._elimination_order_cached.cache_info().hits == hits + 3
     assert exact == bruteforce_exact(g.n, g.edges, w.values, n, pins=pins,
                                      keep=keep)
     ref = np.array(exact, dtype=float)
     assert ref.shape == (n,) * len(keep)
-    for backend in (contract_float, bruteforce_float):
-        fl = backend(g.n, g.edges, w.float_matrix, n, pins=pins, keep=keep)
-        assert np.shape(fl) == ref.shape
-        assert np.max(np.abs(fl - ref)) < 1e-12
+    brute = bruteforce_float(g.n, g.edges, w.float_matrix, n, pins=pins,
+                             keep=keep)
+    for out in (fl, brute):
+        assert np.shape(out) == ref.shape
+        assert np.max(np.abs(out - ref)) < 1e-12
     # a stack of grids: every slice equals the 2-D call on it, bit for bit
-    stack = random_float_stack(np.random.default_rng(seed),
-                               rng.randint(1, 4), n)
-    batched = contract_float(g.n, g.edges, stack, n, pins=pins, keep=keep)
     assert batched.shape == stack.shape[:1] + ref.shape
     for grid, out in zip(stack, batched):
         assert np.all(out == contract_float(g.n, g.edges, grid, n, pins=pins,
                                             keep=keep))
+
+
+def test_one_plan_serves_every_pin_target():
+    # per pinned-vertex set, one compiled plan; the pin targets only choose
+    # the grid rows it reads, here also for an edge with both ends pinned
+    w = random_symmetric(random.Random(89), 3)
+    g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)))
+    plans = []
+    for pinned, keep in (((0, 2), (3,)), ((1, 4), ())):
+        orders = []
+        for targets in ((0, 1), (2, 2)):
+            pins = dict(zip(pinned, targets))
+            orders.append(elimination_order(g.n, g.edges, pins, keep))
+            exact = contract_exact(g.n, g.edges, w.values, 3, pins=pins,
+                                   keep=keep)
+            assert exact == bruteforce_exact(g.n, g.edges, w.values, 3,
+                                             pins=pins, keep=keep)
+            fl = contract_float(g.n, g.edges, w.float_matrix, 3, pins=pins,
+                                keep=keep)
+            assert np.max(np.abs(fl - np.array(exact, dtype=float))) < 1e-12
+        assert orders[0]._plan is orders[1]._plan
+        plans.append(orders[0]._plan)
+    assert plans[0] != plans[1]
 
 
 def test_pins_realize_counting_kernel_entries():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sidlab import search
 from sidlab.graphs import complete_graph, cycle_graph
 from sidlab.search import (
+    PROJECTION_TOL,
     ProjectionError,
     _project_regular_array,
     certify_violation,
@@ -192,6 +194,26 @@ def test_search_rejects_unsettled_trial_steps():
     assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))
     degrees = res.best_w.float_matrix.sum(axis=1) / 3
     assert np.max(np.abs(degrees - 0.5)) <= 1e-9
+
+
+def test_search_remembers_a_clamped_trial_step(monkeypatch):
+    # After a start's first trial that does not settle, its later line
+    # searches begin at the clamped step instead of at ``step``: over the
+    # whole run each start pays for at most one unsettled projection.
+    unsettled = []
+
+    def counting(m, d, **kwargs):
+        out, residual = _project_regular_array(m, d, **kwargs)
+        unsettled.append(int(np.sum(~(residual <= PROJECTION_TOL))))
+        return out, residual
+
+    monkeypatch.setattr(search, "_project_regular_array", counting)
+    res = search_counterexample(cycle_graph(4), n=3, d=F(1, 2), starts=2,
+                                iters=5, step=1e8)
+    assert len(unsettled) > 5
+    assert 1 <= sum(unsettled) <= 2
+    assert len(res.trace) > 1
+    assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))
 
 
 def test_search_c4_negative_control_small():
