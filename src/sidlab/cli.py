@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -227,7 +228,10 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; ``parse_args`` returns a
+    fresh namespace on every call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="sidlab",
         description="Graph constructions, graphon densities, verification "
@@ -290,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as exc:

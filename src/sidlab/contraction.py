@@ -21,9 +21,10 @@ which grid rows feed which operand, and one einsum subscript string per
 step.  The engine executes that plan in either dtype; the pinned steps are
 read per call, so one plan serves every pin target.
 
-The brute-force oracle enumerates every assignment over the same two grids;
-it shares the input checks and the integer scaling with the engine, not
-the elimination.
+The brute-force oracle enumerates every assignment over the same two grids,
+in numpy chunks of assignment indices, and forms each assignment's product
+over every edge before it sums; it shares the input checks and the integer
+scaling with the engine, not the elimination.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ __all__ = [
 ]
 
 BRUTEFORCE_STATE_LIMIT = 10 ** 7
+# Assignments the brute-force oracle enumerates per numpy chunk: enough to
+# amortize numpy's per-call cost, few enough that the (edges, chunk) arrays
+# it gathers stay at a few MB.
+_BRUTEFORCE_CHUNK = 1 << 15
 _EINSUM_MAX_OPERANDS = 32
 # The letters np.einsum gives the integer labels 0, 1, ..., 51 of its
 # sublist form, so a plan's subscript strings run the very same contraction.
@@ -71,8 +76,9 @@ class _Plan(NamedTuple):
     Operand slots are numbered in creation order: first one per edge with
     an unpinned endpoint, then one per step whose result stays an operand
     (every step but a ``_SCALAR`` one).  The first
-    ``edge_slots`` slots hold the grid, except that each ``(s, p)`` of
-    ``rows`` puts in slot s the row of the grid at pinned vertex p's step.
+    ``edge_slots`` slots hold the grid, except that each ``(s, p, column)``
+    of ``rows`` puts in slot s the row of the grid at pinned vertex p's
+    step, or its column when p is the edge's second endpoint.
     ``steps`` are ``(subscripts, kind, *slots)``, flat to keep a cached
     plan small.  ``tail`` is None when nothing is kept, else ``(subscripts,
     covered, *slots)``: the einsum of what is left (None if nothing is) into
@@ -137,10 +143,10 @@ def _compile_plan(edges, pinset, keep, vertices):
             pinned_edges.append(edge)
             continue
         if u in pinset:
-            rows.append((len(scopes), u))
+            rows.append((len(scopes), u, False))
             edge = (v,)
         elif v in pinset:
-            rows.append((len(scopes), v))
+            rows.append((len(scopes), v, True))
             edge = (u,)
         scopes.append(edge)
     edge_slots = len(scopes)
@@ -333,9 +339,13 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
         # an isolated variable is a plain sum of n ones, which float mode
         # divides by n like every other step
         const = const * n_steps ** plan.isolated
-    slots = [a] * plan.edge_slots
-    for s, p in plan.rows:
-        slots[s] = a[..., pins[p], :]
+    slots, at = [a] * plan.edge_slots, None
+    for s, p, column in plan.rows:
+        if column and at is None:
+            # the transpose laid out like ``a``: a column of ``a`` then
+            # feeds einsum exactly as a row does
+            at = np.ascontiguousarray(np.swapaxes(a, -1, -2))
+        slots[s] = (at if column else a)[..., pins[p], :]
     for subscripts, kind, *operands in plan.steps:
         result = np.einsum(subscripts, *[slots[i] for i in operands])
         for i in operands:
@@ -404,24 +414,36 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
     """Unnormalized sums of edge products over every assignment of the free
     vertices, in either dtype of ``a``: one sum per assignment of the kept
     vertices, shaped like ``_eliminate``'s result.  Also returns the number
-    of free vertices."""
+    of free vertices.
+
+    The assignments are enumerated in chunks of at most
+    ``_BRUTEFORCE_CHUNK`` indices: free vertex i takes digit i of an index
+    written in base n, every edge's weight is gathered for every assignment
+    of the chunk, and each assignment's product over all edges is formed
+    before the chunk is summed.
+    """
     keep = tuple(keep)
     pins = _check_pins(n_vertices, n_steps, pins, keep)
     _bruteforce_guard(n_vertices, n_steps)
-    rows = a.tolist()
     free = [v for v in range(n_vertices) if v not in pins and v not in keep]
+    states = n_steps ** len(free)
+    weights = a.reshape(-1)
+    us, vs = np.array(edges, dtype=np.intp).reshape(-1, 2).T
 
     def total(fixed):
+        if not edges:
+            return states
         acc = 0
-        for assign in itertools.product(range(n_steps), repeat=len(free)):
-            phi = dict(fixed)
-            phi.update(zip(free, assign))
-            prod = 1
-            for u, v in edges:
-                prod *= rows[phi[u]][phi[v]]
-                if prod == 0:
-                    break
-            acc += prod
+        for start in range(0, states, _BRUTEFORCE_CHUNK):
+            flat = np.arange(start, min(start + _BRUTEFORCE_CHUNK, states))
+            phi = np.empty((n_vertices, flat.size), dtype=np.intp)
+            for v, s in fixed.items():
+                phi[v] = s
+            for i, v in enumerate(free):
+                phi[v] = flat // n_steps ** i % n_steps
+            products = np.multiply.reduce(
+                weights[phi[us] * n_steps + phi[vs]], axis=0)
+            acc += products.sum()
         return acc
 
     sums = [

@@ -36,7 +36,6 @@ __all__ = [
     "odd_theta_decomposition",
     "find_isomorphism",
     "is_isomorphic",
-    "canonical_form",
 ]
 
 
@@ -233,28 +232,6 @@ def find_isomorphism(g1: Graph, g2: Graph, fixed: dict | None = None):
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     return find_isomorphism(g1, g2) is not None
-
-
-_CANONICAL_MAX = 8
-
-
-def canonical_form(g: Graph) -> tuple:
-    """Lexicographically minimal edge tuple over all vertex relabelings.
-
-    Brute force over permutations, so limited to n <= 8; use
-    ``find_isomorphism`` for pairwise checks on larger instances.
-    """
-    if g.n > _CANONICAL_MAX:
-        raise ValueError(f"canonical_form limited to {_CANONICAL_MAX} vertices")
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        key = tuple(sorted(
-            (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-            for u, v in g.edges
-        ))
-        if best is None or key < best:
-            best = key
-    return (g.n, best)
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,9 @@ def hom_density(graph: Graph, w: StepGraphon, mode: str = "exact",
     With pins, the sum runs over assignments extending the pin map and is
     normalized by n to the number of free vertices.  ``eliminate`` and
     ``bruteforce`` agree exactly; brute force enumerates at most 10^7
-    assignments, elimination caps the intermediate factor width in exact
-    mode (``width_cap``, None to disable).
+    assignments, in numpy chunks, and forms each one's product over every
+    edge; elimination caps the intermediate factor width in exact mode
+    (``width_cap``, None to disable).
     """
     pins = _normalize_pins(pins)
     if mode not in ("exact", "float"):

@@ -88,7 +88,7 @@ def test_criterion_2_oracle_equivalence():
             mismatches += 1
     elapsed = time.perf_counter() - t0
     report(2, f"elimination == brute force, {mismatches} mismatches in 200",
-           mismatches == 0, elapsed, 120)
+           mismatches == 0, elapsed, 60)
 
 
 def test_criterion_3_local_density_of_counting_kernels():

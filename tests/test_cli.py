@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from sidlab.cli import EXIT_USAGE, main
+from sidlab.cli import EXIT_USAGE, build_parser, main
 from sidlab.graphs import Graph, cycle_graph
+from sidlab.homdensity import hom_density
+from sidlab.stepgraphon import StepGraphon
 
 
 def write_json(path, payload):
@@ -63,6 +65,26 @@ def test_density_pinned(bipartite2_path, tmp_path, capsys):
                  "--graphon", str(bipartite2_path), "--pins", "0:0,1:1"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["value"] == "1/1"
+
+
+def test_reused_parser_carries_nothing_between_calls(bipartite2_path,
+                                                     tmp_path, capsys):
+    # one parser serves every call of the process; a pinned call must not
+    # leave its pins to the next one
+    assert build_parser() is build_parser()
+    edge = tmp_path / "k2.json"
+    write_json(edge, Graph(2, ((0, 1),)).to_json_dict())
+    args = ["density", "--graph", str(edge), "--graphon", str(bipartite2_path)]
+    assert main(args + ["--pins", "0:0,1:1"]) == 0
+    pinned = json.loads(capsys.readouterr().out)
+    assert pinned["header"]["config"]["pins"] == "0:0,1:1"
+    assert main(args) == 0
+    unpinned = json.loads(capsys.readouterr().out)
+    assert "pins" not in unpinned["header"]["config"]
+    expected = hom_density(Graph(2, ((0, 1),)),
+                           StepGraphon([[0, 1], [1, 0]])).value
+    assert unpinned["value"] == f"{expected.numerator}/{expected.denominator}"
+    assert unpinned["value"] != pinned["value"]
 
 
 def test_verify_suite_exit_zero_and_artifact(tmp_path):

@@ -162,6 +162,110 @@ def test_bruteforce_guard():
                     strategy="bruteforce")
 
 
+def reference_bruteforce(n_vertices, edges, values, n_steps, pins, keep):
+    """The oracle's former per-assignment loop, kept as a literal reference:
+    one dict per assignment and one edge weight at a time, on Fractions.
+    Returns what ``bruteforce_exact`` returns."""
+    free = [v for v in range(n_vertices) if v not in pins and v not in keep]
+
+    def total(fixed):
+        acc = 0
+        for assign in itertools.product(range(n_steps), repeat=len(free)):
+            phi = dict(fixed)
+            phi.update(zip(free, assign))
+            prod = 1
+            for u, v in edges:
+                prod *= values[phi[u]][phi[v]]
+                if prod == 0:
+                    break
+            acc += prod
+        return acc
+
+    sums = [
+        F(total({**pins, **dict(zip(keep, xs))})) / F(n_steps) ** len(free)
+        for xs in itertools.product(range(n_steps), repeat=len(keep))
+    ]
+    if not keep:
+        return sums[0]
+    if len(keep) == 1:
+        return tuple(sums)
+    return tuple(tuple(sums[i:i + n_steps])
+                 for i in range(0, len(sums), n_steps))
+
+
+@st.composite
+def raw_contractions(draw):
+    """A raw contraction: a non-symmetric grid, an edge list that may hold
+    loops and leave vertices isolated (or be empty), pins and up to two
+    kept vertices, on 0 to 6 vertices."""
+    nv = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 4))
+    grid = draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    grid = [[F(x, 6) for x in row] for row in grid]
+    vertex = st.integers(0, max(nv - 1, 0))
+    edges = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+                  if nv else ())
+    order = draw(st.permutations(range(nv)))
+    n_pins = draw(st.integers(0, min(2, nv)))
+    pins = {v: draw(st.integers(0, n - 1)) for v in order[:n_pins]}
+    keep = tuple(order[n_pins:n_pins + draw(st.integers(0, min(2, nv - n_pins)))])
+    return nv, edges, grid, n, pins, keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_contractions())
+def test_oracle_and_engine_match_the_reference_loop(case):
+    nv, edges, grid, n, pins, keep = case
+    ref = reference_bruteforce(nv, edges, grid, n, pins, keep)
+    ref_float = np.array(ref, dtype=float)
+    floats = np.array(grid, dtype=float)
+    # a small prime chunk puts chunk boundaries inside every enumeration
+    # of more than 7 assignments and leaves a short last chunk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contraction, "_BRUTEFORCE_CHUNK", 7)
+        assert bruteforce_exact(nv, edges, grid, n, pins=pins, keep=keep) \
+            == ref
+        brute = bruteforce_float(nv, edges, floats, n, pins=pins, keep=keep)
+    assert contract_exact(nv, edges, grid, n, pins=pins, keep=keep) == ref
+    fl = contract_float(nv, edges, floats, n, pins=pins, keep=keep)
+    for out in (brute, fl):
+        assert np.shape(out) == ref_float.shape
+        assert np.max(np.abs(out - ref_float)) < 1e-12
+
+
+SKEW = [[F(1), F(0)], [F(1), F(1, 2)]]
+
+
+@pytest.mark.parametrize("backend, grid", [
+    (contract_exact, SKEW),
+    (bruteforce_exact, SKEW),
+    (contract_float, np.array(SKEW, dtype=float)),
+    (bruteforce_float, np.array(SKEW, dtype=float)),
+])
+def test_pinned_endpoint_reads_its_own_grid_axis(backend, grid):
+    # edge (0, 1) weighs A[phi(0)][phi(1)]: a pinned second endpoint reads
+    # a column of a non-symmetric grid, a pinned first endpoint a row
+    edge = ((0, 1),)
+    assert backend(2, edge, grid, 2, pins={1: 0}) == 1
+    assert backend(2, edge, grid, 2, pins={1: 1}) == F(1, 4)
+    assert backend(2, edge, grid, 2, pins={0: 0}) == F(1, 2)
+
+
+def test_pinned_second_endpoint_on_a_stack():
+    a = np.array(SKEW, dtype=float)
+    stack = np.stack([a, a.T, np.eye(2)])
+    out = contract_float(2, ((0, 1),), stack, 2, pins={1: 0})
+    assert out.tolist() == [1.0, 0.5, 0.5]
+    path = ((0, 1), (1, 2))
+    out = contract_float(3, path, stack, 2, pins={2: 0}, keep=(0,))
+    for grid, row in zip(stack, out):
+        assert np.all(row == contract_float(3, path, grid, 2, pins={2: 0},
+                                            keep=(0,)))
+        assert np.all(row == bruteforce_float(3, path, grid, 2, pins={2: 0},
+                                              keep=(0,)))
+
+
 def test_high_degree_vertex_contracts():
     # the hub collects one factor per leaf: more than one einsum call accepts,
     # so its bucket (or, with the hub kept, the kept-vertex tail) is folded
