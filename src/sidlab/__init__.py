@@ -36,7 +36,6 @@ from .stepgraphon import (
     kernel_power,
     local_density_deficit,
     regularity,
-    weighted_reiher_check,
 )
 from .homdensity import (
     DensityValue,

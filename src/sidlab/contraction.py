@@ -264,7 +264,13 @@ def _normalize_pins(pins) -> dict:
     return out
 
 
-def _check_pins(n_vertices, n_steps, pins, keep):
+def _check_inputs(n_vertices, a, n_steps, pins, keep, stack=False):
+    """Validate the grid, the pins and the kept vertices; returns the pin
+    map.  The grid's last two axes must be ``n_steps`` x ``n_steps``, and
+    only a ``stack`` may lead with batch axes."""
+    if a.shape[-2:] != (n_steps, n_steps) or a.ndim > 2 and not stack:
+        raise ValueError(f"grid of shape {a.shape} is not "
+                         f"{n_steps} x {n_steps}")
     pins = _normalize_pins(pins)
     for v, s in pins.items():
         if not (0 <= v < n_vertices):
@@ -322,14 +328,14 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
     eliminated vertices.
     """
     keep = tuple(keep)
-    pins = _check_pins(n_vertices, n_steps, pins, keep)
+    exact = a.dtype == object
+    pins = _check_inputs(n_vertices, a, n_steps, pins, keep, stack=not exact)
     order = elimination_order(n_vertices, edges, pins, keep)
     if width_cap is not None and order.width > width_cap:
         raise WidthCapExceeded(
             f"induced width {order.width} exceeds cap {width_cap}"
         )
     plan = order._plan
-    exact = a.dtype == object
     batch = a.shape[:-2]
 
     const = np.ones(batch) if batch else 1
@@ -423,7 +429,7 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
     before the chunk is summed.
     """
     keep = tuple(keep)
-    pins = _check_pins(n_vertices, n_steps, pins, keep)
+    pins = _check_inputs(n_vertices, a, n_steps, pins, keep)
     _bruteforce_guard(n_vertices, n_steps)
     free = [v for v in range(n_vertices) if v not in pins and v not in keep]
     states = n_steps ** len(free)

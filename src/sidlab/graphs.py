@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "odd_theta_decomposition",
     "find_isomorphism",
     "is_isomorphic",
+    "edge_orbits",
 ]
 
 
@@ -193,12 +195,22 @@ def find_isomorphism(g1: Graph, g2: Graph, fixed: dict | None = None):
     adj1 = g1.adjacency()
     adj2 = g2.adjacency()
 
-    # Static order: most constrained vertices first, fixed ones up front.
-    order = sorted(
-        (v for v in range(g1.n) if v not in fixed),
-        key=lambda v: (len(candidates[v]), -len(adj1[v]), v),
-    )
-    order = list(fixed) + order
+    # Static order: fixed vertices first, then always a vertex with the most
+    # neighbours already ordered (most constrained among those), so every
+    # choice meets its placed neighbours at once; an order blind to
+    # adjacency backtracked for minutes on relabelled asymmetric graphs.
+    order, rest = list(fixed), set(range(g1.n)) - set(fixed)
+    placed = {v: 0 for v in range(g1.n)}
+    for v in order:
+        for w in adj1[v]:
+            placed[w] += 1
+    while rest:
+        v = min(rest, key=lambda v: (-placed[v], len(candidates[v]),
+                                     -len(adj1[v]), v))
+        order.append(v)
+        rest.remove(v)
+        for w in adj1[v]:
+            placed[w] += 1
 
     mapping = {}
     used = set()
@@ -232,6 +244,28 @@ def find_isomorphism(g1: Graph, g2: Graph, fixed: dict | None = None):
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     return find_isomorphism(g1, g2) is not None
+
+
+@lru_cache(maxsize=256)
+def edge_orbits(graph: Graph) -> tuple:
+    """The orbits of the edges of ``graph`` under its automorphism group.
+
+    Each orbit is a tuple of edges in ``graph.edges`` order, so its first
+    edge is its representative.  An edge joins the first representative
+    that some automorphism maps onto it, in either orientation.
+    """
+    orbits = []
+    for u, v in graph.edges:
+        for orbit in orbits:
+            a, b = orbit[0]
+            if (find_isomorphism(graph, graph, {a: u, b: v}) is not None
+                    or find_isomorphism(graph, graph, {a: v, b: u})
+                    is not None):
+                orbit.append((u, v))
+                break
+        else:
+            orbits.append([(u, v)])
+    return tuple(map(tuple, orbits))
 
 
 @dataclass(frozen=True)

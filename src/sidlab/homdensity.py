@@ -17,7 +17,7 @@ import numpy as np
 from . import contraction
 from .contraction import _normalize_pins
 from .contraction import EliminationOrder, elimination_order  # re-export
-from .graphs import Graph, ReplacementSpec, complete_graph
+from .graphs import Graph, ReplacementSpec, complete_graph, edge_orbits
 from .stepgraphon import StepGraphon, edge_density, kernel_power
 
 __all__ = [
@@ -111,7 +111,12 @@ def hom_density(graph: Graph, w: StepGraphon, mode: str = "exact",
 
 
 def _gradient(graph: Graph, a: np.ndarray) -> np.ndarray:
-    """Density gradient from one cavity kernel per edge, both orientations.
+    """Density gradient from one cavity kernel per edge orbit.
+
+    An automorphism of ``graph`` that maps edge (u, v) onto (u', v') maps
+    the cavity sum at one onto the other, transposed when it reverses the
+    orientation, so the representative's ``K + Kᵀ`` (both orientations)
+    times the orbit's size stands for every edge of the orbit.
 
     ``a`` is float64, giving the gradient itself, or an exact graphon's
     scaled integer grid (see ``contraction._eliminate``), giving integers
@@ -122,10 +127,11 @@ def _gradient(graph: Graph, a: np.ndarray) -> np.ndarray:
     exact = a.dtype == object
     grid = np.zeros(a.shape, dtype=a.dtype)
     edges = graph.edges
-    for k, (u, v) in enumerate(edges):
+    for orbit in edge_orbits(graph):
+        k = edges.index(orbit[0])
         kernel, _ = contraction._eliminate(graph.n, edges[:k] + edges[k + 1:],
-                                           a, n, keep=(u, v))
-        grid += kernel + np.swapaxes(kernel, -1, -2)
+                                           a, n, keep=orbit[0])
+        grid += len(orbit) * (kernel + np.swapaxes(kernel, -1, -2))
     if not exact:
         grid /= n ** 2
     # The two orientations double off-diagonal entries but must not double

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .contraction import contract_exact
-from .graphs import Graph, RootedGraph
+from .graphs import RootedGraph
 
 __all__ = [
     "EXACT_STEP_CAP",
@@ -28,19 +28,16 @@ __all__ = [
     "edge_density",
     "regularity",
     "kernel_power",
-    "kernel_compose",
     "counting_kernel",
     "hadamard",
     "permute_steps",
     "local_density_deficit",
-    "weighted_reiher_check",
     "generate",
     "constant_graphon",
     "circulant_graphon",
     "regular_graph_graphon",
     "mixture_graphon",
     "pointwise_dense_graphon",
-    "graphon_from_graph",
 ]
 
 
@@ -106,17 +103,6 @@ class StepGraphon:
         return cls([[Fraction(x) for x in row] for row in rows])
 
 
-def graphon_from_graph(graph: Graph) -> StepGraphon:
-    """0/1 step graphon of a graph's adjacency matrix (one step per vertex)."""
-    if graph.n == 0:
-        raise ValueError("cannot embed the empty graph as a step graphon")
-    grid = [[Fraction(0)] * graph.n for _ in range(graph.n)]
-    for u, v in graph.edges:
-        grid[u][v] = Fraction(1)
-        grid[v][u] = Fraction(1)
-    return StepGraphon(grid)
-
-
 def edge_density(w: StepGraphon) -> Fraction:
     n = w.n_steps
     return Fraction(sum(sum(row) for row in w.values), 1) / n ** 2
@@ -153,19 +139,6 @@ def kernel_power(w: StepGraphon, k: int) -> StepGraphon:
                 nxt[i][j] = s / n
         acc = nxt
     return StepGraphon(acc)
-
-
-def kernel_compose(w1: StepGraphon, w2: StepGraphon) -> StepGraphon:
-    """Kernel composition (1/n) * A1 A2; symmetric only for commuting inputs."""
-    if w1.n_steps != w2.n_steps:
-        raise ValueError("step counts differ")
-    n = w1.n_steps
-    grid = [
-        [sum(w1.values[i][t] * w2.values[t][j] for t in range(n)) / n
-         for j in range(n)]
-        for i in range(n)
-    ]
-    return StepGraphon(grid)
 
 
 def counting_kernel(w: StepGraphon, gadget: RootedGraph) -> StepGraphon:
@@ -423,28 +396,6 @@ def local_density_deficit(w: StepGraphon, d, budget: SearchBudget | None = None
         witness=witness,
         method=best_method,
     )
-
-
-def weighted_reiher_check(w: StepGraphon, d, f, tol: float = 1e-12):
-    """Vertex-weighted subset inequality at weight vector f in [0, 1]^n.
-
-    Returns (lhs, rhs, passed) with lhs the f-weighted pair integral and rhs
-    d times the squared mean of f.  Meaningful when the caller knows w to be
-    d-locally dense (for example pointwise >= d, or a counting kernel of an
-    even theta over a regular graphon).
-    """
-    d = Fraction(d)
-    n = w.n_steps
-    fv = [float(x) for x in f]
-    if len(fv) != n:
-        raise ValueError("weight vector length must match the step count")
-    if any(x < 0 or x > 1 for x in fv):
-        raise ValueError("weights must lie in [0, 1]")
-    a = w.float_matrix
-    fa = np.array(fv)
-    lhs = float(fa @ a @ fa) / n ** 2
-    rhs = float(d) * (fa.sum() / n) ** 2
-    return lhs, rhs, lhs >= rhs - tol
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from sidlab.graphs import (
     Graph,
     ReplacementSpec,
     complete_graph,
+    complete_multipartite,
     cycle_graph,
     disjoint_union,
+    edge_orbits,
     generalized_theta,
     path_graph,
     replace_edges,
@@ -133,6 +135,26 @@ def test_repeated_pin_rejected(backend, grid):
 def test_keep_validated(backend, grid, keep, match):
     with pytest.raises(ValueError, match=match):
         backend(3, ((0, 1), (1, 2)), grid, 2, keep=keep)
+
+
+@pytest.mark.parametrize("backend", [
+    contract_exact, bruteforce_exact, contract_float, bruteforce_float,
+])
+@pytest.mark.parametrize("bad", [np.eye(3), np.ones((2, 3))])
+def test_grid_shape_must_match_the_step_count(backend, bad):
+    # with n_steps=2 the 3 x 3 identity once gave 3/4 from the engine and
+    # 1/4 from the oracle, and the 2 x 3 grid of ones gave 1.5
+    if backend in (contract_exact, bruteforce_exact):
+        bad = [[F(int(x)) for x in row] for row in bad]
+    with pytest.raises(ValueError, match="not 2 x 2"):
+        backend(2, ((0, 1),), bad, 2)
+
+
+def test_only_the_float_engine_takes_a_stack():
+    stack = np.stack([BIP.float_matrix] * 3)
+    assert contract_float(2, ((0, 1),), stack, 2).tolist() == [0.5] * 3
+    with pytest.raises(ValueError, match="not 2 x 2"):
+        bruteforce_float(2, ((0, 1),), stack, 2)
 
 
 def test_bruteforce_rejects_three_kept_before_enumerating():
@@ -599,6 +621,112 @@ def test_gradient_float_stack_equals_per_grid(seed):
     assert batched.shape == stack.shape
     for grid, out in zip(stack, batched):
         assert np.all(out == _gradient_float(g, grid))
+
+
+def frucht_graph():
+    """The Frucht graph: cubic on 12 vertices with no automorphism but the
+    identity, built from its LCF notation."""
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    edges = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
+    edges |= {tuple(sorted((i, (i + s) % 12))) for i, s in enumerate(lcf)}
+    return Graph(12, tuple(edges))
+
+
+THETA_224 = generalized_theta([2, 2, 4]).graph
+THETA_244 = generalized_theta([2, 4, 4]).graph
+
+
+def shuffled(graph, seed=0):
+    perm = list(range(graph.n))
+    random.Random(seed).shuffle(perm)
+    return graph.relabel(perm)
+
+
+@pytest.mark.parametrize("graph, sizes", [
+    (cycle_graph(4), [4]),
+    (complete_multipartite([3, 3]), [9]),
+    (THETA_224, [2, 2, 4]),
+    (THETA_244, [2, 4, 4]),
+    (frucht_graph(), [1] * 18),
+    (disjoint_union(cycle_graph(4), cycle_graph(4)), [8]),
+    # an isomorphism search blind to adjacency backtracked for minutes here
+    (shuffled(disjoint_union(frucht_graph(), frucht_graph())), [2] * 18),
+])
+def test_edge_orbits(graph, sizes):
+    orbits = edge_orbits(graph)
+    assert sorted(map(len, orbits)) == sizes
+    assert sorted(e for orbit in orbits for e in orbit) == list(graph.edges)
+
+
+def per_edge_gradient(graph, w):
+    """The gradient from one cavity per edge, both orientations, on the
+    public exact contraction: the sum the orbit gradient must reproduce."""
+    n = w.n_steps
+    grid = [[F(0)] * n for _ in range(n)]
+    for k, (u, v) in enumerate(graph.edges):
+        cavity = graph.edges[:k] + graph.edges[k + 1:]
+        kernel = contract_exact(graph.n, cavity, w.values, n, keep=(u, v),
+                                width_cap=None)
+        for x in range(n):
+            for y in range(n):
+                grid[x][y] += kernel[x][y] + kernel[y][x]
+    return tuple(tuple(grid[x][y] / (n * n * (2 if x == y else 1))
+                       for y in range(n)) for x in range(n))
+
+
+@st.composite
+def orbit_cases(draw):
+    """A graph with shuffled vertex labels, made of one or two parts, each
+    a random graph, a symmetric gadget or the asymmetric Frucht graph, and
+    a random rational graphon on 1 to 3 steps."""
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["random", "gadget", "frucht"]))
+        if kind == "random":
+            rng = random.Random(draw(st.integers(0, 10 ** 6)))
+            parts.append(random_graph(rng, draw(st.integers(1, 6))))
+        elif kind == "gadget":
+            parts.append(draw(st.sampled_from([
+                cycle_graph(4), cycle_graph(5), complete_multipartite([2, 3]),
+                complete_multipartite([3, 3]), THETA_224, THETA_244,
+                path_graph(3), complete_graph(4),
+            ])))
+        else:
+            parts.append(frucht_graph())
+    graph = parts[0] if len(parts) == 1 else disjoint_union(*parts)
+    graph = graph.relabel(draw(st.permutations(range(graph.n))))
+    n = draw(st.integers(1, 3))
+    w = random_symmetric(random.Random(draw(st.integers(0, 10 ** 6))), n)
+    return graph, w
+
+
+@settings(max_examples=40, deadline=None)
+@given(orbit_cases())
+def test_orbit_gradient_equals_the_per_edge_sum(case):
+    graph, w = case
+    ref = per_edge_gradient(graph, w)
+    assert density_gradient(graph, w) == ref
+    np.testing.assert_allclose(density_gradient(graph, w, mode="float"),
+                               np.array(ref, dtype=float), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("graph, cavities", [
+    (cycle_graph(6), 1),
+    (THETA_224, 3),
+    (frucht_graph(), 18),
+])
+def test_gradient_contracts_each_edge_orbit_once(graph, cavities,
+                                                 monkeypatch):
+    calls = []
+    eliminate = contraction._eliminate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["keep"])
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(contraction, "_eliminate", counting)
+    _gradient_float(graph, constant_graphon(F(1, 2), 3).float_matrix)
+    assert len(calls) == cavities
 
 
 # -- deficits ----------------------------------------------------------------
