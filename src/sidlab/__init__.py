@@ -27,7 +27,6 @@ from .graphs import (
 )
 from .stepgraphon import (
     LocalDensityReport,
-    SearchBudget,
     StepGraphon,
     counting_kernel,
     edge_density,

@@ -153,10 +153,11 @@ def _cmd_density(args) -> int:
     w = _load_graphon(args.graphon)
     pins = None
     if args.pins:
-        pins = {}
+        # (vertex, step) pairs, so the engine rejects a vertex pinned twice
+        pins = []
         for item in args.pins.split(","):
             v, s = item.split(":")
-            pins[int(v)] = int(s)
+            pins.append((int(v), int(s)))
     value = hom_density(graph, w, mode=args.mode, strategy=args.strategy,
                         pins=pins)
     payload = value.to_json_dict()

@@ -5,7 +5,8 @@ step carrying measure 1/n.  Exact rationals are the source of truth; the
 float view feeds descent-based search only.  Kernel powers are scaled matrix
 powers, counting kernels contract a rooted gadget with its roots kept free,
 and local denseness reduces to box-constrained quadratic minimization,
-decided exactly up to ``EXACT_STEP_CAP`` steps.
+decided exactly on grids of up to ``EXACT_STEP_CAP`` steps; larger grids
+are refused.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "EXACT_STEP_CAP",
     "StepGraphon",
     "LocalDensityReport",
-    "SearchBudget",
     "edge_density",
     "regularity",
     "kernel_power",
@@ -186,44 +186,31 @@ def permute_steps(w: StepGraphon, perm) -> StepGraphon:
 # insufficient: fractional minima exist.  q is homogeneous, so its sign
 # question is whether A - d J is copositive (Kaplan, LAA 2000).
 #
-# Up to EXACT_STEP_CAP steps the minimum is decided exactly by enumerating
-# faces of the box.  A face fixes the coordinates of U at 1 and of Z at 0
-# and frees F; write B for A - d J.  A global minimizer can be moved,
-# without raising q, onto a face whose B_FF is positive definite or whose F
-# is empty: where B_FF is not PSD q has a descent direction inside the
-# face, and where B_FF is singular PSD q is flat along a null direction,
-# which reaches a lower face.  On such a face the only stationary point is
-# x = -B_FF^{-1} B_FU 1_U.  Above the cap the corners and a multi-start
-# projected descent give evidence only.
+# The minimum is decided exactly by enumerating faces of the box.  A face
+# fixes the coordinates of U at 1 and of Z at 0 and frees F; write B for
+# A - d J.  A global minimizer can be moved, without raising q, onto a face
+# whose B_FF is positive definite or whose F is empty: where B_FF is not PSD
+# q has a descent direction inside the face, and where B_FF is singular PSD
+# q is flat along a null direction, which reaches a lower face.  On such a
+# face the only stationary point is x = -B_FF^{-1} B_FU 1_U.  The
+# enumeration grows about 3x per step, so grids above EXACT_STEP_CAP steps
+# are refused.
 # ---------------------------------------------------------------------------
 
-EXACT_STEP_CAP = 8
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Search configuration for the local density checker above
-    ``EXACT_STEP_CAP`` steps.  ``step_size`` multiplies n times the gradient
-    of the quadratic, so one value suits every number of steps."""
-
-    corner_limit: int = 20
-    starts: int = 1000
-    iters: int = 500
-    step_size: float = 0.1
-    seed: int = 0
+# Worst case (a positive definite B, every face live) on a 2-core host:
+# ~0.5 s at 10 steps, ~5 s at 12.
+EXACT_STEP_CAP = 12
 
 
 @dataclass(frozen=True)
 class LocalDensityReport:
     """Minimum of the subset-density quadratic over the box.
 
-    ``deficit_exact`` is the exact value of the quadratic at the witness (an
-    occupancy vector in [0, 1]^n) and ``deficit`` its float.  With
-    ``method == "exact"`` the witness holds exact rationals and the deficit
-    is the exact global minimum, so a nonnegative deficit proves local
-    denseness.  Otherwise (``"corners"`` or ``"descent"``, above
-    ``EXACT_STEP_CAP`` steps) the witness holds floats, a negative deficit
-    is a certified violation, and a nonnegative one is evidence only.
+    ``deficit_exact`` is the exact global minimum and ``deficit`` its float;
+    ``witness`` is an occupancy vector of exact rationals in [0, 1]^n where
+    the quadratic takes that value.  A nonnegative deficit proves local
+    denseness and a negative one is a certified violation.  ``method`` names
+    the decision procedure, always ``"exact"`` (the face enumeration).
     """
 
     target_d: Fraction
@@ -327,74 +314,28 @@ def _exact_box_minimum(w: StepGraphon, d: Fraction):
     return Fraction(best_num, best_den * scale * n ** 2), tuple(witness)
 
 
-def local_density_deficit(w: StepGraphon, d, budget: SearchBudget | None = None
-                          ) -> LocalDensityReport:
-    """Minimize the subset-density deficit against target d over the box.
+def local_density_deficit(w: StepGraphon, d) -> LocalDensityReport:
+    """Exact minimum of the subset-density deficit against target d over
+    the box, with a rational witness.
 
-    Up to ``EXACT_STEP_CAP`` steps the minimum and its witness are exact
-    (``method="exact"``) and ``budget`` is not used.  Above it, runs
-    exhaustive corner enumeration (n <= corner_limit) and multi-start
-    projected gradient descent, then re-evaluates the best witness in exact
-    arithmetic.
+    Raises ``ValueError`` for a grid above ``EXACT_STEP_CAP`` steps, before
+    any enumeration.
     """
     d = Fraction(d)
     if not 0 <= d <= 1:
         raise ValueError("target density must lie in [0, 1]")
-    n = w.n_steps
-    if n <= EXACT_STEP_CAP:
-        exact, witness = _exact_box_minimum(w, d)
-        return LocalDensityReport(
-            target_d=d,
-            deficit=float(exact),
-            deficit_exact=exact,
-            witness=witness,
-            method="exact",
+    if w.n_steps > EXACT_STEP_CAP:
+        raise ValueError(
+            f"{w.n_steps} steps exceed the exact local-density cap of "
+            f"{EXACT_STEP_CAP}"
         )
-
-    budget = budget or SearchBudget()
-    a = w.float_matrix
-    df = float(d)
-    # the zero occupancy (empty subset) is always a candidate: both sides
-    # of the subset inequality vanish there, so the minimum is never > 0
-    best_val, best_s, best_method = 0.0, np.zeros(n), "corners"
-
-    if n <= budget.corner_limit:
-        chunk = 1 << 16
-        total = 1 << n
-        for lo in range(0, total, chunk):
-            idx = np.arange(lo, min(lo + chunk, total))
-            corners = ((idx[:, None] >> np.arange(n)) & 1).astype(float)
-            quad = np.einsum("bi,ij,bj->b", corners, a, corners) / n ** 2
-            vals = quad - df * (corners.sum(axis=1) / n) ** 2
-            i = int(np.argmin(vals))
-            if vals[i] < best_val:
-                best_val, best_s, best_method = vals[i], corners[i], "corners"
-
-    s_mat = np.random.default_rng(budget.seed).random((budget.starts, n))
-    # step along n times the gradient 2 (A - d J) s / n^2 of q: the entries
-    # of A - d J lie in [-1, 1], so its norm is at most n and a step_size
-    # below 1 is stable at every n, while steps along the plain gradient
-    # shrink like 1/n
-    scale = 2.0 / n
-    for _ in range(budget.iters):
-        grad = scale * (s_mat @ a - df * s_mat.sum(axis=1, keepdims=True))
-        s_mat = np.clip(s_mat - budget.step_size * grad, 0.0, 1.0)
-    vals = (
-        np.einsum("bi,ij,bj->b", s_mat, a, s_mat) / n ** 2
-        - df * (s_mat.sum(axis=1) / n) ** 2
-    )
-    i = int(np.argmin(vals))
-    if vals[i] < best_val:
-        best_val, best_s, best_method = vals[i], s_mat[i], "descent"
-
-    witness = tuple(float(x) for x in best_s)
-    exact = _quadratic_exact(w, d, witness)
+    exact, witness = _exact_box_minimum(w, d)
     return LocalDensityReport(
         target_d=d,
         deficit=float(exact),
         deficit_exact=exact,
         witness=witness,
-        method=best_method,
+        method="exact",
     )
 
 

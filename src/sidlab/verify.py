@@ -11,10 +11,10 @@ in product order, and the first failing point is reported, marked
 ``minimized``; the lattice's top point is the drawn instance itself.  Exact
 identities are checked with rational arithmetic and zero tolerance.  So are
 the family, tree and flower deficits (a deficit below 0 fails), the Hölder
-bound when every path exponent is integral, and the local-density claims:
-the suite's kernels have at most ``EXACT_STEP_CAP`` steps, where the box
-minimum is exact.  Only the Hölder bound with a fractional exponent is
-checked in float, to the relative tolerance ``FLOAT_TOL``.
+bound when every path exponent is integral, and the local-density claims,
+whose box minimum ``local_density_deficit`` decides exactly (the suite's
+kernels have at most 6 steps).  Only the Hölder bound with a fractional
+exponent is checked in float, to the relative tolerance ``FLOAT_TOL``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .graphs import (
     disjoint_union,
     flower,
     generalized_theta,
+    odd_theta_decomposition,
     path_graph,
     replace_edges,
     replace_edges_nonuniform,
@@ -159,6 +160,10 @@ def _run_suite(suite_id, seed, tasks):
 
 
 def _trial_seeds(seed, count):
+    """``count`` trial seeds drawn from ``seed``; a suite of no trials would
+    pass without checking anything, so a count below 1 is rejected."""
+    if count < 1:
+        raise ValueError(f"a suite needs at least one trial, got {count}")
     master = random.Random(seed)
     return [master.randrange(2 ** 32) for _ in range(count)]
 
@@ -405,9 +410,11 @@ def sidorenko_family_instances():
             cycle_graph(4), {0, 2}, 1, complete_graph(3), 1)),
         ("glued_P2_K22", semidirect_product(
             path_graph(2), {0}, 2, complete_multipartite([2, 2]), 1)),
-        ("odd_theta_31", generalized_theta([3, 1], "odd").graph),
-        ("odd_theta_53", generalized_theta([5, 3], "odd").graph),
-        ("odd_theta_331", generalized_theta([3, 3, 1], "odd").graph),
+        # built through odd_theta_decomposition, which validates their
+        # star-shaped tree decomposition
+        ("odd_theta_31", odd_theta_decomposition([3, 1])[0]),
+        ("odd_theta_53", odd_theta_decomposition([5, 3])[0]),
+        ("odd_theta_331", odd_theta_decomposition([3, 3, 1])[0]),
         ("subdiv_C4_l2", subdivide(cycle_graph(4), 2)),
         ("subdiv_K3_l3", subdivide(complete_graph(3), 3)),
         ("subdiv_K4_l1", subdivide(complete_graph(4), 1)),

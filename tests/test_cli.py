@@ -67,6 +67,18 @@ def test_density_pinned(bipartite2_path, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == "1/1"
 
 
+def test_density_rejects_a_repeated_pin(bipartite2_path, tmp_path, capsys):
+    # a vertex pinned twice is a usage error, not a silent overwrite
+    edge = tmp_path / "k2.json"
+    write_json(edge, Graph(2, ((0, 1),)).to_json_dict())
+    code = main(["density", "--graph", str(edge),
+                 "--graphon", str(bipartite2_path), "--pins", "0:0,0:1"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pin collision" in captured.err
+
+
 def test_reused_parser_carries_nothing_between_calls(bipartite2_path,
                                                      tmp_path, capsys):
     # one parser serves every call of the process; a pinned call must not
@@ -97,6 +109,15 @@ def test_verify_suite_exit_zero_and_artifact(tmp_path):
     assert data["failures"] == []
     assert data["header"]["seed"] == 7
     assert "runtime_ms" in data
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_a_suite_without_trials(trials, capsys):
+    code = main(["verify", "--suite", "lemma31", "--trials", trials])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least one trial" in captured.err
 
 
 def test_verify_unknown_suite(tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from sidlab.graphs import generalized_theta
 from sidlab.stepgraphon import (
     EXACT_STEP_CAP,
-    SearchBudget,
     StepGraphon,
     circulant_graphon,
     constant_graphon,
@@ -24,6 +23,7 @@ from sidlab.stepgraphon import (
     regular_graph_graphon,
     regularity,
 )
+from sidlab import stepgraphon
 from sidlab.stepgraphon import _quadratic_exact
 
 BIP = StepGraphon([[0, 1], [1, 0]])
@@ -224,8 +224,6 @@ def test_local_density_corner_insufficiency_instance():
 def test_local_density_witness_recheck_is_exact():
     w = random_symmetric(random.Random(3), 4)
     rep = local_density_deficit(w, F(1, 2))
-    from sidlab.stepgraphon import _quadratic_exact
-
     again = _quadratic_exact(w, F(1, 2), rep.witness)
     assert abs(float(again) - rep.deficit) <= 1e-12
     assert again == rep.deficit_exact
@@ -234,7 +232,7 @@ def test_local_density_witness_recheck_is_exact():
 def test_local_density_report_json():
     rep = local_density_deficit(constant_graphon(F(1, 4), 2), F(1, 4))
     data = rep.to_json_dict()
-    assert data["method"] in ("exact", "corners", "descent")
+    assert data["method"] == "exact"
     assert len(data["witness"]) == 2
 
 
@@ -258,19 +256,29 @@ def test_hadamard_attachment_c5_locally_dense():
     assert rep.deficit >= -1e-9
 
 
-def test_descent_finds_fractional_violation_above_exact_cap():
-    # 10 steps (each of the 2x2 instance's steps split in 5) is above the
-    # exact cap; its corners reach only -7/400 = -0.0175, the fractional
-    # minimum is -3/160.  The default step size must also serve 40 steps.
+def test_refined_corner_insufficiency_instance_is_exact():
+    # the 2x2 instance's steps split in 5 and in 6: 10 and 12 steps, the
+    # latter at the cap; refinement keeps the box minimum at -3/160
     base = StepGraphon([[F(8, 10), F(1, 20)], [F(1, 20), F(35, 100)]])
-    budget = SearchBudget(corner_limit=0, starts=64, iters=300)
-    for k in (5, 20):
+    for k in (5, 6):
         w = refine(base, k)
-        assert w.n_steps > EXACT_STEP_CAP
-        rep = local_density_deficit(w, F(3, 10), budget)
-        assert rep.method == "descent"
-        assert rep.deficit <= -0.018
+        assert w.n_steps <= EXACT_STEP_CAP
+        rep = local_density_deficit(w, F(3, 10))
+        assert rep.method == "exact"
+        assert rep.deficit_exact == F(-3, 160)
+        assert all(0 <= x <= 1 for x in rep.witness)
         assert _quadratic_exact(w, F(3, 10), rep.witness) == rep.deficit_exact
+
+
+def test_local_density_refuses_grids_above_the_cap(monkeypatch):
+    def enumerate_faces(w, d):
+        raise AssertionError("the face enumeration ran")
+
+    monkeypatch.setattr(stepgraphon, "_exact_box_minimum", enumerate_faces)
+    w = constant_graphon(F(1, 2), EXACT_STEP_CAP + 1)
+    assert w.n_steps == 13
+    with pytest.raises(ValueError, match="cap"):
+        local_density_deficit(w, F(1, 2))
 
 
 # -- exact local density against an independent face enumeration ------------
@@ -371,7 +379,9 @@ def test_exact_local_density_invariant_under_relabel_and_refine(w, d, rnd, k):
     perm = list(range(w.n_steps))
     rnd.shuffle(perm)
     assert local_density_deficit(permute_steps(w, perm), d).deficit_exact == low
-    k = min(k, EXACT_STEP_CAP // w.n_steps)
+    # refined grids stay at 8 steps or fewer: refined to the cap of 12, one
+    # example can take a third of a second
+    k = min(k, 8 // w.n_steps)
     assert local_density_deficit(refine(w, k), d).deficit_exact == low
 
 

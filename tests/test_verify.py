@@ -10,6 +10,9 @@ from sidlab.graphs import (
     ReplacementSpec,
     Theorem12Case,
     classify_theorem12,
+    generalized_theta,
+    is_isomorphic,
+    odd_theta_decomposition,
 )
 from sidlab.homdensity import deficit, holder_lower_bound
 from sidlab.verify import (
@@ -217,6 +220,23 @@ def test_theorem12_instances_are_classifier_approved():
 def test_family_instances_are_bipartite():
     for name, graph in sidorenko_family_instances():
         assert graph.is_bipartite(), name
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+@pytest.mark.parametrize("trials", [0, -3])
+def test_suites_reject_fewer_than_one_trial(name, trials):
+    # a suite of no trials would pass having checked nothing
+    with pytest.raises(ValueError, match="at least one trial"):
+        SUITES[name](trials=trials, seed=0)
+
+
+def test_odd_theta_families_come_from_their_decompositions():
+    families = dict(sidorenko_family_instances())
+    for name, lengths in (("odd_theta_31", [3, 1]), ("odd_theta_53", [5, 3]),
+                          ("odd_theta_331", [3, 3, 1])):
+        graph = odd_theta_decomposition(lengths)[0]
+        assert families[name] == graph
+        assert is_isomorphic(graph, generalized_theta(lengths, "odd").graph)
 
 
 def test_suite_registry_complete():
