@@ -30,7 +30,6 @@ from .stepgraphon import (
     StepGraphon,
     counting_kernel,
     edge_density,
-    generate,
     hadamard,
     kernel_power,
     local_density_deficit,

@@ -9,9 +9,10 @@ where pinned vertices are fixed to given steps and kept vertices survive as
 output axes.  One bucket-elimination engine (greedy min-fill order, one
 einsum per eliminated vertex) runs on either of two arrays:
 
-* exact: the rational grid times the lcm q of its denominators, as Python
-  ints in an object array.  No step divides; the result is an integer sum
-  and the entry point divides once by q^{#edges} * n^{#eliminated};
+* exact: Python ints in an object array, a ``StepGraphon``'s cached grid or
+  a raw rational grid times the lcm q of its denominators.  No step divides;
+  the result is an integer sum and the entry point divides once by
+  q^{#edges} * n^{#eliminated};
 * float: float64, or a stack of float64 grids, with one 1/n folded into
   each elimination step, which keeps every intermediate value inside [0, 1].
 
@@ -290,8 +291,10 @@ def _check_inputs(n_vertices, a, n_steps, pins, keep, stack=False):
 
 
 def _scaled_integer_grid(values):
-    """The rational grid times the lcm q of its denominators, as Python ints
-    in an object array, together with q."""
+    """Integer grid and denominator q of a ``StepGraphon``, or of a raw
+    rational grid scaled by the lcm q of its denominators."""
+    if hasattr(values, "integer_grid"):
+        return values.integer_grid, values.q
     denoms = [x.denominator for row in values for x in row]
     q = lcm(*denoms) if denoms else 1
     grid = np.array(
@@ -304,9 +307,11 @@ def _scaled_integer_grid(values):
 def _as_fractions(raw, denominator):
     """Integers over a common denominator: a Fraction, or nested tuples of
     them with the shape of ``raw``."""
-    if np.ndim(raw) == 0:
-        return Fraction(int(raw), denominator)
-    return tuple(_as_fractions(r, denominator) for r in raw)
+    def convert(x):
+        if isinstance(x, list):
+            return tuple(map(convert, x))
+        return Fraction(x, denominator)
+    return convert(np.asarray(raw).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +386,7 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
 
 def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=(),
                    width_cap=8):
-    """Exact contraction over Fractions.
+    """Exact contraction of a ``StepGraphon`` or a raw rational grid.
 
     Returns a Fraction when ``keep`` is empty, a tuple (vector) for one kept
     vertex, or a tuple of tuples (grid) for two.  Raises WidthCapExceeded when

@@ -90,10 +90,6 @@ class Graph:
             degs[v] += 1
         return tuple(degs)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in set(self.edges)
-
     def is_bipartite(self) -> bool:
         color = {}
         adj = self.adjacency()
@@ -549,10 +545,6 @@ class ReplacementSpec:
         if pairs == 0:
             raise ValueError("alpha values need a host with at least 2 vertices")
         return {k: Fraction(c, pairs) for k, c in self.totals().items()}
-
-    def total_edge_count(self) -> int:
-        """Edge count of the replaced graph: sum over paths of their lengths."""
-        return sum(k * c for k, c in self.totals().items())
 
     def matches(self, host: Graph) -> bool:
         return host.n == self.host_n and host.edges == self.host_edges

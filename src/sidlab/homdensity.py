@@ -71,10 +71,10 @@ class DensityValue:
 # ``contraction`` when called, so a wrapper installed there is honoured.
 _BACKENDS = {
     ("exact", "eliminate"): lambda g, w, pins, cap:
-        contraction.contract_exact(g.n, g.edges, w.values, w.n_steps,
+        contraction.contract_exact(g.n, g.edges, w, w.n_steps,
                                    pins=pins, width_cap=cap),
     ("exact", "bruteforce"): lambda g, w, pins, cap:
-        contraction.bruteforce_exact(g.n, g.edges, w.values, w.n_steps,
+        contraction.bruteforce_exact(g.n, g.edges, w, w.n_steps,
                                      pins=pins),
     ("float", "eliminate"): lambda g, w, pins, cap:
         contraction.contract_float(g.n, g.edges, w.float_matrix, w.n_steps,
@@ -119,7 +119,7 @@ def _gradient(graph: Graph, a: np.ndarray) -> np.ndarray:
     times the orbit's size stands for every edge of the orbit.
 
     ``a`` is float64, giving the gradient itself, or an exact graphon's
-    scaled integer grid (see ``contraction._eliminate``), giving integers
+    ``integer_grid`` (see ``contraction._eliminate``), giving integers
     that ``_gradient_exact`` divides by one common denominator.  A float
     stack ``(..., n, n)`` gives one gradient per grid.
     """
@@ -143,7 +143,7 @@ def _gradient(graph: Graph, a: np.ndarray) -> np.ndarray:
 
 
 def _gradient_exact(graph: Graph, w: StepGraphon):
-    a, q = contraction._scaled_integer_grid(w.values)
+    a, q = w.integer_grid, w.q
     # each cavity has e - 1 edges and eliminates all but its two kept
     # vertices; the 1/n^2 of the gradient makes n^(#vertices) in all
     scale = Fraction(q) ** (1 - graph.num_edges) / w.n_steps ** graph.n
@@ -211,15 +211,13 @@ def holder_lower_bound(graph: Graph, spec: ReplacementSpec, w: StepGraphon,
     n = w.n_steps
     powers = {k: kernel_power(w, k) for k in alphas}
     if mode == "exact":
-        grid = [[Fraction(1)] * n for _ in range(n)]
+        grid, q = np.ones((n, n), dtype=object), 1
         for k, a in alphas.items():
-            pk = powers[k].values
-            for i in range(n):
-                for j in range(n):
-                    grid[i][j] *= pk[i][j] ** int(a)
-        combined = StepGraphon(grid)
+            grid = grid * powers[k].integer_grid ** int(a)
+            q *= powers[k].q ** int(a)
+        combined = StepGraphon._from_integers(grid.tolist(), q)
         value = contraction.contract_exact(
-            h, complete_graph(h).edges, combined.values, n, width_cap=None,
+            h, complete_graph(h).edges, combined, n, width_cap=None,
         )
         return DensityValue(value, "exact", h)
     mat = np.ones((n, n))

@@ -307,8 +307,13 @@ def certify_violation(graph: Graph, matrix, d=None,
     row-sum constraint exactly when a degree is given, clamps to [0, 1], and
     recomputes both sides of the density inequality over the rationals.
     Returns a JSON-able certificate when the violation survives, else None.
+    Raises ValueError for a non-square matrix or a degree outside [0, 1].
     """
     m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"witness of shape {m.shape} is not a square grid")
+    if d is not None and not 0 <= Fraction(d) <= 1:
+        raise ValueError("degree must lie in [0, 1]")
     n = m.shape[0]
     vals = [
         [Fraction(m[i, j]).limit_denominator(max_denominator) for j in range(n)]
@@ -331,7 +336,7 @@ def certify_violation(graph: Graph, matrix, d=None,
     vals = [[min(max(x, Fraction(0)), Fraction(1)) for x in row] for row in vals]
     w = StepGraphon(vals)
     lhs = contraction.contract_exact(
-        graph.n, graph.edges, w.values, n, width_cap=None,
+        graph.n, graph.edges, w, n, width_cap=None,
     )
     rhs = edge_density(w) ** graph.num_edges
     if lhs >= rhs:

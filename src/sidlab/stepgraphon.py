@@ -1,8 +1,10 @@
 """Step graphons with uniform step measure and their kernel algebra.
 
 A step graphon is a symmetric n x n grid of edge weights in [0, 1], each
-step carrying measure 1/n.  Exact rationals are the source of truth; the
-float view feeds descent-based search only.  Kernel powers are scaled matrix
+step carrying measure 1/n.  Exact rationals are the source of truth, held as
+one reduced denominator q and an integer grid that every operation here
+works on; the Fraction and float views are built when read, and the exact
+contraction takes the graphon itself.  Kernel powers are integer matrix
 powers, counting kernels contract a rooted gadget with its roots kept free,
 and local denseness reduces to box-constrained quadratic minimization,
 decided exactly on grids of up to ``EXACT_STEP_CAP`` steps; larger grids
@@ -11,6 +13,7 @@ are refused.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contraction import contract_exact
+from .contraction import _scaled_integer_grid, contract_exact
 from .graphs import RootedGraph
 
 __all__ = [
@@ -32,7 +35,6 @@ __all__ = [
     "hadamard",
     "permute_steps",
     "local_density_deficit",
-    "generate",
     "constant_graphon",
     "circulant_graphon",
     "regular_graph_graphon",
@@ -42,44 +44,73 @@ __all__ = [
 
 
 class StepGraphon:
-    """Symmetric grid of rational edge weights in [0, 1] on equal steps."""
+    """Symmetric grid of rational edge weights in [0, 1] on equal steps.
 
-    __slots__ = ("n_steps", "values", "_float")
+    Entry (i, j) is ``num[i][j] / q``, checked once in integers and reduced
+    to ``gcd(q, all a) = 1``, so equal graphons compare and hash equal.
+    ``integer_grid`` holds ``num`` as the read-only object array that the
+    exact contraction takes.  The views ``values`` (Fractions) and
+    ``float_matrix`` (``a / q``, rounded like ``float(Fraction)``) are
+    built on first read.
+    """
+
+    __slots__ = ("n_steps", "q", "num", "integer_grid", "_values", "_float")
 
     def __init__(self, values):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in values)
-        n = len(rows)
+        grid, q = _scaled_integer_grid(
+            [[Fraction(x) for x in row] for row in values])
+        self._set(grid.tolist(), q)
+
+    @classmethod
+    def _from_integers(cls, num, q):
+        """``num[i][j] / q``; every operation on graphons builds here."""
+        w = cls.__new__(cls)
+        w._set(num, q)
+        return w
+
+    def _set(self, num, q):
+        num = tuple(map(tuple, num))
+        n = len(num)
         if n == 0:
             raise ValueError("a step graphon needs at least one step")
-        if any(len(row) != n for row in rows):
+        if any(len(row) != n for row in num):
             raise ValueError("value grid must be square")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"values not symmetric at ({i}, {j})")
-                if not 0 <= rows[i][j] <= 1:
-                    raise ValueError(f"value at ({i}, {j}) outside [0, 1]")
-        self.n_steps = n
-        self.values = rows
-        self._float = None
+        for i, j in itertools.product(range(n), repeat=2):
+            if num[i][j] != num[j][i]:
+                raise ValueError(f"values not symmetric at ({i}, {j})")
+            if not 0 <= num[i][j] <= q:
+                raise ValueError(f"value at ({i}, {j}) outside [0, 1]")
+        g = math.gcd(q, *itertools.chain.from_iterable(num))
+        if g > 1:
+            q, num = q // g, tuple(tuple(a // g for a in row) for row in num)
+        self.n_steps, self.q, self.num = n, q, num
+        self.integer_grid = np.array(num, dtype=object)
+        self.integer_grid.flags.writeable = False
+        self._values = self._float = None
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            self._values = tuple(tuple(Fraction(a, self.q) for a in row)
+                                 for row in self.num)
+        return self._values
 
     @property
     def float_matrix(self) -> np.ndarray:
         if self._float is None:
-            self._float = np.array(
-                [[float(x) for x in row] for row in self.values]
-            )
+            self._float = np.array([[a / self.q for a in row]
+                                    for row in self.num])
         return self._float.copy()
 
     def __eq__(self, other):
         return (
             isinstance(other, StepGraphon)
-            and self.n_steps == other.n_steps
-            and self.values == other.values
+            and self.q == other.q
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash(self.values)
+        return hash((self.q, self.num))
 
     def __repr__(self):
         return f"StepGraphon(n_steps={self.n_steps})"
@@ -89,7 +120,7 @@ class StepGraphon:
             vals = [[f"{x.numerator}/{x.denominator}" for x in row]
                     for row in self.values]
         elif mode == "float":
-            vals = [[float(x) for x in row] for row in self.values]
+            vals = self.float_matrix.tolist()
         else:
             raise ValueError(f"unknown mode {mode!r}")
         return {"n": self.n_steps, "values": vals}
@@ -105,7 +136,7 @@ class StepGraphon:
 
 def edge_density(w: StepGraphon) -> Fraction:
     n = w.n_steps
-    return Fraction(sum(sum(row) for row in w.values), 1) / n ** 2
+    return Fraction(sum(map(sum, w.num)), w.q * n ** 2)
 
 
 def regularity(w: StepGraphon, tol: float = 0.0):
@@ -117,7 +148,7 @@ def regularity(w: StepGraphon, tol: float = 0.0):
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     n = w.n_steps
-    degrees = tuple(sum(row) / n for row in w.values)
+    degrees = tuple(Fraction(sum(row), w.q * n) for row in w.num)
     spread = max(degrees) - min(degrees)
     if spread == 0 or float(spread) <= tol:
         return sum(degrees) / n, degrees
@@ -125,20 +156,13 @@ def regularity(w: StepGraphon, tol: float = 0.0):
 
 
 def kernel_power(w: StepGraphon, k: int) -> StepGraphon:
-    """Path-counting kernel of length k: the scaled matrix power A^k / n^(k-1)."""
+    """Path-counting kernel of length k: the scaled matrix power A^k / n^(k-1),
+    an integer matrix power over the denominator q^k n^(k-1)."""
     if k < 1:
         raise ValueError("kernel power needs k >= 1")
-    n = w.n_steps
-    acc = [list(row) for row in w.values]
-    for _ in range(k - 1):
-        nxt = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            row = acc[i]
-            for j in range(n):
-                s = sum(row[t] * w.values[t][j] for t in range(n))
-                nxt[i][j] = s / n
-        acc = nxt
-    return StepGraphon(acc)
+    power = np.linalg.matrix_power(w.integer_grid, k)
+    return StepGraphon._from_integers(power.tolist(),
+                                      w.q ** k * w.n_steps ** (k - 1))
 
 
 def counting_kernel(w: StepGraphon, gadget: RootedGraph) -> StepGraphon:
@@ -151,7 +175,7 @@ def counting_kernel(w: StepGraphon, gadget: RootedGraph) -> StepGraphon:
     """
     g = gadget.graph
     grid = contract_exact(
-        g.n, g.edges, w.values, w.n_steps,
+        g.n, g.edges, w, w.n_steps,
         keep=gadget.roots, width_cap=None,
     )
     return StepGraphon(grid)
@@ -160,10 +184,8 @@ def counting_kernel(w: StepGraphon, gadget: RootedGraph) -> StepGraphon:
 def hadamard(w1: StepGraphon, w2: StepGraphon) -> StepGraphon:
     if w1.n_steps != w2.n_steps:
         raise ValueError("step counts differ")
-    return StepGraphon([
-        [a * b for a, b in zip(r1, r2)]
-        for r1, r2 in zip(w1.values, w2.values)
-    ])
+    return StepGraphon._from_integers(
+        (w1.integer_grid * w2.integer_grid).tolist(), w1.q * w2.q)
 
 
 def permute_steps(w: StepGraphon, perm) -> StepGraphon:
@@ -172,11 +194,9 @@ def permute_steps(w: StepGraphon, perm) -> StepGraphon:
     perm = list(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the steps")
-    grid = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            grid[perm[i]][perm[j]] = w.values[i][j]
-    return StepGraphon(grid)
+    old = np.argsort(perm)
+    return StepGraphon._from_integers(
+        w.integer_grid[np.ix_(old, old)].tolist(), w.q)
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +270,21 @@ def _exact_box_minimum(w: StepGraphon, d: Fraction):
     exact witness, by enumerating the faces whose free block is positive
     definite.
 
-    Works on the integer matrix ``B = L (A - d J)``.  Free sets F grow one
-    index at a time (larger than all of F) in order of size; each keeps the
-    adjugate and determinant of ``B_FF``, extended by the bordered-matrix
-    update, so the determinants are the leading principal minors and F is
-    positive definite iff all of them are > 0 (Sylvester).  A free set whose
-    minor is <= 0 is not extended; a superset of it that grows from a
-    positive definite prefix fails its own minor.  For each positive
-    definite F and each nonempty U outside it, the stationary point
-    ``x = -adj r / det`` with ``r = B_FU 1_U`` is kept if it lies in the
-    box; its value is ``1_U^T B_UU 1_U + r . x``.
+    Works on the integer matrix ``B = q dd (A - d J) = num dd - dn q``,
+    where ``d = dn / dd``.  Free sets F grow one index at a time (larger
+    than all of F) in order of size; each keeps the adjugate and determinant
+    of ``B_FF``, extended by the bordered-matrix update, so the determinants
+    are the leading principal minors and F is positive definite iff all of
+    them are > 0 (Sylvester).  A free set whose minor is <= 0 is not
+    extended; a superset of it that grows from a positive definite prefix
+    fails its own minor.  For each positive definite F and each nonempty U
+    outside it, the stationary point ``x = -adj r / det`` with
+    ``r = B_FU 1_U`` is kept if it lies in the box; its value is
+    ``1_U^T B_UU 1_U + r . x``.
     """
     n = w.n_steps
-    shifted = [[x - d for x in row] for row in w.values]
-    scale = math.lcm(*(x.denominator for row in shifted for x in row))
-    b = [[int(x * scale) for x in row] for row in shifted]
+    dn, dd = d.numerator, d.denominator
+    b = [[a * dd - dn * w.q for a in row] for row in w.num]
     full = (1 << n) - 1
     # col[U][i] = (B 1_U)_i and quad[U] = 1_U^T B 1_U, built from U minus
     # its lowest index
@@ -311,7 +331,7 @@ def _exact_box_minimum(w: StepGraphon, d: Fraction):
     witness = [Fraction(ones >> i & 1) for i in range(n)]
     for i, v in zip(free, y):
         witness[i] = Fraction(v, best_den)
-    return Fraction(best_num, best_den * scale * n ** 2), tuple(witness)
+    return Fraction(best_num, best_den * w.q * dd * n ** 2), tuple(witness)
 
 
 def local_density_deficit(w: StepGraphon, d) -> LocalDensityReport:
@@ -345,7 +365,7 @@ def local_density_deficit(w: StepGraphon, d) -> LocalDensityReport:
 
 def constant_graphon(d, n: int) -> StepGraphon:
     d = Fraction(d)
-    return StepGraphon([[d] * n for _ in range(n)])
+    return StepGraphon._from_integers([[d.numerator] * n] * n, d.denominator)
 
 
 def circulant_graphon(profile) -> StepGraphon:
@@ -357,7 +377,10 @@ def circulant_graphon(profile) -> StepGraphon:
     for k in range(1, n):
         if prof[k] != prof[n - k]:
             raise ValueError("profile must be symmetric: p[k] == p[n-k]")
-    return StepGraphon([[prof[(i - j) % n] for j in range(n)] for i in range(n)])
+    q = math.lcm(*(x.denominator for x in prof))
+    a = [x.numerator * (q // x.denominator) for x in prof]
+    return StepGraphon._from_integers(
+        [[a[(i - j) % n] for j in range(n)] for i in range(n)], q)
 
 
 def _pairing_regular_edges(n: int, deg: int, rng: random.Random):
@@ -414,11 +437,10 @@ def regular_graph_graphon(n: int, deg: int, seed: int) -> StepGraphon:
     if deg == 0:
         return constant_graphon(0, n)
     edges = _pairing_regular_edges(n, deg, rng)
-    grid = [[Fraction(0)] * n for _ in range(n)]
+    grid = [[0] * n for _ in range(n)]
     for u, v in edges:
-        grid[u][v] = Fraction(1)
-        grid[v][u] = Fraction(1)
-    return StepGraphon(grid)
+        grid[u][v] = grid[v][u] = 1
+    return StepGraphon._from_integers(grid, 1)
 
 
 def mixture_graphon(graphons, weights) -> StepGraphon:
@@ -431,12 +453,10 @@ def mixture_graphon(graphons, weights) -> StepGraphon:
     n = graphons[0].n_steps
     if any(g.n_steps != n for g in graphons):
         raise ValueError("step counts differ")
-    grid = [
-        [sum(wt * g.values[i][j] for wt, g in zip(ws, graphons))
-         for j in range(n)]
-        for i in range(n)
-    ]
-    return StepGraphon(grid)
+    q = math.lcm(*(wt.denominator * g.q for wt, g in zip(ws, graphons)))
+    grid = sum(wt.numerator * (q // (wt.denominator * g.q)) * g.integer_grid
+               for wt, g in zip(ws, graphons))
+    return StepGraphon._from_integers(grid.tolist(), q)
 
 
 def pointwise_dense_graphon(n: int, d, noise, seed: int,
@@ -447,29 +467,12 @@ def pointwise_dense_graphon(n: int, d, noise, seed: int,
     if not 0 <= d <= 1 or not 0 <= noise <= 1:
         raise ValueError("density and noise must lie in [0, 1]")
     rng = random.Random(seed)
+    unit = (1 - d) * noise / denominator
+    q = math.lcm(d.denominator, unit.denominator)
+    lo, u = int(d * q), int(unit * q)
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            u = Fraction(rng.randrange(denominator + 1), denominator)
-            val = d + (1 - d) * noise * u
-            grid[i][j] = val
-            grid[j][i] = val
-    return StepGraphon(grid)
+            grid[i][j] = grid[j][i] = lo + u * rng.randrange(denominator + 1)
+    return StepGraphon._from_integers(grid, q)
 
-
-def generate(kind: str, seed: int = 0, **params) -> StepGraphon:
-    """Dispatch to the named generator; seeded kinds are deterministic."""
-    if kind == "constant":
-        return constant_graphon(params["d"], int(params["n"]))
-    if kind == "circulant":
-        return circulant_graphon(params["profile"])
-    if kind == "regular_graph":
-        return regular_graph_graphon(int(params["n"]), int(params["deg"]), seed)
-    if kind == "mixture":
-        return mixture_graphon(params["graphons"], params["weights"])
-    if kind == "pointwise_dense":
-        return pointwise_dense_graphon(
-            int(params["n"]), params["d"], params.get("noise", Fraction(1, 2)),
-            seed,
-        )
-    raise ValueError(f"unknown generator kind {kind!r}")

@@ -204,10 +204,8 @@ def _random_rational_graphon(rng, n, denominator=6) -> StepGraphon:
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            x = Fraction(rng.randrange(denominator + 1), denominator)
-            grid[i][j] = x
-            grid[j][i] = x
-    return StepGraphon(grid)
+            grid[i][j] = grid[j][i] = rng.randrange(denominator + 1)
+    return StepGraphon._from_integers(grid, denominator)
 
 
 def _random_regular_graphon(rng, n, denominator=12) -> StepGraphon:

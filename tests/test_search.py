@@ -308,3 +308,15 @@ def test_certify_reprojects_affine_constraint_exactly():
     m = (m + m.T) / 2
     cert = certify_violation(g, m, d=F(1, 2))
     assert cert is None  # no violation exists for an even cycle
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+def test_certify_rejects_a_witness_that_is_not_a_square_grid(shape):
+    with pytest.raises(ValueError, match="not a square grid"):
+        certify_violation(cycle_graph(4), np.full(shape, 0.5), d=F(1, 2))
+
+
+@pytest.mark.parametrize("d", [2, -F(1, 3)])
+def test_certify_rejects_a_degree_outside_the_unit_interval(d):
+    with pytest.raises(ValueError, match="degree"):
+        certify_violation(cycle_graph(4), np.full((2, 2), 0.5), d=d)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,7 +14,6 @@ from sidlab.stepgraphon import (
     constant_graphon,
     counting_kernel,
     edge_density,
-    generate,
     hadamard,
     kernel_power,
     local_density_deficit,
@@ -388,12 +388,13 @@ def test_exact_local_density_invariant_under_relabel_and_refine(w, d, rnd, k):
 # -- generators --------------------------------------------------------------
 
 def test_generate_constant():
-    w = generate("constant", d=F(1, 3), n=4)
+    w = constant_graphon(F(1, 3), 4)
     assert regularity(w)[0] == F(1, 3)
 
 
 def test_generate_circulant_c5():
-    assert generate("circulant", profile=[0, 1, 0, 0, 1]) == C5
+    assert C5 == StepGraphon(
+        [[int((i - j) % 5 in (1, 4)) for j in range(5)] for i in range(5)])
     assert regularity(C5)[0] == F(2, 5)
 
 
@@ -403,7 +404,7 @@ def test_circulant_requires_symmetric_profile():
 
 
 def test_generate_regular_graph():
-    w = generate("regular_graph", n=8, deg=3, seed=1)
+    w = regular_graph_graphon(8, 3, seed=1)
     d, _ = regularity(w)
     assert d == F(3, 8)
     assert all(x in (F(0), F(1)) for row in w.values for x in row)
@@ -411,8 +412,8 @@ def test_generate_regular_graph():
 
 
 def test_generate_regular_graph_deterministic():
-    a = generate("regular_graph", n=10, deg=3, seed=42)
-    b = generate("regular_graph", n=10, deg=3, seed=42)
+    a = regular_graph_graphon(10, 3, seed=42)
+    b = regular_graph_graphon(10, 3, seed=42)
     assert a == b
 
 
@@ -437,14 +438,9 @@ def test_mixture_weight_validation():
 
 
 def test_pointwise_dense_floor():
-    w = generate("pointwise_dense", n=5, d=F(2, 5), noise=F(1, 2), seed=9)
+    w = pointwise_dense_graphon(5, F(2, 5), F(1, 2), seed=9)
     assert all(x >= F(2, 5) for row in w.values for x in row)
     assert all(x <= 1 for row in w.values for x in row)
-
-
-def test_generate_unknown_kind():
-    with pytest.raises(ValueError):
-        generate("spectral", n=2)
 
 
 def test_permute_steps_preserves_density():
@@ -452,3 +448,161 @@ def test_permute_steps_preserves_density():
     p = permute_steps(w, [2, 0, 3, 1])
     assert edge_density(p) == edge_density(w)
     assert sorted(map(sorted, p.values)) == sorted(map(sorted, w.values))
+
+
+# -- the integer grid against the former Fraction loops ----------------------
+#
+# The kernel ops below are the Fraction-grid loops the integer-numerator
+# graphon replaced, kept as literal references: each takes and returns
+# grids of Fractions.
+
+def reference_edge_density(values):
+    n = len(values)
+    return F(sum(sum(row) for row in values), 1) / n ** 2
+
+
+def reference_regularity(values, tol=0.0):
+    n = len(values)
+    degrees = tuple(sum(row) / n for row in values)
+    spread = max(degrees) - min(degrees)
+    if spread == 0 or float(spread) <= tol:
+        return sum(degrees) / n, degrees
+    return None, degrees
+
+
+def reference_kernel_power(values, k):
+    n = len(values)
+    acc = [list(row) for row in values]
+    for _ in range(k - 1):
+        nxt = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            row = acc[i]
+            for j in range(n):
+                s = sum(row[t] * values[t][j] for t in range(n))
+                nxt[i][j] = s / n
+        acc = nxt
+    return acc
+
+
+def reference_hadamard(v1, v2):
+    return [[a * b for a, b in zip(r1, r2)] for r1, r2 in zip(v1, v2)]
+
+
+def reference_permute_steps(values, perm):
+    n = len(values)
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            grid[perm[i]][perm[j]] = values[i][j]
+    return grid
+
+
+def reference_mixture(grids, weights):
+    n = len(grids[0])
+    return [
+        [sum(wt * g[i][j] for wt, g in zip(weights, grids)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def as_grid(values):
+    return tuple(tuple(row) for row in values)
+
+
+@st.composite
+def integer_graphons(draw, n):
+    """A graphon given as integers over a denominator, and the same entries
+    as a grid of Fractions."""
+    q = draw(st.sampled_from([1, 2, 3, 4, 6, 10, 64, 2 ** 61 - 1]))
+    num = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            num[i][j] = num[j][i] = draw(st.integers(0, q))
+    return num, q
+
+
+@st.composite
+def kernel_op_cases(draw):
+    n = draw(st.integers(1, 4))
+    graphons = [draw(integer_graphons(n)) for _ in range(draw(st.integers(1, 3)))]
+    cuts = sorted(draw(st.lists(st.integers(0, 12), min_size=len(graphons) - 1,
+                                max_size=len(graphons) - 1)))
+    bounds = [0] + cuts + [12]
+    weights = [F(b - a, 12) for a, b in zip(bounds, bounds[1:])]
+    perm = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, 4))
+    return graphons, weights, perm, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_op_cases())
+def test_kernel_ops_equal_the_fraction_loops(case):
+    graphons, weights, perm, k = case
+    ws = [StepGraphon._from_integers(num, q) for num, q in graphons]
+    refs = [[[F(a, q) for a in row] for row in num] for num, q in graphons]
+    w, ref = ws[0], refs[0]
+    assert w.values == as_grid(ref)
+    assert edge_density(w) == reference_edge_density(ref)
+    assert regularity(w) == reference_regularity(ref)
+    assert regularity(w, 0.1) == reference_regularity(ref, 0.1)
+    power = reference_kernel_power(ref, k)
+    assert kernel_power(w, k).values == as_grid(power)
+    attached = reference_hadamard(refs[-1], power)
+    assert hadamard(ws[-1], kernel_power(w, k)).values == as_grid(attached)
+    assert permute_steps(w, perm).values == as_grid(
+        reference_permute_steps(ref, perm))
+    mixed = reference_mixture(refs, weights)
+    assert mixture_graphon(ws, weights).values == as_grid(mixed)
+
+    # the counting kernel of a theta is the Hadamard product of its path
+    # kernels; the box minimum agrees with the independent face oracle
+    lengths = [k, 2]
+    expected = reference_hadamard(reference_kernel_power(ref, k),
+                                  reference_kernel_power(ref, 2))
+    assert counting_kernel(w, generalized_theta(lengths)).values == \
+        as_grid(expected)
+    d = reference_edge_density(attached)
+    assert local_density_deficit(StepGraphon(attached), d).deficit_exact == \
+        face_oracle(StepGraphon(attached), d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(integer_graphons), st.integers(1, 50))
+def test_graphons_reduce_to_one_denominator(case, scale):
+    num, q = case
+    w = StepGraphon._from_integers(num, q)
+    # unreduced integers and unreduced Fractions give the same graphon
+    scaled = [[scale * a for a in row] for row in num]
+    from_ints = StepGraphon._from_integers(scaled, scale * q)
+    from_fractions = StepGraphon(
+        [[F(a, scale * q) for a in row] for row in scaled])
+    for other in (from_ints, from_fractions):
+        assert other == w and hash(other) == hash(w)
+        assert (other.q, other.num) == (w.q, w.num)
+    assert math.gcd(w.q, *itertools.chain.from_iterable(w.num)) == 1
+    assert all(F(a, q) == x for row, vrow in zip(num, w.values)
+               for a, x in zip(row, vrow))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2 ** 53 + 1, 2 ** 80), st.data())
+def test_float_matrix_is_the_correctly_rounded_fraction(q, data):
+    a = data.draw(st.integers(2 ** 53 + 1, q))
+    w = StepGraphon._from_integers([[a, q - a], [q - a, a]], q)
+    expected = [[float(x) for x in row] for row in w.values]
+    assert w.float_matrix.tolist() == expected
+    assert w.to_json_dict(mode="float")["values"] == expected
+
+
+@pytest.mark.parametrize("num, q, match", [
+    ([[0, 1], [0, 0]], 1, r"not symmetric at \(0, 1\)"),
+    ([[3]], 2, r"value at \(0, 0\) outside \[0, 1\]"),
+    ([[0, -1], [-1, 0]], 5, r"value at \(0, 1\) outside \[0, 1\]"),
+    ([[0, 1]], 1, "square"),
+    ([], 1, "at least one step"),
+])
+def test_integer_grids_are_checked_like_fraction_grids(num, q, match):
+    with pytest.raises(ValueError, match=match):
+        StepGraphon._from_integers(num, q)
+    with pytest.raises(ValueError, match=match):
+        StepGraphon([[F(a, q) for a in row] for row in num])

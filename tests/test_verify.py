@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from functools import partial
@@ -244,3 +245,29 @@ def test_suite_registry_complete():
         "lemma31", "local_density", "sidorenko_families", "flower_knrs",
         "holder",
     }
+
+
+# sha256 of each suite's seed-0 report (default trials, no runtime) as sorted
+# JSON.  A change that alters the draws or the records on purpose re-records
+# these and says so.
+RECORDED_DIGESTS = {
+    "lemma31":
+        "66a72ec06073bf0d2bbc2288372b518a9a2f7ccd699f2e1f39086d604d7a69bb",
+    "local_density":
+        "1da1a6cd0d86121bcd4b44915f724ad78e6c8690879bc79d946fc383beb0c230",
+    "sidorenko_families":
+        "bcac1a8442b55b77a4e2a8eaa7ac2a85cbfc8171ec5c86d517a6bfe84e8213b6",
+    "flower_knrs":
+        "9f36627dbeb823e127ea4f88217cd37c1a27effe1dd9f463af64521255d264cf",
+    "holder":
+        "b28049c19ead460115c6382b0eb5ff1d3747477997e074c86ac85f76ab4852c3",
+}
+
+
+def test_suite_reports_match_recorded_digests():
+    digests = {
+        name: hashlib.sha256(json.dumps(
+            strip_runtime(run(seed=0)), sort_keys=True).encode()).hexdigest()
+        for name, run in SUITES.items()
+    }
+    assert digests == RECORDED_DIGESTS
