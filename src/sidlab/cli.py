@@ -34,7 +34,7 @@ from .graphs import (
 )
 from .homdensity import hom_density
 from .search import ProjectionError, search_counterexample
-from .stepgraphon import StepGraphon
+from .stepgraphon import StepGraphon, _frac_str
 from .verify import SUITES, SuiteReport
 
 EXIT_OK = 0
@@ -75,7 +75,7 @@ def _header(args, seed=None) -> dict:
     }
     for k, v in config.items():
         if isinstance(v, Fraction):
-            config[k] = f"{v.numerator}/{v.denominator}"
+            config[k] = _frac_str(v)
     return {"tool": "sidlab", "version": __version__, "seed": seed,
             "config": config}
 

@@ -308,6 +308,19 @@ class RootedGraph:
 # Gadget constructors.
 # ---------------------------------------------------------------------------
 
+def _lay_path(edges, u, v, length, nxt) -> int:
+    """Append a u-v path of ``length`` edges to ``edges``, numbering its
+    ``length - 1`` internal vertices from ``nxt``; return the next free
+    vertex."""
+    prev = u
+    for _ in range(length - 1):
+        edges.append((prev, nxt))
+        prev = nxt
+        nxt += 1
+    edges.append((prev, v))
+    return nxt
+
+
 def generalized_theta(lengths, parity: str = "any") -> RootedGraph:
     """Internally disjoint paths of the given lengths between two roots.
 
@@ -331,12 +344,7 @@ def generalized_theta(lengths, parity: str = "any") -> RootedGraph:
     edges = []
     nxt = 2
     for length in lens:
-        prev = 0
-        for _ in range(length - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, 1))
+        nxt = _lay_path(edges, 0, 1, length, nxt)
     return RootedGraph(Graph(nxt, tuple(edges)), (0, 1))
 
 
@@ -350,12 +358,7 @@ def flower(cycle_lengths) -> Graph:
     edges = []
     nxt = 1
     for length in lens:
-        prev = 0
-        for _ in range(length - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, 0))
+        nxt = _lay_path(edges, 0, 0, length, nxt)
     return Graph(nxt, tuple(edges))
 
 
@@ -384,13 +387,7 @@ def subdivide(graph: Graph, times) -> Graph:
     edges = []
     nxt = graph.n
     for u, v in graph.edges:
-        t = mapping[(u, v)]
-        prev = u
-        for _ in range(t):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, v))
+        nxt = _lay_path(edges, u, v, mapping[(u, v)] + 1, nxt)
     return Graph(nxt, tuple(edges))
 
 
@@ -424,15 +421,7 @@ def replace_edges_nonuniform(host: Graph, spec: "ReplacementSpec") -> Graph:
     for (u, v), bundle in zip(host.edges, spec.per_edge_lengths):
         for k, count in bundle:
             for _ in range(count):
-                if k == 1:
-                    edges.append((u, v))
-                else:
-                    prev = u
-                    for _ in range(k - 1):
-                        edges.append((prev, nxt))
-                        prev = nxt
-                        nxt += 1
-                    edges.append((prev, v))
+                nxt = _lay_path(edges, u, v, k, nxt)
     return Graph(nxt, tuple(edges))
 
 
@@ -478,14 +467,8 @@ def semidirect_product(h1: Graph, independent_set, a: int, h2: Graph,
         for u, v in h1.edges:
             edges.append((image(u), image(v)))
         a_copies.append(image(a))
-    t = 2 * subdivision_k - 1
     for p, q in h2.edges:
-        prev = a_copies[p]
-        for _ in range(t):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, a_copies[q]))
+        nxt = _lay_path(edges, a_copies[p], a_copies[q], 2 * subdivision_k, nxt)
     return Graph(nxt, tuple(edges))
 
 
@@ -758,14 +741,9 @@ def odd_theta_decomposition(lengths):
     tree_edges = []
     for i, length in enumerate(lens[:-1]):
         x = branch[i]
-        prev, leaf_bag = t, {t, x}
-        for _ in range((length + shortest) // 2 - 1):
-            edges.append((prev, nxt))
-            leaf_bag.add(nxt)
-            prev = nxt
-            nxt += 1
-        edges.append((prev, x))
-        bags.append(leaf_bag)
+        start = nxt
+        nxt = _lay_path(edges, t, x, (length + shortest) // 2, nxt)
+        bags.append({t, x, *range(start, nxt)})
         tree_edges.append((0, i + 1))
 
     graph = Graph(nxt, tuple(edges))

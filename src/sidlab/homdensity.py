@@ -18,7 +18,7 @@ from . import contraction
 from .contraction import _normalize_pins
 from .contraction import EliminationOrder, elimination_order  # re-export
 from .graphs import Graph, ReplacementSpec, complete_graph, edge_orbits
-from .stepgraphon import StepGraphon, edge_density, kernel_power
+from .stepgraphon import StepGraphon, _frac_str, edge_density, kernel_power
 
 __all__ = [
     "DensityValue",
@@ -55,7 +55,7 @@ class DensityValue:
 
     def to_json_dict(self) -> dict:
         if self.mode == "exact":
-            v = f"{self.value.numerator}/{self.value.denominator}"
+            v = _frac_str(self.value)
         else:
             v = float(self.value)
         return {"mode": self.mode, "value": v, "vH": self.scale_exponent}

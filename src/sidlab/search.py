@@ -31,7 +31,7 @@ import numpy as np
 from . import contraction
 from .graphs import Graph
 from .homdensity import _gradient_float
-from .stepgraphon import StepGraphon, edge_density
+from .stepgraphon import StepGraphon, _frac_str, edge_density
 
 __all__ = [
     "ProjectionError",
@@ -343,7 +343,7 @@ def certify_violation(graph: Graph, matrix, d=None,
         return None
     return {
         "witness": w.to_json_dict(mode="exact"),
-        "t_H": f"{lhs.numerator}/{lhs.denominator}",
-        "baseline": f"{rhs.numerator}/{rhs.denominator}",
+        "t_H": _frac_str(lhs),
+        "baseline": _frac_str(rhs),
         "gap": float(lhs - rhs),
     }

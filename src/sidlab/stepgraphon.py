@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,11 @@ __all__ = [
     "mixture_graphon",
     "pointwise_dense_graphon",
 ]
+
+
+def _frac_str(x) -> str:
+    """A rational as the ``"p/q"`` string that every JSON artifact writes."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 class StepGraphon:
@@ -117,8 +123,7 @@ class StepGraphon:
 
     def to_json_dict(self, mode: str = "exact") -> dict:
         if mode == "exact":
-            vals = [[f"{x.numerator}/{x.denominator}" for x in row]
-                    for row in self.values]
+            vals = [[_frac_str(x) for x in row] for row in self.values]
         elif mode == "float":
             vals = self.float_matrix.tolist()
         else:
@@ -241,11 +246,9 @@ class LocalDensityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "target_d": f"{self.target_d.numerator}/{self.target_d.denominator}",
+            "target_d": _frac_str(self.target_d),
             "deficit": self.deficit,
-            "deficit_exact": (
-                f"{self.deficit_exact.numerator}/{self.deficit_exact.denominator}"
-            ),
+            "deficit_exact": _frac_str(self.deficit_exact),
             "witness": [float(x) for x in self.witness],
             "method": self.method,
         }
@@ -398,18 +401,19 @@ def _pairing_regular_edges(n: int, deg: int, rng: random.Random):
 
 
 def _switch_repair(pairs, rng: random.Random, max_attempts=3000):
+    """Swap endpoints of the first loop or repeated pair with a random pair
+    until the pairs form a simple graph, or give up after ``max_attempts``.
+    The pair counts and the first bad index change only on an accepted swap,
+    so they are kept across attempts."""
     pairs = list(pairs)
+    counts = Counter(pairs)
+    i = None
     for _ in range(max_attempts):
-        counts = {}
-        for e in pairs:
-            counts[e] = counts.get(e, 0) + 1
-        bad = [
-            i for i, e in enumerate(pairs)
-            if e[0] == e[1] or counts[e] > 1
-        ]
-        if not bad:
-            return set(pairs)
-        i = bad[0]
+        if i is None:
+            i = next((k for k, e in enumerate(pairs)
+                      if e[0] == e[1] or counts[e] > 1), None)
+            if i is None:
+                return set(pairs)
         j = rng.randrange(len(pairs))
         if i == j:
             continue
@@ -418,12 +422,15 @@ def _switch_repair(pairs, rng: random.Random, max_attempts=3000):
         if rng.random() < 0.5:
             x, y = y, x
         e1, e2 = tuple(sorted((u, x))), tuple(sorted((v, y)))
-        if e1[0] == e1[1] or e2[0] == e2[1]:
+        if e1[0] == e1[1] or e2[0] == e2[1] or e1 == e2:
             continue
-        current = set(pairs) - {pairs[i], pairs[j]}
-        if e1 in current or e2 in current or e1 == e2:
+        kept = (pairs[i], pairs[j])
+        if (counts[e1] and e1 not in kept) or (counts[e2] and e2 not in kept):
             continue
+        counts.subtract(kept)
+        counts.update((e1, e2))
         pairs[i], pairs[j] = e1, e2
+        i = None
     return None
 
 

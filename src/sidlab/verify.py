@@ -8,13 +8,17 @@ Every check draws its sizes before it applies a ``sizes`` override, so the
 rest of the stream does not depend on the override.  A failing trial is then
 re-run over the size lattice ``product(range(2, s + 1) for s in sizes_used)``
 in product order, and the first failing point is reported, marked
-``minimized``; the lattice's top point is the drawn instance itself.  Exact
-identities are checked with rational arithmetic and zero tolerance.  So are
-the family, tree and flower deficits (a deficit below 0 fails), the Hölder
-bound when every path exponent is integral, and the local-density claims,
-whose box minimum ``local_density_deficit`` decides exactly (the suite's
-kernels have at most 6 steps).  Only the Hölder bound with a fractional
-exponent is checked in float, to the relative tolerance ``FLOAT_TOL``.
+``minimized``; the lattice's top point is the drawn instance itself.
+
+Every exact check returns through ``_decide``, which tests ``lhs == rhs``
+(an identity: Lemma 3.1, trees, Hölder equality) or ``lhs >= rhs`` (a
+bound: families, flowers, integral-exponent Hölder, and the local-density
+deficit against 0, decided exactly by ``local_density_deficit`` on the
+suite's kernels of at most 6 steps) in rationals with zero tolerance.  Only
+a failure serializes the instance's inputs; its record writes both sides as
+``"p/q"``, and a local-density record adds its exact ``witness``.  Only the
+Hölder bound with a fractional exponent is checked in float, to the
+relative tolerance ``FLOAT_TOL``, and records float sides.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .graphs import (
 from .homdensity import deficit, hom_density, holder_lower_bound
 from .stepgraphon import (
     StepGraphon,
+    _frac_str,
     circulant_graphon,
     counting_kernel,
     edge_density,
@@ -123,8 +128,29 @@ def _rel_ok(lhs: float, rhs: float, tol: float) -> bool:
     return lhs >= rhs - tol * max(1.0, abs(lhs), abs(rhs))
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _json_inputs(inputs: dict) -> dict:
+    """A failing instance as JSON: each graph, spec and graphon through its
+    ``to_json_dict``, each rational as ``"p/q"``, anything else as is."""
+    return {
+        k: _frac_str(v) if isinstance(v, Fraction)
+        else v.to_json_dict() if hasattr(v, "to_json_dict") else v
+        for k, v in inputs.items()
+    }
+
+
+def _decide(lhs, rhs, sizes, inputs, equal=False, **extra):
+    """The exact verdict of one check: ``lhs == rhs`` if ``equal``, else
+    ``lhs >= rhs``, both rationals.  Returns ``(gap, record | None, sizes)``
+    with ``gap = -|lhs - rhs|`` for an identity and ``lhs - rhs`` for a
+    bound.  Only a failure serializes ``inputs`` and builds its record, with
+    both sides as ``"p/q"`` and ``extra`` appended."""
+    diff = lhs - rhs
+    gap = -abs(float(diff)) if equal else float(diff)
+    if (diff == 0) if equal else (diff >= 0):
+        return gap, None, sizes
+    record = {"inputs": _json_inputs(inputs), "lhs": _frac_str(lhs),
+              "rhs": _frac_str(rhs), "gap": gap, **extra}
+    return gap, record, sizes
 
 
 def _run_suite(suite_id, seed, tasks):
@@ -268,20 +294,8 @@ def _check_counting_identity(trial_seed, sizes=None):
     replaced = replace_edges(host, gadget)
     lhs = hom_density(replaced, w).value
     rhs = hom_density(host, counting_kernel(w, gadget)).value
-    gap = -abs(float(lhs - rhs))
-    record = None
-    if lhs != rhs:
-        record = {
-            "inputs": {
-                "host": host.to_json_dict(),
-                "gadget": gadget.to_json_dict(),
-                "graphon": w.to_json_dict(),
-            },
-            "lhs": _frac_str(lhs),
-            "rhs": _frac_str(rhs),
-            "gap": gap,
-        }
-    return gap, record, (n, nv)
+    inputs = {"host": host, "gadget": gadget, "graphon": w}
+    return _decide(lhs, rhs, (n, nv), inputs, equal=True)
 
 
 def verify_counting_identity(trials: int = 200, seed: int = 0) -> SuiteReport:
@@ -311,11 +325,7 @@ def _check_local_density(style, trial_seed, sizes=None):
         kernel = counting_kernel(w, theta)
         d = regularity(w)[0]
         target = d ** theta.num_edges
-        inputs = {
-            "style": "even-theta-kernel",
-            "graphon": w.to_json_dict(),
-            "theta": theta.to_json_dict(),
-        }
+        inputs = {"style": "even-theta-kernel", "graphon": w, "theta": theta}
     else:
         d1 = Fraction(rng.randint(2, 8), 10)
         w1 = pointwise_dense_graphon(
@@ -326,25 +336,11 @@ def _check_local_density(style, trial_seed, sizes=None):
         k = rng.randint(1, 2)
         kernel = hadamard(w1, kernel_power(w2, 2 * k))
         target = d1 * d2 ** (2 * k)
-        inputs = {
-            "style": "hadamard-attachment",
-            "dense_floor": _frac_str(d1),
-            "power": 2 * k,
-            "w1": w1.to_json_dict(),
-            "w2": w2.to_json_dict(),
-        }
+        inputs = {"style": "hadamard-attachment", "dense_floor": d1,
+                  "power": 2 * k, "w1": w1, "w2": w2}
     report = local_density_deficit(kernel, target)
-    gap = report.deficit
-    record = None
-    if report.deficit_exact < 0:
-        record = {
-            "inputs": inputs,
-            "lhs": report.deficit,
-            "rhs": 0.0,
-            "gap": gap,
-            "witness": [float(x) for x in report.witness],
-        }
-    return gap, record, (n,)
+    return _decide(report.deficit_exact, 0, (n,), inputs,
+                   witness=[_frac_str(x) for x in report.witness])
 
 
 def verify_local_density(trials: int = 50, seed: int = 0) -> SuiteReport:
@@ -438,16 +434,7 @@ def _family_draw(trial_seed, sizes):
 def _check_family(name, graph, trial_seed, sizes=None):
     n, w, rho = _family_draw(trial_seed, sizes)
     exact = hom_density(graph, w).value - rho ** graph.num_edges
-    gap = float(exact)
-    record = None
-    if exact < 0:
-        record = {
-            "inputs": {"family": name, "graphon": w.to_json_dict()},
-            "lhs": _frac_str(exact),
-            "rhs": "0/1",
-            "gap": gap,
-        }
-    return gap, record, (n,)
+    return _decide(exact, 0, (n,), {"family": name, "graphon": w})
 
 
 def _check_tree(trial_seed, sizes=None):
@@ -459,20 +446,8 @@ def _check_tree(trial_seed, sizes=None):
     tree = _random_tree(rng, nv)
     w = _random_regular_graphon(rng, n)
     exact = deficit(tree, w, "sidorenko", mode="exact")
-    gap = -abs(float(exact))
-    record = None
-    if exact != 0:
-        record = {
-            "inputs": {
-                "family": "tree",
-                "tree": tree.to_json_dict(),
-                "graphon": w.to_json_dict(),
-            },
-            "lhs": _frac_str(exact),
-            "rhs": "0/1",
-            "gap": gap,
-        }
-    return gap, record, (n, nv)
+    inputs = {"family": "tree", "tree": tree, "graphon": w}
+    return _decide(exact, 0, (n, nv), inputs, equal=True)
 
 
 def verify_sidorenko_families(trials: int = 100, seed: int = 0) -> SuiteReport:
@@ -509,20 +484,7 @@ def _check_flower(trial_seed, sizes=None):
         w2 = pointwise_dense_graphon(n, d, Fraction(1, 4), rng.randrange(2 ** 31))
         w = mixture_graphon([w, w2], [Fraction(1, 2), Fraction(1, 2)])
     exact = deficit(graph, w, "knrs", d=d, mode="exact")
-    gap = float(exact)
-    record = None
-    if exact < 0:
-        record = {
-            "inputs": {
-                "cycles": cycles,
-                "d": _frac_str(d),
-                "graphon": w.to_json_dict(),
-            },
-            "lhs": _frac_str(exact),
-            "rhs": "0/1",
-            "gap": gap,
-        }
-    return gap, record, (n,)
+    return _decide(exact, 0, (n,), {"cycles": cycles, "d": d, "graphon": w})
 
 
 def verify_flower_knrs(trials: int = 100, seed: int = 0) -> SuiteReport:
@@ -549,21 +511,9 @@ def _check_holder_equality(trial_seed, sizes=None):
     replaced = replace_edges_nonuniform(host, spec)
     lhs = hom_density(replaced, w).value
     rhs = holder_lower_bound(host, spec, w).value
-    gap = -abs(float(lhs - rhs))
-    record = None
-    if lhs != rhs:
-        record = {
-            "inputs": {
-                "kind": "uniform-complete-equality",
-                "host": host.to_json_dict(),
-                "spec": spec.to_json_dict(),
-                "graphon": w.to_json_dict(),
-            },
-            "lhs": _frac_str(lhs),
-            "rhs": _frac_str(rhs),
-            "gap": gap,
-        }
-    return gap, record, (n,)
+    inputs = {"kind": "uniform-complete-equality", "host": host, "spec": spec,
+              "graphon": w}
+    return _decide(lhs, rhs, (n,), inputs, equal=True)
 
 
 def _check_holder_inequality(trial_seed, sizes=None):
@@ -579,30 +529,20 @@ def _check_holder_inequality(trial_seed, sizes=None):
     spec = ReplacementSpec.from_length_maps(host, maps)
     w = _random_regular_graphon(rng, n)
     replaced = replace_edges_nonuniform(host, spec)
+    inputs = {"kind": "random-replacement", "host": host, "spec": spec,
+              "graphon": w}
     if all(a.denominator == 1 for a in spec.alphas().values()):
         lhs = hom_density(replaced, w).value
         rhs = holder_lower_bound(host, spec, w, mode="exact").value
-        gap = float(lhs - rhs)
-        failed = lhs < rhs
-        lhs, rhs = _frac_str(lhs), _frac_str(rhs)
-    else:
-        lhs = float(hom_density(replaced, w, mode="float").value)
-        rhs = float(holder_lower_bound(host, spec, w, mode="float").value)
-        gap = lhs - rhs
-        failed = not _rel_ok(lhs, rhs, FLOAT_TOL)
+        return _decide(lhs, rhs, (n,), inputs)
+    # a fractional exponent is decided in float until it has an exact bound
+    lhs = float(hom_density(replaced, w, mode="float").value)
+    rhs = float(holder_lower_bound(host, spec, w, mode="float").value)
+    gap = lhs - rhs
     record = None
-    if failed:
-        record = {
-            "inputs": {
-                "kind": "random-replacement",
-                "host": host.to_json_dict(),
-                "spec": spec.to_json_dict(),
-                "graphon": w.to_json_dict(),
-            },
-            "lhs": lhs,
-            "rhs": rhs,
-            "gap": gap,
-        }
+    if not _rel_ok(lhs, rhs, FLOAT_TOL):
+        record = {"inputs": _json_inputs(inputs), "lhs": lhs, "rhs": rhs,
+                  "gap": gap}
     return gap, record, (n,)
 
 

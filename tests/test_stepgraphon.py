@@ -424,6 +424,58 @@ def test_generate_regular_graph_infeasible():
         regular_graph_graphon(4, 4, seed=0)  # deg >= n
 
 
+def reference_switch_repair(pairs, rng, max_attempts=3000):
+    # the repair loop that rebuilt its pair counts on every attempt
+    pairs = list(pairs)
+    for _ in range(max_attempts):
+        counts = {}
+        for e in pairs:
+            counts[e] = counts.get(e, 0) + 1
+        bad = [
+            i for i, e in enumerate(pairs)
+            if e[0] == e[1] or counts[e] > 1
+        ]
+        if not bad:
+            return set(pairs)
+        i = bad[0]
+        j = rng.randrange(len(pairs))
+        if i == j:
+            continue
+        u, v = pairs[i]
+        x, y = pairs[j]
+        if rng.random() < 0.5:
+            x, y = y, x
+        e1, e2 = tuple(sorted((u, x))), tuple(sorted((v, y)))
+        if e1[0] == e1[1] or e2[0] == e2[1]:
+            continue
+        current = set(pairs) - {pairs[i], pairs[j]}
+        if e1 in current or e2 in current or e1 == e2:
+            continue
+        pairs[i], pairs[j] = e1, e2
+    return None
+
+
+@pytest.mark.parametrize("max_attempts", [3000, 4])
+def test_switch_repair_equals_the_rebuilding_loop(max_attempts):
+    # the same repaired edge set or the same give-up, and the same random
+    # stream left behind, over random stub pairings
+    outcomes = set()
+    for seed in range(600):
+        setup = random.Random(seed)
+        n = setup.randint(3, 9)
+        deg = setup.choice([d for d in range(1, n) if n * d % 2 == 0])
+        stubs = list(range(n)) * deg
+        setup.shuffle(stubs)
+        pairs = [tuple(sorted(stubs[2 * i:2 * i + 2]))
+                 for i in range(len(stubs) // 2)]
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = stepgraphon._switch_repair(pairs, rng, max_attempts)
+        assert got == reference_switch_repair(pairs, ref_rng, max_attempts)
+        assert rng.getstate() == ref_rng.getstate()
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 def test_mixture_preserves_regularity():
     a = circulant_graphon([0, F(1, 2), F(1, 2)])
     b = regular_graph_graphon(3, 2, seed=3)

@@ -16,6 +16,7 @@ from sidlab.graphs import (
     odd_theta_decomposition,
 )
 from sidlab.homdensity import deficit, holder_lower_bound
+from sidlab.stepgraphon import StepGraphon, local_density_deficit
 from sidlab.verify import (
     SUITES,
     SuiteReport,
@@ -150,27 +151,79 @@ def test_family_suite_draws_one_graphon_per_trial(monkeypatch,
     assert len(draws) == 2 * 3
 
 
-def test_family_failures_are_exact_and_minimized(monkeypatch,
-                                                 fresh_family_draws):
-    # With the edge density patched to 1 every family needs t_H(W) >= 1,
-    # which fails on every graphon that is not identically 1.
-    monkeypatch.setattr(verify, "edge_density", lambda w: Fraction(1))
-    rep = verify_sidorenko_families(trials=2, seed=9)
-    seeds = _trial_seeds(9, 2)
-    names = [name for name, _ in sidorenko_family_instances()]
-    assert [(rec["inputs"]["family"], rec["trial_seed"])
-            for rec in rep.failures] == [
-        (name, s) for s in seeds for name in names
-    ]
-    for rec, (name, graph) in zip(
-            rep.failures, sidorenko_family_instances() * len(seeds)):
-        first = verify._check_family(name, graph, rec["trial_seed"], (2,))
-        assert rec["minimized"] is True
-        assert rec == {**first[1], "trial_seed": rec["trial_seed"],
-                       "minimized": True}
-        assert Fraction(rec["lhs"]) < 0
-        assert rec["gap"] == float(Fraction(rec["lhs"]))
-        assert rec["inputs"]["graphon"]["n"] == 2
+def raised_bound(*args, **kwargs):
+    return SimpleNamespace(value=holder_lower_bound(*args, **kwargs).value + 1)
+
+
+def lowered_deficit(*args, **kwargs):
+    return deficit(*args, **kwargs) - 1
+
+
+def full_density_target(kernel, target):
+    return local_density_deficit(kernel, Fraction(1))
+
+
+# Each exact check, the module-level dependency patched to make every trial
+# fail, and whether the check decides an identity (gap -|lhs - rhs|) or a
+# bound (gap lhs - rhs).  The integral branch of the Hölder inequality is
+# covered by test_holder_inequality_is_exact_for_integral_exponents.
+FORCED_FAILURES = {
+    "lemma31": ([verify._check_counting_identity],
+                "counting_kernel", lambda w, gadget: w, True),
+    "even_theta_kernel": ([partial(verify._check_local_density, 0)],
+                          "local_density_deficit", full_density_target, False),
+    "hadamard_attachment": ([partial(verify._check_local_density, 1)],
+                            "local_density_deficit", full_density_target,
+                            False),
+    "family": ([partial(verify._check_family, name, graph)
+                for name, graph in sidorenko_family_instances()],
+               "edge_density", lambda w: Fraction(1), False),
+    "tree": ([verify._check_tree], "deficit", lowered_deficit, True),
+    "flower": ([verify._check_flower], "deficit", lowered_deficit, False),
+    "holder_equality": ([verify._check_holder_equality],
+                        "holder_lower_bound", raised_bound, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED_FAILURES))
+def test_exact_failures_are_recorded_and_minimized(case, monkeypatch,
+                                                   fresh_family_draws):
+    checks, name, patched, identity = FORCED_FAILURES[case]
+    monkeypatch.setattr(verify, name, patched)
+    seeds = _trial_seeds(9, 3)
+    tasks = [(check, s) for s in seeds for check in checks]
+    rep = _run_suite(case, 9, tasks)
+    assert [rec["trial_seed"] for rec in rep.failures] == [s for _, s in tasks]
+    for rec, (check, trial_seed) in zip(rep.failures, tasks):
+        # every size fails, so the witness is the lattice's first point
+        first = check(trial_seed, (2,) * len(check(trial_seed)[2]))[1]
+        assert rec == {**first, "trial_seed": trial_seed, "minimized": True}
+        assert isinstance(rec["lhs"], str) and isinstance(rec["rhs"], str)
+        diff = Fraction(rec["lhs"]) - Fraction(rec["rhs"])
+        if identity:
+            assert diff != 0 and rec["gap"] == -abs(float(diff))
+        else:
+            assert diff < 0 and rec["gap"] == float(diff)
+        # the record is plain JSON: every rational written as "p/q"
+        assert json.loads(json.dumps(rec)) == rec
+        if "witness" in rec:
+            assert all(0 <= Fraction(x) <= 1 for x in rec["witness"])
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_passing_suites_serialize_no_graphon(name, monkeypatch):
+    # a check serializes its inputs only for a failure record
+    calls = []
+    to_json_dict = StepGraphon.to_json_dict
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return to_json_dict(self, *args, **kwargs)
+
+    monkeypatch.setattr(StepGraphon, "to_json_dict", counting)
+    rep = SUITES[name](trials=4, seed=3)
+    assert rep.passed
+    assert calls == []
 
 
 def test_holder_inequality_is_exact_for_integral_exponents(monkeypatch):
