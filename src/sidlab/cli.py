@@ -68,6 +68,13 @@ def _parse_lengths(text: str):
         raise FormatError(f"bad length list {text!r}") from exc
 
 
+def _parse_length(text: str) -> int:
+    lengths = _parse_lengths(text)
+    if len(lengths) != 1:
+        raise FormatError(f"expected one length, got {text!r}")
+    return lengths[0]
+
+
 def _header(args, seed=None) -> dict:
     config = {
         k: v for k, v in sorted(vars(args).items())
@@ -118,18 +125,18 @@ def _cmd_construct(args) -> int:
     elif family == "flower":
         payload = flower(_parse_lengths(args.lengths)).to_json_dict()
     elif family == "complete":
-        payload = complete_graph(int(args.lengths)).to_json_dict()
+        payload = complete_graph(_parse_length(args.lengths)).to_json_dict()
     elif family == "multipartite":
         payload = complete_multipartite(_parse_lengths(args.lengths)).to_json_dict()
     elif family == "path":
-        payload = path_graph(int(args.lengths)).to_json_dict()
+        payload = path_graph(_parse_length(args.lengths)).to_json_dict()
     elif family == "cycle":
-        payload = cycle_graph(int(args.lengths)).to_json_dict()
+        payload = cycle_graph(_parse_length(args.lengths)).to_json_dict()
     elif family == "subdivision":
         if not args.graph:
             raise FormatError("subdivision requires --graph")
         payload = subdivide(_load_graph(args.graph),
-                            int(args.lengths)).to_json_dict()
+                            _parse_length(args.lengths)).to_json_dict()
     elif family == "replace":
         if not args.graph:
             raise FormatError("replace requires --graph")

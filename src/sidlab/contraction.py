@@ -100,9 +100,9 @@ class EliminationOrder:
 
     ``arities[i]`` counts the variables of the combined factor built when
     ``vertices[i]`` is summed out (the eliminated variable plus its current
-    neighbors), so ``max_arity == width + 1``.  ``_plan`` is the compiled
-    contraction of the shape the order was made for; it takes no part in
-    comparisons.
+    neighbors), so the largest arity is ``width + 1``.  ``_plan`` is the
+    compiled contraction of the shape the order was made for; it takes no
+    part in comparisons.
     """
 
     vertices: tuple
@@ -112,10 +112,6 @@ class EliminationOrder:
     @property
     def width(self) -> int:
         return max(self.arities, default=1) - 1
-
-    @property
-    def max_arity(self) -> int:
-        return max(self.arities, default=1)
 
 
 def _subscripts(scopes, out_vars):

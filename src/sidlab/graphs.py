@@ -80,9 +80,6 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> tuple:
         degs = [0] * self.n
         for u, v in self.edges:
@@ -362,32 +359,17 @@ def flower(cycle_lengths) -> Graph:
     return Graph(nxt, tuple(edges))
 
 
-def subdivide(graph: Graph, times) -> Graph:
+def subdivide(graph: Graph, times: int) -> Graph:
     """Replace each edge by a path with ``times`` new internal vertices.
 
-    ``times`` is a uniform nonnegative integer or a map covering exactly the
-    edge set.  New vertices are appended per edge in sorted edge order.
+    New vertices are appended per edge in sorted edge order.
     """
-    if isinstance(times, int):
-        if times < 0:
-            raise ValueError("subdivision count must be nonnegative")
-        mapping = {e: times for e in graph.edges}
-    else:
-        mapping = {}
-        for key, t in dict(times).items():
-            u, v = key
-            norm = (u, v) if u < v else (v, u)
-            if norm in mapping:
-                raise ValueError(f"duplicate edge key {norm} in subdivision map")
-            if int(t) < 0:
-                raise ValueError("subdivision count must be nonnegative")
-            mapping[norm] = int(t)
-        if set(mapping) != set(graph.edges):
-            raise ValueError("subdivision map must cover exactly the edge set")
+    if times < 0:
+        raise ValueError("subdivision count must be nonnegative")
     edges = []
     nxt = graph.n
     for u, v in graph.edges:
-        nxt = _lay_path(edges, u, v, mapping[(u, v)] + 1, nxt)
+        nxt = _lay_path(edges, u, v, times + 1, nxt)
     return Graph(nxt, tuple(edges))
 
 
@@ -559,16 +541,12 @@ class ReplacementSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReplacementSpec":
-        edges = tuple(tuple(e) for e in data["edges"])
-        if "n" in data:
-            n = int(data["n"])
-        else:
-            n = 1 + max((max(e) for e in edges), default=-1)
         bundles = tuple(
             tuple((int(item["k"]), int(item["count"])) for item in bundle)
             for bundle in data["lengths"]
         )
-        return cls(n, edges, bundles)
+        return cls(int(data["n"]), tuple(tuple(e) for e in data["edges"]),
+                   bundles)
 
 
 class Theorem12Case(str, Enum):

@@ -190,27 +190,22 @@ def deficit(graph: Graph, w: StepGraphon, baseline: str = "sidorenko",
     return float(t) - float(base)
 
 
-def holder_lower_bound(graph: Graph, spec: ReplacementSpec, w: StepGraphon,
-                       mode: str | None = None) -> DensityValue:
+def holder_lower_bound(graph: Graph, spec: ReplacementSpec,
+                       w: StepGraphon) -> DensityValue:
     """Uniformized lower bound for the density of a path-replaced graph.
 
     Builds the combined pair weight  E[i][j] = prod_k (W^k)[i][j]^alpha_k
     with alpha_k the per-length path totals over C(h, 2), then contracts the
-    complete graph on the h host vertices against E.  Integral exponents are
-    evaluated exactly; fractional exponents force float mode (0^0 = 1).
+    complete graph on the h host vertices against E.  The bound is exact
+    when every exponent is integral, and a float otherwise.
     """
     if not spec.matches(graph):
         raise ValueError("replacement spec does not match the host graph")
     alphas = spec.alphas()
-    integral = all(a.denominator == 1 for a in alphas.values())
-    if mode is None:
-        mode = "exact" if integral else "float"
-    if mode == "exact" and not integral:
-        raise ValueError("fractional exponents require float mode")
     h = graph.n
     n = w.n_steps
     powers = {k: kernel_power(w, k) for k in alphas}
-    if mode == "exact":
+    if all(a.denominator == 1 for a in alphas.values()):
         grid, q = np.ones((n, n), dtype=object), 1
         for k, a in alphas.items():
             grid = grid * powers[k].integer_grid ** int(a)
@@ -220,12 +215,9 @@ def holder_lower_bound(graph: Graph, spec: ReplacementSpec, w: StepGraphon,
             h, complete_graph(h).edges, combined, n, width_cap=None,
         )
         return DensityValue(value, "exact", h)
+    # every alpha_k is positive (specs drop zero counts), so no 0^0 arises
     mat = np.ones((n, n))
     for k, a in alphas.items():
-        base = powers[k].float_matrix
-        with np.errstate(invalid="ignore"):
-            p = np.power(base, float(a))
-        p[np.isnan(p)] = 1.0  # 0^0 convention
-        mat *= p
+        mat *= np.power(powers[k].float_matrix, float(a))
     value = contraction.contract_float(h, complete_graph(h).edges, mat, n)
     return DensityValue(min(max(value, 0.0), 1.0), "float", h)

@@ -55,7 +55,7 @@ class ProjectionError(RuntimeError):
 
 def _affine_project(m: np.ndarray, row_target: float) -> np.ndarray:
     """Frobenius projection onto symmetric grids with constant row sums,
-    applied to each grid of a ``(..., n, n)`` stack."""
+    applied to each grid of a ``(..., n, n)`` stack; exact on Fractions."""
     n = m.shape[-1]
     r = row_target - m.sum(axis=-1)
     sigma = r.sum(axis=-1, keepdims=True) / (2 * n)
@@ -228,8 +228,7 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
 
     raw = np.stack([np.random.default_rng(child).random((n, n))
                     for child in np.random.SeedSequence(seed).spawn(starts)])
-    x = _settled(*_project_regular_array(
-        (raw + np.swapaxes(raw, -1, -2)) / 2.0, df), PROJECTION_TOL)
+    x = _settled(*_project_regular_array(raw, df), PROJECTION_TOL)
     val = _sidorenko_slack(graph, x, n)
     traces = [[v] for v in val.tolist()]
     # a start leaves the active set at a vanishing gradient or when its line
@@ -307,34 +306,20 @@ def certify_violation(graph: Graph, matrix, d=None,
     row-sum constraint exactly when a degree is given, clamps to [0, 1], and
     recomputes both sides of the density inequality over the rationals.
     Returns a JSON-able certificate when the violation survives, else None.
-    Raises ValueError for a non-square matrix or a degree outside [0, 1].
+    Raises ValueError for an empty or non-square grid, or d outside [0, 1].
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise ValueError(f"witness of shape {m.shape} is not a square grid")
     if d is not None and not 0 <= Fraction(d) <= 1:
         raise ValueError("degree must lie in [0, 1]")
     n = m.shape[0]
-    vals = [
-        [Fraction(m[i, j]).limit_denominator(max_denominator) for j in range(n)]
-        for i in range(n)
-    ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            avg = (vals[i][j] + vals[j][i]) / 2
-            vals[i][j] = avg
-            vals[j][i] = avg
+    x = np.array([[Fraction(v).limit_denominator(max_denominator) for v in row]
+                  for row in m.tolist()], dtype=object)
+    x = (x + x.T) / 2
     if d is not None:
-        target = Fraction(d) * n
-        r = [target - sum(row) for row in vals]
-        sigma = sum(r) / (2 * n)
-        mu = [(ri - sigma) / n for ri in r]
-        vals = [
-            [vals[i][j] + mu[i] + mu[j] for j in range(n)]
-            for i in range(n)
-        ]
-    vals = [[min(max(x, Fraction(0)), Fraction(1)) for x in row] for row in vals]
-    w = StepGraphon(vals)
+        x = _affine_project(x, Fraction(d) * n)
+    w = StepGraphon(np.clip(x, 0, 1))
     lhs = contraction.contract_exact(
         graph.n, graph.edges, w, n, width_cap=None,
     )

@@ -144,19 +144,14 @@ def edge_density(w: StepGraphon) -> Fraction:
     return Fraction(sum(map(sum, w.num)), w.q * n ** 2)
 
 
-def regularity(w: StepGraphon, tol: float = 0.0):
-    """Row degrees plus the common degree when their spread is within tol.
+def regularity(w: StepGraphon):
+    """Row degrees plus the common degree when they are all equal.
 
-    Degrees are exact rationals; tol = 0 demands exact equality.  Returns
-    ``(degree_or_None, row_degrees)`` where the degree is the exact mean.
+    Degrees are exact rationals.  Returns ``(degree_or_None, row_degrees)``.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    n = w.n_steps
-    degrees = tuple(Fraction(sum(row), w.q * n) for row in w.num)
-    spread = max(degrees) - min(degrees)
-    if spread == 0 or float(spread) <= tol:
-        return sum(degrees) / n, degrees
+    degrees = tuple(Fraction(sum(row), w.q * w.n_steps) for row in w.num)
+    if len(set(degrees)) == 1:
+        return degrees[0], degrees
     return None, degrees
 
 

@@ -245,9 +245,9 @@ def _random_regular_graphon(rng, n, denominator=12) -> StepGraphon:
     w = circulant_graphon(profile)
     if n >= 3 and rng.random() < 0.4:
         deg = rng.randint(1, n - 1)
-        if (n * deg) % 2 == 1:
-            deg = max(1, deg - 1) if (n * (deg - 1)) % 2 == 0 else deg + 1
-        if 0 < deg < n and (n * deg) % 2 == 0:
+        # if n * deg is odd, n is odd, so n * (deg - 1) is even
+        deg -= n * deg % 2
+        if deg:
             g = regular_graph_graphon(n, deg, rng.randrange(2 ** 31))
             lam = Fraction(rng.randint(1, 3), 4)
             w = mixture_graphon([w, g], [lam, 1 - lam])
@@ -533,11 +533,11 @@ def _check_holder_inequality(trial_seed, sizes=None):
               "graphon": w}
     if all(a.denominator == 1 for a in spec.alphas().values()):
         lhs = hom_density(replaced, w).value
-        rhs = holder_lower_bound(host, spec, w, mode="exact").value
+        rhs = holder_lower_bound(host, spec, w).value
         return _decide(lhs, rhs, (n,), inputs)
     # a fractional exponent is decided in float until it has an exact bound
     lhs = float(hom_density(replaced, w, mode="float").value)
-    rhs = float(holder_lower_bound(host, spec, w, mode="float").value)
+    rhs = float(holder_lower_bound(host, spec, w).value)
     gap = lhs - rhs
     record = None
     if not _rel_ok(lhs, rhs, FLOAT_TOL):

@@ -2,8 +2,19 @@ import json
 
 import pytest
 
-from sidlab.cli import EXIT_USAGE, build_parser, main
-from sidlab.graphs import Graph, cycle_graph
+from sidlab.cli import EXIT_IO, EXIT_USAGE, build_parser, main
+from sidlab.graphs import (
+    Graph,
+    complete_graph,
+    complete_multipartite,
+    cycle_graph,
+    disjoint_union,
+    flower,
+    generalized_theta,
+    path_graph,
+    replace_edges,
+    subdivide,
+)
 from sidlab.homdensity import hom_density
 from sidlab.stepgraphon import StepGraphon
 
@@ -46,6 +57,57 @@ def test_construct_theta_to_stdout(capsys):
                  "--parity", "even"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["n"] == 4 and data["roots"] == [0, 1]
+
+
+# "G" and "O" stand for the C4 and K3 graph files
+CONSTRUCT_CASES = {
+    "theta": (["--lengths", "2,4", "--parity", "even"],
+              lambda: generalized_theta([2, 4], "even")),
+    "flower": (["--lengths", "3,4"], lambda: flower([3, 4])),
+    "complete": (["--lengths", "4"], lambda: complete_graph(4)),
+    "multipartite": (["--lengths", "2,3"],
+                     lambda: complete_multipartite([2, 3])),
+    "path": (["--lengths", "3"], lambda: path_graph(3)),
+    "cycle": (["--lengths", "5"], lambda: cycle_graph(5)),
+    "subdivision": (["--lengths", "2", "--graph", "G"],
+                    lambda: subdivide(cycle_graph(4), 2)),
+    "replace": (["--lengths", "2,2", "--parity", "even", "--graph", "G"],
+                lambda: replace_edges(cycle_graph(4),
+                                      generalized_theta([2, 2], "even"))),
+    "union": (["--lengths", "1", "--graph", "G", "--other", "O"],
+              lambda: disjoint_union(cycle_graph(4), complete_graph(3))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CONSTRUCT_CASES))
+def test_construct_matches_the_library(family, c4_path, tmp_path, capsys):
+    k3_path = tmp_path / "k3.json"
+    write_json(k3_path, complete_graph(3).to_json_dict())
+    args, build = CONSTRUCT_CASES[family]
+    files = {"G": str(c4_path), "O": str(k3_path)}
+    assert main(["construct", "--family", family]
+                + [files.get(a, a) for a in args]) == 0
+    data = json.loads(capsys.readouterr().out)
+    data.pop("header")
+    assert data == build().to_json_dict()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--family", "subdivision", "--lengths", "1"], "requires --graph"),
+    (["--family", "replace", "--lengths", "2,2"], "requires --graph"),
+    (["--family", "union", "--lengths", "1", "--graph", "G"], "--other"),
+    (["--family", "complete", "--lengths", "2,3"], "expected one length"),
+    (["--family", "path", "--lengths", "x"], "bad length list"),
+    (["--family", "cycle", "--lengths", ""], "expected one length"),
+    (["--family", "subdivision", "--lengths", "1,2", "--graph", "G"],
+     "expected one length"),
+])
+def test_construct_format_errors(args, message, c4_path, capsys):
+    args = [str(c4_path) if a == "G" else a for a in args]
+    assert main(["construct"] + args) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_density_exact_c4_bipartite(c4_path, bipartite2_path, capsys):

@@ -75,7 +75,7 @@ def test_theta_22_is_c4():
     assert is_isomorphic(t.graph, cycle_graph(4))
     assert is_isomorphic(t.graph, complete_multipartite([2, 2]))
     # roots are the two opposite degree-2 vertices joined by both paths
-    assert t.graph.degree(t.roots[0]) == 2
+    assert t.graph.degrees()[t.roots[0]] == 2
     assert tuple(sorted(t.roots)) not in t.graph.edges
 
 
@@ -138,8 +138,7 @@ def test_flower_rejects_short_cycles():
 
 def test_flower_hub_meets_all_cycles():
     g = flower([3, 4, 5])
-    assert g.degree(0) == 6
-    assert all(g.degree(v) == 2 for v in range(1, g.n))
+    assert g.degrees() == (6,) + (2,) * (g.n - 1)
 
 
 # -- subdivide ---------------------------------------------------------------
@@ -151,19 +150,6 @@ def test_subdivide_k3_once_is_c6():
 def test_subdivide_zero_is_identity():
     g = complete_multipartite([1, 2])
     assert subdivide(g, 0) == g
-
-
-def test_subdivide_per_edge_map():
-    k3 = complete_graph(3)
-    g = subdivide(k3, {(0, 1): 1, (0, 2): 0, (1, 2): 0})
-    assert is_isomorphic(g, cycle_graph(4))
-
-
-def test_subdivide_map_must_cover_exactly():
-    with pytest.raises(ValueError):
-        subdivide(complete_graph(3), {(0, 1): 1})
-    with pytest.raises(ValueError):
-        subdivide(path_graph(1), {(0, 1): 1, (0, 2): 0})
 
 
 def test_subdivide_counts():
@@ -250,6 +236,8 @@ def test_spec_mismatch_rejected():
     spec = ReplacementSpec.uniform(k3, [2])
     with pytest.raises(ValueError):
         replace_edges_nonuniform(complete_graph(4), spec)
+    with pytest.raises(ValueError, match="one length multiset"):
+        ReplacementSpec.from_length_maps(k3, [{2: 1}, {4: 1}])
 
 
 def test_spec_alpha_values():
@@ -265,6 +253,20 @@ def test_spec_json_roundtrip():
     k3 = complete_graph(3)
     spec = ReplacementSpec.from_length_maps(k3, [{2: 2}, {4: 1}, {2: 1}])
     assert ReplacementSpec.from_json_dict(spec.to_json_dict()) == spec
+
+
+def test_spec_json_requires_n():
+    # vertex 3 is isolated: "n" cannot be read off the edges, and C(4, 2)
+    # sets the exponents
+    host = Graph(4, ((0, 1), (1, 2)))
+    spec = ReplacementSpec.from_length_maps(host, [{2: 1}, {2: 1}])
+    data = spec.to_json_dict()
+    back = ReplacementSpec.from_json_dict(data)
+    assert back == spec
+    assert back.alphas() == {2: Fraction(1, 3)}
+    del data["n"]
+    with pytest.raises(KeyError):
+        ReplacementSpec.from_json_dict(data)
 
 
 # -- semidirect product ------------------------------------------------------
@@ -299,10 +301,9 @@ def test_semidirect_matches_direct_clique_subdivision(h, l1, l2):
         path_graph(l2), {0}, l2, complete_graph(h - 1), l1
     )
     kh = complete_graph(h)
-    times = {
-        e: (l2 - 1 if 0 in e else 2 * l1 - 1) for e in kh.edges
-    }
-    direct = subdivide(kh, times)
+    spec = ReplacementSpec.from_length_maps(
+        kh, [{l2 if 0 in e else 2 * l1: 1} for e in kh.edges])
+    direct = replace_edges_nonuniform(kh, spec)
     assert via_product.n == direct.n
     assert via_product.num_edges == direct.num_edges
     assert is_isomorphic(via_product, direct)

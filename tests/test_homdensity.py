@@ -352,7 +352,7 @@ def test_elimination_order_reports_width():
     order = elimination_order(4, cycle_graph(4).edges)
     assert sorted(order.vertices) == [0, 1, 2, 3]
     assert order.width == 2
-    assert order.max_arity == order.width + 1
+    assert max(order.arities) == order.width + 1
     k5 = complete_graph(5)
     assert elimination_order(5, k5.edges).width == 4
     # a raw edge list may carry loops; a loop is no fill
@@ -813,8 +813,6 @@ def test_holder_noninteger_alpha_uses_float():
     assert bound.mode == "float"
     lhs = float(hom_density(replace_edges_nonuniform(host, spec), w).value)
     assert lhs >= float(bound.value) - 1e-12
-    with pytest.raises(ValueError):
-        holder_lower_bound(host, spec, w, mode="exact")
 
 
 def test_holder_zero_weight_entries_use_zero_power_convention():

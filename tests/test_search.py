@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sidlab import search
-from sidlab.graphs import complete_graph, cycle_graph
+from sidlab.contraction import contract_exact
+from sidlab.graphs import (
+    complete_graph,
+    complete_multipartite,
+    cycle_graph,
+    generalized_theta,
+)
 from sidlab.search import (
     PROJECTION_TOL,
     ProjectionError,
@@ -15,9 +22,10 @@ from sidlab.search import (
     search_counterexample,
 )
 from sidlab.stepgraphon import (
+    StepGraphon,
     constant_graphon,
+    edge_density,
     regular_graph_graphon,
-    regularity,
 )
 
 
@@ -223,8 +231,8 @@ def test_search_c4_negative_control_small():
     assert not res.certified_violation
     assert all(res.trace[i + 1] <= res.trace[i] + 1e-15
                for i in range(len(res.trace) - 1))
-    d, _ = regularity(res.best_w, tol=1e-9)
-    assert d is not None
+    degrees = res.best_w.float_matrix.sum(axis=1) / 3
+    assert np.max(np.abs(degrees - 0.5)) <= 1e-9
 
 
 def test_search_deterministic():
@@ -310,7 +318,7 @@ def test_certify_reprojects_affine_constraint_exactly():
     assert cert is None  # no violation exists for an even cycle
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2), (0, 0)])
 def test_certify_rejects_a_witness_that_is_not_a_square_grid(shape):
     with pytest.raises(ValueError, match="not a square grid"):
         certify_violation(cycle_graph(4), np.full(shape, 0.5), d=F(1, 2))
@@ -320,3 +328,72 @@ def test_certify_rejects_a_witness_that_is_not_a_square_grid(shape):
 def test_certify_rejects_a_degree_outside_the_unit_interval(d):
     with pytest.raises(ValueError, match="degree"):
         certify_violation(cycle_graph(4), np.full((2, 2), 0.5), d=d)
+
+
+def reference_certify(graph, matrix, d=None, max_denominator=10 ** 6):
+    """``certify_violation`` in its former Fraction loops, before it
+    re-projected through ``_affine_project``: the rationalized graphon and
+    the certificate or None."""
+    m = np.asarray(matrix, dtype=float)
+    n = m.shape[0]
+    vals = [
+        [F(m[i, j]).limit_denominator(max_denominator) for j in range(n)]
+        for i in range(n)
+    ]
+    for i in range(n):
+        for j in range(i + 1, n):
+            avg = (vals[i][j] + vals[j][i]) / 2
+            vals[i][j] = avg
+            vals[j][i] = avg
+    if d is not None:
+        target = F(d) * n
+        r = [target - sum(row) for row in vals]
+        sigma = sum(r) / (2 * n)
+        mu = [(ri - sigma) / n for ri in r]
+        vals = [
+            [vals[i][j] + mu[i] + mu[j] for j in range(n)]
+            for i in range(n)
+        ]
+    vals = [[min(max(x, F(0)), F(1)) for x in row] for row in vals]
+    w = StepGraphon(vals)
+    lhs = contract_exact(graph.n, graph.edges, w, n, width_cap=None)
+    rhs = edge_density(w) ** graph.num_edges
+    if lhs >= rhs:
+        return w, None
+    return w, {
+        "witness": w.to_json_dict(mode="exact"),
+        "t_H": f"{lhs.numerator}/{lhs.denominator}",
+        "baseline": f"{rhs.numerator}/{rhs.denominator}",
+        "gap": float(lhs - rhs),
+    }
+
+
+@pytest.mark.parametrize("d", [None, F(1, 3), F(1, 2), F(2, 3)])
+def test_certify_equals_the_fraction_loops(monkeypatch, d):
+    graphs = [complete_graph(3), cycle_graph(5), cycle_graph(4),
+              complete_multipartite([2, 3]),
+              generalized_theta([2, 4]).graph, complete_graph(4)]
+    seen = []
+
+    def recording(w):
+        seen.append(w)
+        return edge_density(w)
+
+    monkeypatch.setattr(search, "edge_density", recording)
+    rng = np.random.default_rng(13)
+    certified = 0
+    for trial in range(60):
+        graph = graphs[trial % len(graphs)]
+        n = 1 + trial % 5
+        max_denominator = (10, 10 ** 3, 10 ** 6)[trial % 3]
+        # near-bipartite witnesses certify for the non-bipartite graphs
+        m = rng.random((n, n)) * 1.4 - 0.2
+        if trial % 2:
+            m[: n // 2, : n // 2] *= 0.1
+            m[n // 2:, n // 2:] *= 0.1
+        w, expected = reference_certify(graph, m, d, max_denominator)
+        cert = certify_violation(graph, m, d, max_denominator)
+        assert seen.pop() == w
+        assert json.dumps(cert) == json.dumps(expected)
+        certified += cert is not None
+    assert certified > 0
