@@ -96,21 +96,29 @@ def _emit(payload: dict, out_path):
         sys.stdout.write(text)
 
 
-def _load_json(path) -> dict:
+def _parse_pins(text: str):
+    """(vertex, step) pairs, so the engine rejects a vertex pinned twice."""
+    pins = []
+    for item in text.split(","):
+        try:
+            v, s = map(int, item.split(":"))
+        except ValueError as exc:
+            raise FormatError(f"bad pin {item!r}, not vertex:step") from exc
+        pins.append((v, s))
+    return pins
+
+
+def _load(path, cls):
+    """The ``cls`` a JSON file holds, header dropped.  Any error in decoding
+    the file or building the object from it is a FormatError."""
     with open(path) as fh:
-        return json.load(fh)
-
-
-def _load_graph(path) -> Graph:
-    data = _load_json(path)
-    data.pop("header", None)
-    return Graph.from_json_dict(data)
-
-
-def _load_graphon(path) -> StepGraphon:
-    data = _load_json(path)
-    data.pop("header", None)
-    return StepGraphon.from_json_dict(data)
+        text = fh.read()
+    try:
+        data = json.loads(text)
+        data.pop("header", None)
+        return cls.from_json_dict(data)
+    except Exception as exc:
+        raise FormatError(f"{path}: not a {cls.__name__}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +143,18 @@ def _cmd_construct(args) -> int:
     elif family == "subdivision":
         if not args.graph:
             raise FormatError("subdivision requires --graph")
-        payload = subdivide(_load_graph(args.graph),
+        payload = subdivide(_load(args.graph, Graph),
                             _parse_length(args.lengths)).to_json_dict()
     elif family == "replace":
         if not args.graph:
             raise FormatError("replace requires --graph")
         gadget = generalized_theta(_parse_lengths(args.lengths), args.parity)
-        payload = replace_edges(_load_graph(args.graph), gadget).to_json_dict()
+        payload = replace_edges(_load(args.graph, Graph), gadget).to_json_dict()
     elif family == "union":
         if not args.graph or not args.other:
             raise FormatError("union requires --graph and --other")
         payload = disjoint_union(
-            _load_graph(args.graph), _load_graph(args.other)
+            _load(args.graph, Graph), _load(args.other, Graph)
         ).to_json_dict()
     else:
         raise FormatError(f"unknown family {family!r}")
@@ -156,15 +164,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    graph = _load_graph(args.graph)
-    w = _load_graphon(args.graphon)
-    pins = None
-    if args.pins:
-        # (vertex, step) pairs, so the engine rejects a vertex pinned twice
-        pins = []
-        for item in args.pins.split(","):
-            v, s = item.split(":")
-            pins.append((int(v), int(s)))
+    graph = _load(args.graph, Graph)
+    w = _load(args.graphon, StepGraphon)
+    pins = _parse_pins(args.pins) if args.pins else None
     value = hom_density(graph, w, mode=args.mode, strategy=args.strategy,
                         pins=pins)
     payload = value.to_json_dict()
@@ -187,7 +189,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, Graph)
     d = _parse_rational(args.d, args.float)
     result = search_counterexample(
         graph, n=args.n, d=d, starts=args.starts, iters=args.iters,
@@ -203,12 +205,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports = []
-    for path in args.inputs:
-        data = _load_json(path)
-        data.pop("header", None)
-        reports.append(SuiteReport.from_json_dict(data))
-    reports.sort(key=lambda r: r.suite)
+    reports = sorted((_load(path, SuiteReport) for path in args.inputs),
+                     key=lambda r: r.suite)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -308,7 +306,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"sidlab: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except OSError as exc:
         print(f"sidlab: input error: {exc!r}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

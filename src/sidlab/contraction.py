@@ -26,6 +26,11 @@ The brute-force oracle enumerates every assignment over the same two grids,
 in numpy chunks of assignment indices, and forms each assignment's product
 over every edge before it sums; it shares the input checks and the integer
 scaling with the engine, not the elimination.
+
+One size guard bounds both: a call is refused with ``ValueError`` before any
+work when the engine's largest step (n to its largest arity, times the
+number of stacked grids) or the oracle's assignment count (n to the vertex
+count) exceeds ``STATE_LIMIT`` index tuples.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -48,11 +53,11 @@ __all__ = [
     "contract_float",
     "bruteforce_exact",
     "bruteforce_float",
-    "WidthCapExceeded",
-    "BRUTEFORCE_STATE_LIMIT",
+    "STATE_LIMIT",
 ]
 
-BRUTEFORCE_STATE_LIMIT = 10 ** 7
+# Index tuples one engine step or the whole brute-force oracle may enumerate.
+STATE_LIMIT = 10 ** 7
 # Assignments the brute-force oracle enumerates per numpy chunk: enough to
 # amortize numpy's per-call cost, few enough that the (edges, chunk) arrays
 # it gathers stay at a few MB.
@@ -67,10 +72,6 @@ _LABELS = string.ascii_uppercase + string.ascii_lowercase
 _FOLD, _FACTOR, _SCALAR = range(3)
 
 
-class WidthCapExceeded(ValueError):
-    """Exact contraction refused: intermediate factor arity above the cap."""
-
-
 class _Plan(NamedTuple):
     """One contraction shape, compiled.
 
@@ -83,7 +84,8 @@ class _Plan(NamedTuple):
     ``steps`` are ``(subscripts, kind, *slots)``, flat to keep a cached
     plan small.  ``tail`` is None when nothing is kept, else ``(subscripts,
     covered, *slots)``: the einsum of what is left (None if nothing is) into
-    the kept vertices that ``covered`` marks.
+    the kept vertices that ``covered`` marks.  ``max_arity`` is the most
+    variables any step enumerates (0 when nothing is eliminated).
     """
 
     edge_slots: int
@@ -92,6 +94,7 @@ class _Plan(NamedTuple):
     steps: tuple
     isolated: int
     tail: tuple | None
+    max_arity: int
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def _subscripts(scopes, out_vars):
     return sys.intern("".join(parts)[1:])
 
 
-def _compile_plan(edges, pinset, keep, vertices):
+def _compile_plan(edges, pinset, keep, vertices, max_arity):
     """The plan that eliminates ``vertices`` in order, bucket by bucket."""
     rows, pinned_edges, scopes = [], [], []
     for edge in edges:
@@ -192,7 +195,7 @@ def _compile_plan(edges, pinset, keep, vertices):
     else:
         assert not live
     return _Plan(edge_slots, tuple(rows), tuple(pinned_edges), tuple(steps),
-                 isolated, tail)
+                 isolated, tail, max_arity)
 
 
 @lru_cache(maxsize=4096)
@@ -230,8 +233,9 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
             adj[a].discard(v)
         del adj[v]
         eliminable.remove(v)
-    return EliminationOrder(tuple(order), tuple(arities),
-                            _compile_plan(edges, pinset, keep, order))
+    return EliminationOrder(
+        tuple(order), tuple(arities),
+        _compile_plan(edges, pinset, keep, order, max(arities, default=0)))
 
 
 def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
@@ -314,8 +318,7 @@ def _as_fractions(raw, denominator):
 # Elimination engine.
 # ---------------------------------------------------------------------------
 
-def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
-               width_cap=None):
+def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
     """Bucket elimination over the weight matrix ``a``, in either dtype.
 
     ``a`` is float64, or an object array of Python ints (a scaled exact
@@ -326,18 +329,21 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
     would, and the batch axes lead the result.  Returns the result (a
     scalar, or one value per grid, when nothing is kept, else an array with
     one length-n axis per kept vertex, in ``keep`` order) and the number of
-    eliminated vertices.
+    eliminated vertices.  Raises ``ValueError`` when the largest step would
+    enumerate more than ``STATE_LIMIT`` index tuples over the whole stack.
     """
     keep = tuple(keep)
     exact = a.dtype == object
     pins = _check_inputs(n_vertices, a, n_steps, pins, keep, stack=not exact)
     order = elimination_order(n_vertices, edges, pins, keep)
-    if width_cap is not None and order.width > width_cap:
-        raise WidthCapExceeded(
-            f"induced width {order.width} exceeds cap {width_cap}"
-        )
     plan = order._plan
     batch = a.shape[:-2]
+    states = n_steps ** plan.max_arity * prod(batch)
+    if states > STATE_LIMIT:
+        raise ValueError(
+            f"contraction refused: its largest step enumerates {states} "
+            f"index tuples, above {STATE_LIMIT}"
+        )
 
     const = np.ones(batch) if batch else 1
     for u, v in plan.pinned_edges:
@@ -380,17 +386,14 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(),
     return full * partial.reshape(shape), len(order.vertices)
 
 
-def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=(),
-                   width_cap=8):
+def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
     """Exact contraction of a ``StepGraphon`` or a raw rational grid.
 
     Returns a Fraction when ``keep`` is empty, a tuple (vector) for one kept
-    vertex, or a tuple of tuples (grid) for two.  Raises WidthCapExceeded when
-    greedy min-fill needs an intermediate factor wider than ``width_cap + 1``.
+    vertex, or a tuple of tuples (grid) for two.
     """
     a, q = _scaled_integer_grid(values)
-    raw, eliminated = _eliminate(n_vertices, edges, a, n_steps, pins, keep,
-                                 width_cap)
+    raw, eliminated = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
     return _as_fractions(raw, q ** len(edges) * n_steps ** eliminated)
 
 
@@ -409,14 +412,6 @@ def contract_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):
 # Brute force (the independent oracle for the elimination engine).
 # ---------------------------------------------------------------------------
 
-def _bruteforce_guard(n_vertices, n_steps):
-    if n_steps ** n_vertices > BRUTEFORCE_STATE_LIMIT:
-        raise ValueError(
-            f"brute force refused: {n_steps}^{n_vertices} assignments exceed "
-            f"{BRUTEFORCE_STATE_LIMIT}"
-        )
-
-
 def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
     """Unnormalized sums of edge products over every assignment of the free
     vertices, in either dtype of ``a``: one sum per assignment of the kept
@@ -431,7 +426,11 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
     """
     keep = tuple(keep)
     pins = _check_inputs(n_vertices, a, n_steps, pins, keep)
-    _bruteforce_guard(n_vertices, n_steps)
+    if n_steps ** n_vertices > STATE_LIMIT:
+        raise ValueError(
+            f"brute force refused: {n_steps}^{n_vertices} assignments exceed "
+            f"{STATE_LIMIT}"
+        )
     free = [v for v in range(n_vertices) if v not in pins and v not in keep]
     states = n_steps ** len(free)
     weights = a.reshape(-1)

@@ -120,7 +120,12 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
-        return cls(int(data["n"]), tuple(tuple(e) for e in data["edges"]))
+        """The graph a JSON dict describes; the vertex count and every
+        endpoint must be JSON integers, read without truncation."""
+        n, edges = data["n"], tuple(tuple(e) for e in data["edges"])
+        if not all(type(x) is int for x in (n, *itertools.chain(*edges))):
+            raise ValueError("vertex count and endpoints must be integers")
+        return cls(n, edges)
 
 
 def complete_graph(h: int) -> Graph:
@@ -691,31 +696,21 @@ def odd_theta_decomposition(lengths):
 
     shortest = lens[-1]
     edges = []
-    nxt = 1
-
-    def grow_path(start, length):
-        nonlocal nxt
-        if length == 0:
-            return start, []
-        prev, fresh = start, []
-        for _ in range(length - 1):
-            edges.append((prev, nxt))
-            fresh.append(nxt)
-            prev = nxt
-            nxt += 1
-        edges.append((prev, nxt))
-        fresh.append(nxt)
-        nxt += 1
-        return fresh[-1], fresh
-
-    t, t_arm = grow_path(0, shortest)
-    center_bag = {0, t} | set(t_arm)
+    # the spider's arms end at fresh vertices, each the last one its arm
+    # lays; an arm of length 0 branches at s itself
+    t = shortest
+    nxt = _lay_path(edges, 0, t, shortest, 1) + 1
     branch = []
     for length in lens[:-1]:
-        x, arm = grow_path(0, (length - shortest) // 2)
+        arm = (length - shortest) // 2
+        if arm:
+            x = nxt + arm - 1
+            nxt = _lay_path(edges, 0, x, arm, nxt) + 1
+        else:
+            x = 0
         branch.append(x)
-        center_bag |= {x} | set(arm)
-    bags = [center_bag]
+    # the center bag holds s and every vertex the spider laid
+    bags = [set(range(nxt))]
     tree_edges = []
     for i, length in enumerate(lens[:-1]):
         x = branch[i]

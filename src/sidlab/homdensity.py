@@ -70,32 +70,29 @@ class DensityValue:
 # (mode, strategy) -> backend call.  Each entry looks its function up in
 # ``contraction`` when called, so a wrapper installed there is honoured.
 _BACKENDS = {
-    ("exact", "eliminate"): lambda g, w, pins, cap:
-        contraction.contract_exact(g.n, g.edges, w, w.n_steps,
-                                   pins=pins, width_cap=cap),
-    ("exact", "bruteforce"): lambda g, w, pins, cap:
-        contraction.bruteforce_exact(g.n, g.edges, w, w.n_steps,
-                                     pins=pins),
-    ("float", "eliminate"): lambda g, w, pins, cap:
+    ("exact", "eliminate"): lambda g, w, pins:
+        contraction.contract_exact(g.n, g.edges, w, w.n_steps, pins=pins),
+    ("exact", "bruteforce"): lambda g, w, pins:
+        contraction.bruteforce_exact(g.n, g.edges, w, w.n_steps, pins=pins),
+    ("float", "eliminate"): lambda g, w, pins:
         contraction.contract_float(g.n, g.edges, w.float_matrix, w.n_steps,
                                    pins=pins),
-    ("float", "bruteforce"): lambda g, w, pins, cap:
+    ("float", "bruteforce"): lambda g, w, pins:
         contraction.bruteforce_float(g.n, g.edges, w.float_matrix,
                                      w.n_steps, pins=pins),
 }
 
 
 def hom_density(graph: Graph, w: StepGraphon, mode: str = "exact",
-                strategy: str = "eliminate", pins=None,
-                width_cap: int = 8) -> DensityValue:
+                strategy: str = "eliminate", pins=None) -> DensityValue:
     """Homomorphism density of ``graph`` in ``w``.
 
     With pins, the sum runs over assignments extending the pin map and is
     normalized by n to the number of free vertices.  ``eliminate`` and
-    ``bruteforce`` agree exactly; brute force enumerates at most 10^7
-    assignments, in numpy chunks, and forms each one's product over every
-    edge; elimination caps the intermediate factor width in exact mode
-    (``width_cap``, None to disable).
+    ``bruteforce`` agree exactly; brute force enumerates every assignment,
+    in numpy chunks, and forms each one's product over every edge.  Either
+    strategy raises ``ValueError`` on work above
+    ``contraction.STATE_LIMIT`` index tuples.
     """
     pins = _normalize_pins(pins)
     if mode not in ("exact", "float"):
@@ -103,7 +100,7 @@ def hom_density(graph: Graph, w: StepGraphon, mode: str = "exact",
     backend = _BACKENDS.get((mode, strategy))
     if backend is None:
         raise ValueError(f"unknown strategy {strategy!r}")
-    value = backend(graph, w, pins, width_cap)
+    value = backend(graph, w, pins)
     if mode == "float":
         # Float roundoff may poke a hair outside [0, 1].
         value = min(max(value, 0.0), 1.0)
@@ -120,7 +117,7 @@ def _gradient(graph: Graph, a: np.ndarray) -> np.ndarray:
 
     ``a`` is float64, giving the gradient itself, or an exact graphon's
     ``integer_grid`` (see ``contraction._eliminate``), giving integers
-    that ``_gradient_exact`` divides by one common denominator.  A float
+    that ``density_gradient`` divides by one common denominator.  A float
     stack ``(..., n, n)`` gives one gradient per grid.
     """
     n = a.shape[-1]
@@ -142,52 +139,32 @@ def _gradient(graph: Graph, a: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _gradient_exact(graph: Graph, w: StepGraphon):
-    a, q = w.integer_grid, w.q
-    # each cavity has e - 1 edges and eliminates all but its two kept
-    # vertices; the 1/n^2 of the gradient makes n^(#vertices) in all
-    scale = Fraction(q) ** (1 - graph.num_edges) / w.n_steps ** graph.n
-    return tuple(tuple(scale * x for x in row) for row in _gradient(graph, a))
-
-
 def _gradient_float(graph: Graph, a: np.ndarray):
     return _gradient(graph, np.asarray(a, dtype=float))
 
 
-def density_gradient(graph: Graph, w: StepGraphon, mode: str = "exact"):
-    """Partial derivatives of the density with respect to each grid entry.
+def density_gradient(graph: Graph, w: StepGraphon):
+    """Exact partial derivatives of the density with respect to each grid
+    entry.
 
     A symmetric pair (u, v) with u != v is treated as a single variable, so
     its partial collects both edge orientations; diagonal entries collect
     one.  Matches central finite differences of ``hom_density``.
     """
-    if mode == "exact":
-        return _gradient_exact(graph, w)
-    if mode == "float":
-        return _gradient_float(graph, w.float_matrix)
-    raise ValueError(f"unknown mode {mode!r}")
+    # each cavity has e - 1 edges and eliminates all but its two kept
+    # vertices; the 1/n^2 of the gradient makes n^(#vertices) in all
+    scale = Fraction(w.q) ** (1 - graph.num_edges) / w.n_steps ** graph.n
+    return tuple(tuple(scale * x for x in row)
+                 for row in _gradient(graph, w.integer_grid))
 
 
-def deficit(graph: Graph, w: StepGraphon, baseline: str = "sidorenko",
-            d=None, mode: str = "float"):
-    """Signed slack of a density lower bound; negative means violation.
-
-    ``sidorenko``: t_H(W) - t_K2(W)^e(H).  ``knrs``: t_H(W) - d^e(H) with the
-    caller-supplied target density d.
+def deficit(graph: Graph, w: StepGraphon, d=None) -> Fraction:
+    """Exact signed slack of a density lower bound; negative means
+    violation: t_H(W) - t_K2(W)^e(H), or t_H(W) - d^e(H) against a target
+    density d.
     """
-    t = hom_density(graph, w, mode=mode).value
-    e = graph.num_edges
-    if baseline == "sidorenko":
-        base = edge_density(w) ** e
-    elif baseline == "knrs":
-        if d is None:
-            raise ValueError("knrs baseline needs a target density d")
-        base = Fraction(d) ** e
-    else:
-        raise ValueError(f"unknown baseline {baseline!r}")
-    if mode == "exact":
-        return t - base
-    return float(t) - float(base)
+    base = edge_density(w) if d is None else Fraction(d)
+    return hom_density(graph, w).value - base ** graph.num_edges
 
 
 def holder_lower_bound(graph: Graph, spec: ReplacementSpec,
@@ -211,9 +188,8 @@ def holder_lower_bound(graph: Graph, spec: ReplacementSpec,
             grid = grid * powers[k].integer_grid ** int(a)
             q *= powers[k].q ** int(a)
         combined = StepGraphon._from_integers(grid.tolist(), q)
-        value = contraction.contract_exact(
-            h, complete_graph(h).edges, combined, n, width_cap=None,
-        )
+        value = contraction.contract_exact(h, complete_graph(h).edges,
+                                           combined, n)
         return DensityValue(value, "exact", h)
     # every alpha_k is positive (specs drop zero counts), so no 0^0 arises
     mat = np.ones((n, n))

@@ -43,6 +43,8 @@ __all__ = [
 
 
 PROJECTION_TOL = 1e-10
+# The line search's step shrink factor.
+ARMIJO = 0.5
 
 
 class ProjectionError(RuntimeError):
@@ -198,12 +200,11 @@ def _slack_gradient(graph: Graph, a: np.ndarray, n: int) -> np.ndarray:
 
 def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
                           iters: int = 500, seed: int = 0,
-                          step: float = 0.05, armijo: float = 0.5
-                          ) -> SearchResult:
+                          step: float = 0.05) -> SearchResult:
     """Minimize the density slack of a bipartite graph over d-regular graphons.
 
     Projected gradient descent with backtracking line search (sufficient
-    decrease 1e-4, shrink factor ``armijo``, first trial step ``step``), all
+    decrease 1e-4, shrink factor ``ARMIJO``, first trial step ``step``), all
     starts advancing together as one stack.  A trial step whose projection
     does not settle is rejected, and the start's next trial, at most the step
     that moves no grid entry by more than 1, also caps the first trial of its
@@ -219,8 +220,6 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
         raise ValueError("parameters must be positive")
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
-    if not 0 < armijo < 1:
-        raise ValueError(f"armijo must lie in (0, 1), got {armijo}")
     d = Fraction(d)
     if not 0 <= d <= 1:
         raise ValueError("degree must lie in [0, 1]")
@@ -262,7 +261,7 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
                 # start there rather than at ``step``.
                 u = j[~settled]
                 eta[u] = np.minimum(
-                    eta[u] * armijo,
+                    eta[u] * ARMIJO,
                     1.0 / np.max(np.abs(grad[u]), axis=(-2, -1)))
                 cap[active[u]] = eta[u]
                 j, xs, cand = j[settled], xs[settled], cand[settled]
@@ -274,7 +273,7 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
             for k, v in zip(won.tolist(), cand_val[ok].tolist()):
                 traces[k].append(v)
             accepted[j[ok]] = True
-            eta[j[~ok]] *= armijo
+            eta[j[~ok]] *= ARMIJO
             pending = ~accepted & (eta > 1e-12)
         active = active[accepted]
 
@@ -320,9 +319,7 @@ def certify_violation(graph: Graph, matrix, d=None,
     if d is not None:
         x = _affine_project(x, Fraction(d) * n)
     w = StepGraphon(np.clip(x, 0, 1))
-    lhs = contraction.contract_exact(
-        graph.n, graph.edges, w, n, width_cap=None,
-    )
+    lhs = contraction.contract_exact(graph.n, graph.edges, w, n)
     rhs = edge_density(w) ** graph.num_edges
     if lhs >= rhs:
         return None

@@ -132,9 +132,8 @@ class StepGraphon:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StepGraphon":
-        n = int(data["n"])
-        rows = data["values"]
-        if len(rows) != n:
+        n, rows = data["n"], data["values"]
+        if type(n) is not int or len(rows) != n:
             raise ValueError("graphon value grid does not match declared size")
         return cls([[Fraction(x) for x in row] for row in rows])
 
@@ -174,11 +173,8 @@ def counting_kernel(w: StepGraphon, gadget: RootedGraph) -> StepGraphon:
     theta gadget with the entrywise product of its per-path kernels.
     """
     g = gadget.graph
-    grid = contract_exact(
-        g.n, g.edges, w, w.n_steps,
-        keep=gadget.roots, width_cap=None,
-    )
-    return StepGraphon(grid)
+    return StepGraphon(contract_exact(g.n, g.edges, w, w.n_steps,
+                                      keep=gadget.roots))
 
 
 def hadamard(w1: StepGraphon, w2: StepGraphon) -> StepGraphon:
@@ -247,16 +243,6 @@ class LocalDensityReport:
             "witness": [float(x) for x in self.witness],
             "method": self.method,
         }
-
-
-def _quadratic_exact(w: StepGraphon, d: Fraction, s) -> Fraction:
-    n = w.n_steps
-    sf = [Fraction(x) for x in s]
-    quad = sum(
-        sf[i] * sf[j] * w.values[i][j] for i in range(n) for j in range(n)
-    )
-    total = sum(sf)
-    return quad / n ** 2 - d * (total / n) ** 2
 
 
 def _dot(u, v):

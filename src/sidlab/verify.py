@@ -445,7 +445,7 @@ def _check_tree(trial_seed, sizes=None):
         n, nv = sizes
     tree = _random_tree(rng, nv)
     w = _random_regular_graphon(rng, n)
-    exact = deficit(tree, w, "sidorenko", mode="exact")
+    exact = deficit(tree, w)
     inputs = {"family": "tree", "tree": tree, "graphon": w}
     return _decide(exact, 0, (n, nv), inputs, equal=True)
 
@@ -483,7 +483,7 @@ def _check_flower(trial_seed, sizes=None):
     if rng.random() < 0.3:
         w2 = pointwise_dense_graphon(n, d, Fraction(1, 4), rng.randrange(2 ** 31))
         w = mixture_graphon([w, w2], [Fraction(1, 2), Fraction(1, 2)])
-    exact = deficit(graph, w, "knrs", d=d, mode="exact")
+    exact = deficit(graph, w, d)
     return _decide(exact, 0, (n,), {"cycles": cycles, "d": d, "graphon": w})
 
 

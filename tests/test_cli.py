@@ -319,3 +319,59 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["density", "--graph", str(bad), "--graphon", str(bad)]) == 3
+
+
+VALID = {"graph": {"n": 2, "edges": [[0, 1]]},
+         "graphon": {"n": 2, "values": [["0", "1"], ["1", "0"]]}}
+
+
+@pytest.mark.parametrize("role, payload", [
+    pytest.param("graph", {"n": 3, "edges": 5}, id="edges-not-a-list"),
+    pytest.param("graph", [1, 2], id="graph-a-list"),
+    pytest.param("graph", {"n": 2.5, "edges": [[0, 1]]}, id="fractional-n"),
+    pytest.param("graph", {"n": "x", "edges": [[0, 1]]}, id="string-n"),
+    pytest.param("graph", {"n": 2, "edges": [[0, 1.5]]},
+                 id="fractional-endpoint"),
+    pytest.param("graph", {"n": 2, "edges": [[0]]}, id="one-endpoint"),
+    pytest.param("graphon", {"n": 2, "values": 7}, id="values-not-a-grid"),
+    pytest.param("graphon", {"n": 2, "values": [["0", "1/0"], ["1/0", "0"]]},
+                 id="zero-denominator"),
+    pytest.param("graphon", {"n": 2.5, "values": [["0", "1"], ["1", "0"]]},
+                 id="graphon-fractional-n"),
+    pytest.param("report", [1, 2], id="report-a-list"),
+])
+def test_malformed_input_file_exit_code(role, payload, tmp_path, capsys):
+    # a file that does not describe its object is a format error: exit 3,
+    # never a traceback, a truncated read or a usage error
+    paths = {name: tmp_path / f"{name}.json" for name in VALID}
+    for name, path in paths.items():
+        write_json(path, payload if name == role else VALID[name])
+    if role == "report":
+        write_json(tmp_path / "report.json", payload)
+        argv = ["report", "--inputs", str(tmp_path / "report.json")]
+    else:
+        argv = ["density", "--graph", str(paths["graph"]),
+                "--graphon", str(paths["graphon"])]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("pins", ["0", "a:b", "0:0:1"])
+def test_density_malformed_pins_exit_code(pins, tmp_path, capsys):
+    paths = {name: tmp_path / f"{name}.json" for name in VALID}
+    for name, path in paths.items():
+        write_json(path, VALID[name])
+    assert main(["density", "--graph", str(paths["graph"]),
+                 "--graphon", str(paths["graphon"]), "--pins", pins]) == EXIT_IO
+    assert "bad pin" in capsys.readouterr().err
+
+
+def test_density_refuses_an_oversized_contraction(tmp_path, capsys):
+    # K10 on 8 steps: the engine's largest step would enumerate 8^10 index
+    # tuples, in float mode as in exact
+    graph, graphon = tmp_path / "k10.json", tmp_path / "w8.json"
+    write_json(graph, complete_graph(10).to_json_dict())
+    write_json(graphon, {"n": 8, "values": [["1/2"] * 8] * 8})
+    assert main(["density", "--graph", str(graph), "--graphon", str(graphon),
+                 "--mode", "float"]) == EXIT_USAGE
+    assert "refused" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sidlab import contraction
 from sidlab.contraction import (
-    WidthCapExceeded,
+    STATE_LIMIT,
     bruteforce_exact,
     bruteforce_float,
     contract_exact,
@@ -313,11 +313,24 @@ def test_high_degree_vertex_contracts():
                                        rtol=1e-12)
 
 
-def test_width_cap_enforced():
-    g = complete_graph(6)  # induced width 5
-    with pytest.raises(WidthCapExceeded):
-        hom_density(g, BIP, width_cap=4)
-    hom_density(g, BIP, width_cap=5)
+def test_width_cap_enforced(monkeypatch):
+    # the guard caps n^(width + 1) times the stack size: K10 (width 9) is
+    # 2^10 index tuples at 2 steps but 8^10 at 8, and K3 on 200 steps is
+    # 8e6 per grid, so a stack of two is refused
+    k10 = complete_graph(10)
+    w = random_symmetric(random.Random(5), 2)
+    assert hom_density(k10, w).value == \
+        hom_density(k10, w, strategy="bruteforce").value
+    k3 = complete_graph(3)
+    grid = np.full((200, 200), 0.5)
+    assert contract_float(3, k3.edges, grid, 200) == pytest.approx(0.125)
+    assert 8 ** 10 > 200 ** 3 * 2 > STATE_LIMIT >= 200 ** 3
+    monkeypatch.setattr(np, "einsum", None)  # refused before any einsum
+    for mode in ("exact", "float"):
+        with pytest.raises(ValueError, match="refused"):
+            hom_density(k10, constant_graphon(F(1, 2), 8), mode=mode)
+    with pytest.raises(ValueError, match="refused"):
+        contract_float(3, k3.edges, np.stack([grid, grid]), 200)
 
 
 def min_fill_reference(n_vertices, edges, pins, keep):
@@ -605,7 +618,7 @@ def test_gradient_float_mode_matches_exact():
     for g in graphs:
         w = random_symmetric(rng, rng.randint(2, 4))
         exact = np.array(density_gradient(g, w), dtype=float)
-        fl = density_gradient(g, w, mode="float")
+        fl = _gradient_float(g, w.float_matrix)
         assert np.max(np.abs(exact - fl)) < 1e-13, g
 
 
@@ -665,8 +678,7 @@ def per_edge_gradient(graph, w):
     grid = [[F(0)] * n for _ in range(n)]
     for k, (u, v) in enumerate(graph.edges):
         cavity = graph.edges[:k] + graph.edges[k + 1:]
-        kernel = contract_exact(graph.n, cavity, w.values, n, keep=(u, v),
-                                width_cap=None)
+        kernel = contract_exact(graph.n, cavity, w.values, n, keep=(u, v))
         for x in range(n):
             for y in range(n):
                 grid[x][y] += kernel[x][y] + kernel[y][x]
@@ -706,7 +718,7 @@ def test_orbit_gradient_equals_the_per_edge_sum(case):
     graph, w = case
     ref = per_edge_gradient(graph, w)
     assert density_gradient(graph, w) == ref
-    np.testing.assert_allclose(density_gradient(graph, w, mode="float"),
+    np.testing.assert_allclose(_gradient_float(graph, w.float_matrix),
                                np.array(ref, dtype=float), rtol=1e-12, atol=0)
 
 
@@ -734,11 +746,11 @@ def test_gradient_contracts_each_edge_orbit_once(graph, cavities,
 def test_tree_deficit_exactly_zero_on_regular():
     c5 = circulant_graphon([0, 1, 0, 0, 1])
     tree = Graph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
-    assert deficit(tree, c5, "sidorenko", mode="exact") == 0
+    assert deficit(tree, c5) == 0
 
 
 def test_c4_deficit_on_bipartite_graphon():
-    assert deficit(cycle_graph(4), BIP, "sidorenko", mode="exact") == F(1, 16)
+    assert deficit(cycle_graph(4), BIP) == F(1, 16)
 
 
 def test_knrs_deficit_on_pointwise_dense():
@@ -748,19 +760,14 @@ def test_knrs_deficit_on_pointwise_dense():
         d = F(3, 10)
         w = pointwise_dense_graphon(rng.randint(2, 4), d, F(1, 2),
                                     rng.randrange(2 ** 31))
-        assert deficit(k3, w, "knrs", d=d, mode="float") >= 0
-
-
-def test_knrs_requires_target():
-    with pytest.raises(ValueError):
-        deficit(complete_graph(3), BIP, "knrs")
+        assert deficit(k3, w, d) >= 0
 
 
 def test_flower_triangle_on_constant_is_tight():
     from sidlab.graphs import flower
 
     w = constant_graphon(F(2, 5), 3)
-    assert deficit(flower([3]), w, "knrs", d=F(2, 5), mode="exact") == 0
+    assert deficit(flower([3]), w, F(2, 5)) == 0
 
 
 def test_unit_length_gadget_replacement_is_identity():

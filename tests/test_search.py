@@ -129,20 +129,16 @@ def test_search_rejects_nonbipartite():
         search_counterexample(complete_graph(3), n=3, d=F(1, 2))
 
 
-@pytest.mark.parametrize("step, armijo", [
-    (1e3, 1.0),  # eta never shrinks: the line search would not end
-    (float("inf"), 0.5),  # every projection is nan
-    (0.0, 0.5),  # no descent at all
-    (-0.05, 0.5),
-    (float("nan"), 0.5),
-    (0.05, 0.0),
-    (0.05, -0.5),
-    (0.05, float("nan")),
+@pytest.mark.parametrize("step", [
+    float("inf"),  # every projection is nan
+    0.0,  # no descent at all
+    -0.05,
+    float("nan"),
 ])
-def test_search_rejects_bad_step_sizes(step, armijo):
-    with pytest.raises(ValueError, match="step|armijo"):
+def test_search_rejects_bad_step_sizes(step):
+    with pytest.raises(ValueError, match="step"):
         search_counterexample(cycle_graph(4), n=3, d=F(1, 2), starts=2,
-                              iters=5, step=step, armijo=armijo)
+                              iters=5, step=step)
 
 
 # Reference outputs of a descent that ran its starts one at a time: a start
@@ -279,7 +275,7 @@ def test_search_recomputed_deficit_matches_reported():
 
     res = search_counterexample(cycle_graph(6), n=3, d=F(1, 2), starts=3,
                                 iters=80, seed=4)
-    again = deficit(cycle_graph(6), res.best_w, "sidorenko", mode="float")
+    again = float(deficit(cycle_graph(6), res.best_w))
     assert abs(again - res.best_deficit) <= 1e-10
 
 
@@ -356,7 +352,7 @@ def reference_certify(graph, matrix, d=None, max_denominator=10 ** 6):
         ]
     vals = [[min(max(x, F(0)), F(1)) for x in row] for row in vals]
     w = StepGraphon(vals)
-    lhs = contract_exact(graph.n, graph.edges, w, n, width_cap=None)
+    lhs = contract_exact(graph.n, graph.edges, w, n)
     rhs = edge_density(w) ** graph.num_edges
     if lhs >= rhs:
         return w, None

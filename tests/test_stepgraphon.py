@@ -24,7 +24,6 @@ from sidlab.stepgraphon import (
     regularity,
 )
 from sidlab import stepgraphon
-from sidlab.stepgraphon import _quadratic_exact
 
 BIP = StepGraphon([[0, 1], [1, 0]])
 C5 = circulant_graphon([0, 1, 0, 0, 1])
@@ -196,6 +195,18 @@ def test_hadamard_shape_mismatch():
 
 # -- local density -----------------------------------------------------------
 
+def quadratic_exact(w, d, s):
+    """The subset-density quadratic ``s^T (A - d J) s / n^2`` at occupancy
+    ``s``, summed entry by entry in Fractions: the local-density reference."""
+    n = w.n_steps
+    sf = [F(x) for x in s]
+    quad = sum(
+        sf[i] * sf[j] * w.values[i][j] for i in range(n) for j in range(n)
+    )
+    total = sum(sf)
+    return quad / n ** 2 - d * (total / n) ** 2
+
+
 def test_local_density_constant_is_tight():
     rep = local_density_deficit(constant_graphon(F(1, 2), 3), F(1, 2))
     assert rep.deficit == 0.0
@@ -213,18 +224,18 @@ def test_local_density_corner_insufficiency_instance():
     w = StepGraphon([[F(8, 10), F(1, 20)], [F(1, 20), F(35, 100)]])
     d = F(3, 10)
     corners = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert all(_quadratic_exact(w, d, s) >= 0 for s in corners)
+    assert all(quadratic_exact(w, d, s) >= 0 for s in corners)
     rep = local_density_deficit(w, d)
     assert rep.method == "exact"
     assert rep.deficit_exact == F(-3, 160)
     assert rep.witness == (F(1, 2), F(1))
-    assert _quadratic_exact(w, d, rep.witness) == rep.deficit_exact
+    assert quadratic_exact(w, d, rep.witness) == rep.deficit_exact
 
 
 def test_local_density_witness_recheck_is_exact():
     w = random_symmetric(random.Random(3), 4)
     rep = local_density_deficit(w, F(1, 2))
-    again = _quadratic_exact(w, F(1, 2), rep.witness)
+    again = quadratic_exact(w, F(1, 2), rep.witness)
     assert abs(float(again) - rep.deficit) <= 1e-12
     assert again == rep.deficit_exact
 
@@ -267,7 +278,7 @@ def test_refined_corner_insufficiency_instance_is_exact():
         assert rep.method == "exact"
         assert rep.deficit_exact == F(-3, 160)
         assert all(0 <= x <= 1 for x in rep.witness)
-        assert _quadratic_exact(w, F(3, 10), rep.witness) == rep.deficit_exact
+        assert quadratic_exact(w, F(3, 10), rep.witness) == rep.deficit_exact
 
 
 def test_local_density_refuses_grids_above_the_cap(monkeypatch):
@@ -324,7 +335,7 @@ def face_oracle(w, d):
         s = [F(labels[i] or 0) for i in range(n)]
         for i, v in zip(free, x):
             s[i] = v
-        best = min(best, _quadratic_exact(w, d, s))
+        best = min(best, quadratic_exact(w, d, s))
     return best
 
 
@@ -359,7 +370,7 @@ def test_exact_local_density_equals_face_oracle(w, d):
     assert rep.method == "exact"
     assert rep.deficit_exact == face_oracle(w, d)
     assert all(0 <= x <= 1 for x in rep.witness)
-    assert _quadratic_exact(w, d, rep.witness) == rep.deficit_exact
+    assert quadratic_exact(w, d, rep.witness) == rep.deficit_exact
 
 
 @given(rational_grids(max_n=4), targets)
@@ -368,7 +379,7 @@ def test_exact_local_density_below_corners_and_quarter_grid(w, d):
     low = local_density_deficit(w, d).deficit_exact
     quarters = [F(k, 4) for k in range(5)]
     for s in itertools.product(quarters, repeat=w.n_steps):
-        assert low <= _quadratic_exact(w, d, s)
+        assert low <= quadratic_exact(w, d, s)
 
 
 @given(rational_grids(), targets, st.randoms(use_true_random=False),

@@ -300,27 +300,57 @@ def test_suite_registry_complete():
     }
 
 
-# sha256 of each suite's seed-0 report (default trials, no runtime) as sorted
-# JSON.  A change that alters the draws or the records on purpose re-records
-# these and says so.
+# sha256 of each suite's report at seeds 0, 7 and 123 (default trials, no
+# runtime) as sorted JSON.  A change that alters the draws or the records on
+# purpose re-records these and says so.
 RECORDED_DIGESTS = {
-    "lemma31":
-        "66a72ec06073bf0d2bbc2288372b518a9a2f7ccd699f2e1f39086d604d7a69bb",
-    "local_density":
-        "1da1a6cd0d86121bcd4b44915f724ad78e6c8690879bc79d946fc383beb0c230",
-    "sidorenko_families":
-        "bcac1a8442b55b77a4e2a8eaa7ac2a85cbfc8171ec5c86d517a6bfe84e8213b6",
-    "flower_knrs":
-        "9f36627dbeb823e127ea4f88217cd37c1a27effe1dd9f463af64521255d264cf",
-    "holder":
-        "b28049c19ead460115c6382b0eb5ff1d3747477997e074c86ac85f76ab4852c3",
+    0: {
+        "lemma31":
+            "66a72ec06073bf0d2bbc2288372b518a9a2f7ccd699f2e1f39086d604d7a69bb",
+        "local_density":
+            "1da1a6cd0d86121bcd4b44915f724ad78e6c8690879bc79d946fc383beb0c230",
+        "sidorenko_families":
+            "bcac1a8442b55b77a4e2a8eaa7ac2a85cbfc8171ec5c86d517a6bfe84e8213b6",
+        "flower_knrs":
+            "9f36627dbeb823e127ea4f88217cd37c1a27effe1dd9f463af64521255d264cf",
+        "holder":
+            "b28049c19ead460115c6382b0eb5ff1d3747477997e074c86ac85f76ab4852c3",
+    },
+    7: {
+        "lemma31":
+            "185becd729fb5075bec0da0bbe483d72b487cb99d534fb33860491f1ef449a5e",
+        "local_density":
+            "6b335568d995d95239990d2d2843b714d62f74059ab9beda987e859498111e27",
+        "sidorenko_families":
+            "791e44ac5e3884696e66e88ec3473adb6be12723044f72dcd0951a0faa1132eb",
+        "flower_knrs":
+            "5b69be4f548b34a02c07cd1b11e9386a77deca6e3aec406e75c158b721d8e164",
+        "holder":
+            "43c063546371cd2d016dabeb0e1a9310227a81d1a6145c8fe12151652dfa51e7",
+    },
+    123: {
+        "lemma31":
+            "e88503171dc522b306d95b4a8b03cf5c3b4ee94e36512fc746cfe46f5ea64a17",
+        "local_density":
+            "d2d781e8b35e7922ee264a89d5074a08ade9e4c2fdb3c9d47baaa76fe556e196",
+        "sidorenko_families":
+            "4355b6d3dc2d09b8cd10249e7bf8302c8efeffec7a4408034b04b48171e7cf60",
+        "flower_knrs":
+            "eb22c06649fe97fe54a5cb746a047a78f529bb8b4c475471a37f4741dd636fb3",
+        "holder":
+            "e2b3b9a8f2622a342ffb148bfc1240d54fc26c9735f5411ad3571e79667782bd",
+    },
 }
 
 
 def test_suite_reports_match_recorded_digests():
     digests = {
-        name: hashlib.sha256(json.dumps(
-            strip_runtime(run(seed=0)), sort_keys=True).encode()).hexdigest()
-        for name, run in SUITES.items()
+        seed: {
+            name: hashlib.sha256(json.dumps(strip_runtime(run(seed=seed)),
+                                            sort_keys=True).encode()
+                                 ).hexdigest()
+            for name, run in SUITES.items()
+        }
+        for seed in RECORDED_DIGESTS
     }
     assert digests == RECORDED_DIGESTS
