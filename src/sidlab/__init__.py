@@ -35,9 +35,9 @@ from .stepgraphon import (
     local_density_deficit,
     regularity,
 )
+from .contraction import EliminationOrder
 from .homdensity import (
     DensityValue,
-    EliminationOrder,
     deficit,
     density_gradient,
     holder_lower_bound,

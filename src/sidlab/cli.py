@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 suite failure, certified violation or a search
 whose regularity projection did not converge, 2 usage error, 3 I/O or
 format error.  Rationals cross the boundary as "p/q" strings; decimal
-inputs are accepted only with --float.  Every artifact embeds a header
-recording the tool version, seed, and effective config, and identical
-command lines reproduce identical artifacts apart from the recorded
-wall-clock runtime of suite reports.
+inputs are accepted only with --float, and read exactly.  Every artifact
+embeds a header recording the tool version, seed, and effective config, and
+identical command lines reproduce identical artifacts apart from the
+recorded wall-clock runtime of suite reports.
 """
 
 from __future__ import annotations
@@ -48,17 +48,17 @@ class FormatError(Exception):
 
 
 def _parse_rational(text: str, allow_float: bool) -> Fraction:
+    """``text`` read exactly; a decimal point or exponent needs --float."""
     text = text.strip()
     try:
-        if "/" in text or "." not in text:
-            return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {text!r}: {exc}") from exc
-    if not allow_float:
+    if not allow_float and any(c in text for c in ".eE"):
         raise FormatError(
             f"decimal {text!r} rejected; pass --float to accept decimals"
         )
-    return Fraction(float(text))
+    return value
 
 
 def _parse_lengths(text: str):
@@ -87,13 +87,16 @@ def _header(args, seed=None) -> dict:
             "config": config}
 
 
-def _emit(payload: dict, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out_path):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _parse_pins(text: str):
@@ -125,39 +128,37 @@ def _load(path, cls):
 # Subcommands.
 # ---------------------------------------------------------------------------
 
+def _need(args, *names):
+    """The graphs that the ``--graph`` / ``--other`` options ``names`` point
+    to, loaded; a family run without one of them is a FormatError."""
+    if not all(getattr(args, name) for name in names):
+        raise FormatError(f"{args.family} requires "
+                          + " and ".join(f"--{name}" for name in names))
+    return [_load(getattr(args, name), Graph) for name in names]
+
+
+def _theta(args):
+    return generalized_theta(_parse_lengths(args.lengths), args.parity)
+
+
+# --family name -> what it builds from the parsed arguments
+FAMILIES = {
+    "theta": _theta,
+    "flower": lambda args: flower(_parse_lengths(args.lengths)),
+    "complete": lambda args: complete_graph(_parse_length(args.lengths)),
+    "multipartite": lambda args:
+        complete_multipartite(_parse_lengths(args.lengths)),
+    "path": lambda args: path_graph(_parse_length(args.lengths)),
+    "cycle": lambda args: cycle_graph(_parse_length(args.lengths)),
+    "subdivision": lambda args:
+        subdivide(*_need(args, "graph"), _parse_length(args.lengths)),
+    "replace": lambda args: replace_edges(*_need(args, "graph"), _theta(args)),
+    "union": lambda args: disjoint_union(*_need(args, "graph", "other")),
+}
+
+
 def _cmd_construct(args) -> int:
-    family = args.family
-    if family == "theta":
-        built = generalized_theta(_parse_lengths(args.lengths), args.parity)
-        payload = built.to_json_dict()
-    elif family == "flower":
-        payload = flower(_parse_lengths(args.lengths)).to_json_dict()
-    elif family == "complete":
-        payload = complete_graph(_parse_length(args.lengths)).to_json_dict()
-    elif family == "multipartite":
-        payload = complete_multipartite(_parse_lengths(args.lengths)).to_json_dict()
-    elif family == "path":
-        payload = path_graph(_parse_length(args.lengths)).to_json_dict()
-    elif family == "cycle":
-        payload = cycle_graph(_parse_length(args.lengths)).to_json_dict()
-    elif family == "subdivision":
-        if not args.graph:
-            raise FormatError("subdivision requires --graph")
-        payload = subdivide(_load(args.graph, Graph),
-                            _parse_length(args.lengths)).to_json_dict()
-    elif family == "replace":
-        if not args.graph:
-            raise FormatError("replace requires --graph")
-        gadget = generalized_theta(_parse_lengths(args.lengths), args.parity)
-        payload = replace_edges(_load(args.graph, Graph), gadget).to_json_dict()
-    elif family == "union":
-        if not args.graph or not args.other:
-            raise FormatError("union requires --graph and --other")
-        payload = disjoint_union(
-            _load(args.graph, Graph), _load(args.other, Graph)
-        ).to_json_dict()
-    else:
-        raise FormatError(f"unknown family {family!r}")
+    payload = FAMILIES[args.family](args).to_json_dict()
     payload["header"] = _header(args)
     _emit(payload, args.out)
     return EXIT_OK
@@ -199,38 +200,25 @@ def _cmd_search(args) -> int:
     payload["header"] = _header(args, seed=args.seed)
     _emit(payload, args.out)
     if args.trace_csv:
-        with open(args.trace_csv, "w") as fh:
-            fh.write(result.trace_csv())
+        _write(result.trace_csv(), args.trace_csv)
     return EXIT_FAILURE if result.certified_violation else EXIT_OK
 
 
 def _cmd_report(args) -> int:
     reports = sorted((_load(path, SuiteReport) for path in args.inputs),
                      key=lambda r: r.suite)
+    columns = ("suite", "trials", "failures", "max_gap", "runtime_ms")
+    rows = [dict(zip(columns, (r.suite, r.trials, len(r.failures), r.max_gap,
+                               r.runtime_ms)))
+            for r in reports]
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["suite", "trials", "failures", "max_gap", "runtime_ms"])
-        for r in reports:
-            writer.writerow([r.suite, r.trials, len(r.failures), r.max_gap,
-                             r.runtime_ms])
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        writer = csv.DictWriter(buf, columns)
+        writer.writeheader()
+        writer.writerows(rows)
+        _write(buf.getvalue(), args.out)
     else:
-        payload = {
-            "header": _header(args),
-            "rows": [
-                {"suite": r.suite, "trials": r.trials,
-                 "failures": len(r.failures), "max_gap": r.max_gap,
-                 "runtime_ms": r.runtime_ms}
-                for r in reports
-            ],
-        }
-        _emit(payload, args.out)
+        _emit({"header": _header(args), "rows": rows}, args.out)
     return EXIT_OK
 
 
@@ -246,9 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("construct", help="build a graph family member")
-    p.add_argument("--family", required=True,
-                   choices=["theta", "flower", "complete", "multipartite",
-                            "path", "cycle", "subdivision", "replace", "union"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--lengths", required=True,
                    help="comma-separated lengths (or a single integer)")
     p.add_argument("--parity", default="any", choices=["even", "odd", "any"])

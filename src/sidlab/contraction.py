@@ -17,10 +17,11 @@ einsum per eliminated vertex) runs on either of two arrays:
   each elimination step, which keeps every intermediate value inside [0, 1].
 
 Each contraction shape (vertex count, edge list, pinned-vertex set, kept
-vertices) is compiled once, in the elimination-order cache, into a plan:
-which grid rows feed which operand, and one einsum subscript string per
-step.  The engine executes that plan in either dtype; the pinned steps are
-read per call, so one plan serves every pin target.
+vertices) is compiled once, in the elimination-order cache, into one
+``EliminationOrder``: the vertex sequence, and which grid rows feed which
+operand with one einsum subscript string per step.  The engine runs it in
+either dtype; the pinned steps are read per call, so one order serves every
+pin target.
 
 The brute-force oracle enumerates every assignment over the same two grids,
 in numpy chunks of assignment indices, and forms each assignment's product
@@ -38,7 +39,6 @@ from __future__ import annotations
 import itertools
 import string
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -72,45 +72,31 @@ _LABELS = string.ascii_uppercase + string.ascii_lowercase
 _FOLD, _FACTOR, _SCALAR = range(3)
 
 
-class _Plan(NamedTuple):
-    """One contraction shape, compiled.
+class EliminationOrder(NamedTuple):
+    """One contraction shape, compiled: ``arities[i]`` counts the variables
+    of the factor built when ``vertices[i]`` is summed out (it and its
+    current neighbors), so the largest arity is ``width + 1``.
 
     Operand slots are numbered in creation order: first one per edge with
     an unpinned endpoint, then one per step whose result stays an operand
-    (every step but a ``_SCALAR`` one).  The first
-    ``edge_slots`` slots hold the grid, except that each ``(s, p, column)``
-    of ``rows`` puts in slot s the row of the grid at pinned vertex p's
-    step, or its column when p is the edge's second endpoint.
-    ``steps`` are ``(subscripts, kind, *slots)``, flat to keep a cached
-    plan small.  ``tail`` is None when nothing is kept, else ``(subscripts,
-    covered, *slots)``: the einsum of what is left (None if nothing is) into
-    the kept vertices that ``covered`` marks.  ``max_arity`` is the most
-    variables any step enumerates (0 when nothing is eliminated).
+    (every step but a ``_SCALAR`` one).  The first ``edge_slots`` slots hold
+    the grid, except that each ``(s, p, column)`` of ``rows`` puts in slot s
+    the row of the grid at pinned vertex p's step, or its column when p is
+    the edge's second endpoint.  ``steps`` are ``(subscripts, kind,
+    *slots)``, flat to keep a cached order small.  ``tail`` is None when
+    nothing is kept, else ``(subscripts, covered, *slots)``: the einsum of
+    what is left (None if nothing is) into the kept vertices that
+    ``covered`` marks.
     """
 
+    vertices: tuple
+    arities: tuple
     edge_slots: int
     rows: tuple
     pinned_edges: tuple
     steps: tuple
     isolated: int
     tail: tuple | None
-    max_arity: int
-
-
-@dataclass(frozen=True)
-class EliminationOrder:
-    """Vertices in elimination sequence with per-step intermediate arities.
-
-    ``arities[i]`` counts the variables of the combined factor built when
-    ``vertices[i]`` is summed out (the eliminated variable plus its current
-    neighbors), so the largest arity is ``width + 1``.  ``_plan`` is the
-    compiled contraction of the shape the order was made for; it takes no
-    part in comparisons.
-    """
-
-    vertices: tuple
-    arities: tuple
-    _plan: _Plan | None = field(default=None, compare=False, repr=False)
 
     @property
     def width(self) -> int:
@@ -134,8 +120,9 @@ def _subscripts(scopes, out_vars):
     return sys.intern("".join(parts)[1:])
 
 
-def _compile_plan(edges, pinset, keep, vertices, max_arity):
-    """The plan that eliminates ``vertices`` in order, bucket by bucket."""
+def _compile(edges, pinset, keep, vertices, arities):
+    """The order that eliminates ``vertices`` in sequence, bucket by bucket,
+    with its plan compiled."""
     rows, pinned_edges, scopes = [], [], []
     for edge in edges:
         u, v = edge
@@ -194,8 +181,9 @@ def _compile_plan(edges, pinset, keep, vertices, max_arity):
         tail = (subscripts, tuple(k in covered for k in keep), *live)
     else:
         assert not live
-    return _Plan(edge_slots, tuple(rows), tuple(pinned_edges), tuple(steps),
-                 isolated, tail, max_arity)
+    return EliminationOrder(tuple(vertices), tuple(arities), edge_slots,
+                            tuple(rows), tuple(pinned_edges), tuple(steps),
+                            isolated, tail)
 
 
 @lru_cache(maxsize=4096)
@@ -233,9 +221,7 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
             adj[a].discard(v)
         del adj[v]
         eliminable.remove(v)
-    return EliminationOrder(
-        tuple(order), tuple(arities),
-        _compile_plan(edges, pinset, keep, order, max(arities, default=0)))
+    return _compile(edges, pinset, keep, order, arities)
 
 
 def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
@@ -336,9 +322,8 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
     exact = a.dtype == object
     pins = _check_inputs(n_vertices, a, n_steps, pins, keep, stack=not exact)
     order = elimination_order(n_vertices, edges, pins, keep)
-    plan = order._plan
     batch = a.shape[:-2]
-    states = n_steps ** plan.max_arity * prod(batch)
+    states = n_steps ** max(order.arities, default=0) * prod(batch)
     if states > STATE_LIMIT:
         raise ValueError(
             f"contraction refused: its largest step enumerates {states} "
@@ -346,20 +331,20 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
         )
 
     const = np.ones(batch) if batch else 1
-    for u, v in plan.pinned_edges:
+    for u, v in order.pinned_edges:
         const = const * a[..., pins[u], pins[v]]
-    if exact and plan.isolated:
+    if exact and order.isolated:
         # an isolated variable is a plain sum of n ones, which float mode
         # divides by n like every other step
-        const = const * n_steps ** plan.isolated
-    slots, at = [a] * plan.edge_slots, None
-    for s, p, column in plan.rows:
+        const = const * n_steps ** order.isolated
+    slots, at = [a] * order.edge_slots, None
+    for s, p, column in order.rows:
         if column and at is None:
             # the transpose laid out like ``a``: a column of ``a`` then
             # feeds einsum exactly as a row does
             at = np.ascontiguousarray(np.swapaxes(a, -1, -2))
         slots[s] = (at if column else a)[..., pins[p], :]
-    for subscripts, kind, *operands in plan.steps:
+    for subscripts, kind, *operands in order.steps:
         result = np.einsum(subscripts, *[slots[i] for i in operands])
         for i in operands:
             slots[i] = None
@@ -375,7 +360,7 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
 
     # contract what is left straight into keep order, then broadcast over
     # the kept vertices no factor covers
-    subscripts, covered, *operands = plan.tail
+    subscripts, covered, *operands = order.tail
     partial = (np.einsum(subscripts, *[slots[i] for i in operands])
                if operands else np.ones((), dtype=a.dtype))
     if batch:

@@ -9,6 +9,7 @@ produce byte-identical outputs, which golden tests rely on.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -301,14 +302,18 @@ class RootedGraph:
         d["roots"] = list(self.roots)
         return d
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RootedGraph":
-        return cls(Graph.from_json_dict(data), tuple(data["roots"]))
-
 
 # ---------------------------------------------------------------------------
 # Gadget constructors.
 # ---------------------------------------------------------------------------
+
+def _integer(x, what) -> int:
+    """``x`` as an int; a bool or any value that is not an integer is a
+    ValueError naming it, never truncated."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
+
 
 def _lay_path(edges, u, v, length, nxt) -> int:
     """Append a u-v path of ``length`` edges to ``edges``, numbering its
@@ -330,7 +335,7 @@ def generalized_theta(lengths, parity: str = "any") -> RootedGraph:
     At most one length may equal 1 (two would create a multi-edge).  With
     parity "even" or "odd" every length must have that parity.
     """
-    lens = [int(x) for x in lengths]
+    lens = [_integer(x, "path length") for x in lengths]
     if not lens:
         raise ValueError("at least one path length required")
     if any(x < 1 for x in lens):
@@ -352,7 +357,7 @@ def generalized_theta(lengths, parity: str = "any") -> RootedGraph:
 
 def flower(cycle_lengths) -> Graph:
     """Cycles of the given lengths sharing exactly one hub vertex (vertex 0)."""
-    lens = [int(x) for x in cycle_lengths]
+    lens = [_integer(x, "cycle length") for x in cycle_lengths]
     if not lens:
         raise ValueError("at least one cycle length required")
     if any(x < 3 for x in lens):
@@ -490,7 +495,7 @@ class ReplacementSpec:
         for bundle in self.per_edge_lengths:
             counts = {}
             for k, c in bundle:
-                k, c = int(k), int(c)
+                k, c = _integer(k, "path length"), _integer(c, "path count")
                 if k < 1:
                     raise ValueError("path lengths must be at least 1")
                 if c < 0:
@@ -524,7 +529,7 @@ class ReplacementSpec:
         """Same multiset of path lengths on every host edge."""
         counts = {}
         for k in lengths:
-            counts[int(k)] = counts.get(int(k), 0) + 1
+            counts[k] = counts.get(k, 0) + 1
         bundle = tuple(sorted(counts.items()))
         return cls(host.n, host.edges, tuple(bundle for _ in host.edges))
 
@@ -546,12 +551,13 @@ class ReplacementSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReplacementSpec":
-        bundles = tuple(
-            tuple((int(item["k"]), int(item["count"])) for item in bundle)
-            for bundle in data["lengths"]
-        )
-        return cls(int(data["n"]), tuple(tuple(e) for e in data["edges"]),
-                   bundles)
+        """The spec a JSON dict describes; the host is read as
+        ``Graph.from_json_dict`` reads a graph, and every length and count
+        must be an integer, read without truncation."""
+        Graph.from_json_dict(data)
+        bundles = tuple(tuple((item["k"], item["count"]) for item in bundle)
+                        for bundle in data["lengths"])
+        return cls(data["n"], tuple(tuple(e) for e in data["edges"]), bundles)
 
 
 class Theorem12Case(str, Enum):
@@ -684,7 +690,7 @@ def odd_theta_decomposition(lengths):
     (L + shortest) / 2 from t to those branch vertices.  Returns the graph
     and the validated decomposition.
     """
-    lens = sorted((int(x) for x in lengths), reverse=True)
+    lens = sorted((_integer(x, "path length") for x in lengths), reverse=True)
     if len(lens) < 2:
         raise ValueError("at least two path lengths required")
     if any(x % 2 == 0 for x in lens):

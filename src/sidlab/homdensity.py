@@ -11,19 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from . import contraction
 from .contraction import _normalize_pins
-from .contraction import EliminationOrder, elimination_order  # re-export
 from .graphs import Graph, ReplacementSpec, complete_graph, edge_orbits
-from .stepgraphon import StepGraphon, _frac_str, edge_density, kernel_power
+from .stepgraphon import (StepGraphon, _frac_str, constant_graphon,
+                          edge_density, hadamard, kernel_power)
 
 __all__ = [
     "DensityValue",
-    "EliminationOrder",
-    "elimination_order",
     "hom_density",
     "density_gradient",
     "deficit",
@@ -50,21 +49,12 @@ class DensityValue:
         if not 0 <= self.value <= 1:
             raise ValueError(f"density {self.value} outside [0, 1]")
 
-    def __float__(self) -> float:
-        return float(self.value)
-
     def to_json_dict(self) -> dict:
         if self.mode == "exact":
             v = _frac_str(self.value)
         else:
             v = float(self.value)
         return {"mode": self.mode, "value": v, "vH": self.scale_exponent}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DensityValue":
-        mode = data["mode"]
-        value = Fraction(data["value"]) if mode == "exact" else float(data["value"])
-        return cls(value, mode, int(data["vH"]))
 
 
 # (mode, strategy) -> backend call.  Each entry looks its function up in
@@ -183,11 +173,9 @@ def holder_lower_bound(graph: Graph, spec: ReplacementSpec,
     n = w.n_steps
     powers = {k: kernel_power(w, k) for k in alphas}
     if all(a.denominator == 1 for a in alphas.values()):
-        grid, q = np.ones((n, n), dtype=object), 1
-        for k, a in alphas.items():
-            grid = grid * powers[k].integer_grid ** int(a)
-            q *= powers[k].q ** int(a)
-        combined = StepGraphon._from_integers(grid.tolist(), q)
+        combined = reduce(hadamard, (powers[k] for k, a in alphas.items()
+                                     for _ in range(int(a))),
+                          constant_graphon(1, n))
         value = contraction.contract_exact(h, complete_graph(h).edges,
                                            combined, n)
         return DensityValue(value, "exact", h)

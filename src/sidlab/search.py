@@ -16,9 +16,10 @@ acceptable step; inside a line search each start shrinks its own step until
 it accepts one, and a trial whose projection does not settle counts as a
 rejected step, after which that start's line searches begin no higher than
 its clamped step; inside a projection each grid is frozen at the first sweep
-whose own residual reaches the tolerance.  Each start therefore ends where a
-search on it alone would.  The starts are merged by minimum final slack,
-ties to the lower start index.
+whose own residual reaches ``PROJECTION_TOL``.  Each start therefore ends
+where a search on it alone would.  The start of least final slack (ties to
+the lower index) wins, and that slack, as its descent computed it, is the
+reported ``best_deficit``.
 """
 
 from __future__ import annotations
@@ -67,16 +68,15 @@ def _affine_project(m: np.ndarray, row_target: float) -> np.ndarray:
     return m + (mu[..., :, None] + mu[..., None, :])
 
 
-def _project_regular_array(m: np.ndarray, d: float,
-                           tol: float = PROJECTION_TOL, max_iter: int = 5000):
+def _project_regular_array(m: np.ndarray, d: float, max_iter: int = 5000):
     """Dykstra projection of a grid, or of each grid of a ``(..., n, n)``
     stack, and the residual left on each grid that did not settle.
 
-    A grid is frozen at the first sweep whose own residual reaches ``tol``,
-    so every slice equals the call on that grid alone, and its reported
-    residual is 0.  A grid that does not settle within ``max_iter`` sweeps
-    keeps its last sweep and reports that sweep's residual (above ``tol``,
-    or nan).
+    A grid is frozen at the first sweep whose own residual reaches
+    ``PROJECTION_TOL``, so every slice equals the call on that grid alone,
+    and its reported residual is 0.  A grid that does not settle within
+    ``max_iter`` sweeps keeps its last sweep and reports that sweep's
+    residual (above ``PROJECTION_TOL``, or nan).
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -96,7 +96,7 @@ def _project_regular_array(m: np.ndarray, d: float,
         q = y + q - x_new
         x = x_new
         residual = np.max(np.abs(x.sum(axis=-1) - target), axis=-1)
-        done = residual <= tol
+        done = residual <= PROJECTION_TOL
         if done.any():
             out[live[done]] = x[done]
             keep = ~done
@@ -109,17 +109,17 @@ def _project_regular_array(m: np.ndarray, d: float,
     return out.reshape(shape), out_residual.reshape(shape[:-2])
 
 
-def _settled(x: np.ndarray, residual: np.ndarray, tol: float) -> np.ndarray:
+def _settled(x: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """``x`` when every grid settled, else ProjectionError carrying the worst
     residual among the grids that did not."""
-    if not np.all(residual <= tol):
+    if not np.all(residual <= PROJECTION_TOL):
         raise ProjectionError(float(np.max(residual)))
     return x
 
 
-def project_regular(grid, d, tol: float = PROJECTION_TOL,
-                    max_iter: int = 5000) -> StepGraphon:
-    """Nearest d-regular step graphon in Frobenius distance (to residual tol).
+def project_regular(grid, d, max_iter: int = 5000) -> StepGraphon:
+    """Nearest d-regular step graphon in Frobenius distance, to the row-sum
+    residual ``PROJECTION_TOL``.
 
     Accepts a StepGraphon, nested values, or an ndarray.  Raises
     ProjectionError with the final residual if the iteration cap is hit,
@@ -132,17 +132,16 @@ def project_regular(grid, d, tol: float = PROJECTION_TOL,
         m = grid.float_matrix
     else:
         m = np.array(grid, dtype=float)
-    x, residual = _project_regular_array(m, float(d), tol=tol,
-                                         max_iter=max_iter)
-    return StepGraphon(_settled(x, residual, tol))
+    x, residual = _project_regular_array(m, float(d), max_iter=max_iter)
+    return StepGraphon(_settled(x, residual))
 
 
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of one multi-start descent run.
 
-    ``best_deficit`` is the recomputed slack at ``best_w``; ``trace`` lists
-    the accepted-step objective values of the winning start (non-increasing).
+    ``best_deficit`` is the winning start's final slack, at ``best_w``;
+    ``trace`` lists its accepted-step objective values (non-increasing).
     ``certificate`` is None unless an exact-arithmetic recheck confirmed a
     violation at a rationalized witness.
     """
@@ -227,7 +226,7 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
 
     raw = np.stack([np.random.default_rng(child).random((n, n))
                     for child in np.random.SeedSequence(seed).spawn(starts)])
-    x = _settled(*_project_regular_array(raw, df), PROJECTION_TOL)
+    x = _settled(*_project_regular_array(raw, df))
     val = _sidorenko_slack(graph, x, n)
     traces = [[v] for v in val.tolist()]
     # a start leaves the active set at a vanishing gradient or when its line
@@ -278,18 +277,12 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
         active = active[accepted]
 
     best = int(np.argmin(val))
-    x = x[best]
-    w = StepGraphon(x)
-    recomputed = float(
-        contraction.contract_float(graph.n, graph.edges, w.float_matrix, n)
-        - float(edge_density(w)) ** graph.num_edges
-    )
-    certificate = None
-    if recomputed < -1e-8:
-        certificate = certify_violation(graph, x, d)
+    slack = float(val[best])
+    certificate = (certify_violation(graph, x[best], d) if slack < -1e-8
+                   else None)
     return SearchResult(
-        best_w=w,
-        best_deficit=recomputed,
+        best_w=StepGraphon(x[best]),
+        best_deficit=slack,
         trace=tuple(traces[best]),
         starts=starts,
         seed=seed,

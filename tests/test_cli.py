@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from sidlab.cli import EXIT_IO, EXIT_USAGE, build_parser, main
+from sidlab.cli import EXIT_IO, EXIT_USAGE, _parse_rational, build_parser, main
 from sidlab.graphs import (
     Graph,
     complete_graph,
@@ -244,10 +245,21 @@ def test_search_huge_step_completes(tmp_path, c4_path, capsys):
 
 
 def test_search_rejects_decimal_without_float_flag(c4_path, capsys):
-    assert main(["search", "--graph", str(c4_path), "--n", "2",
-                 "--d", "0.5"]) == 3
-    assert main(["search", "--graph", str(c4_path), "--n", "2", "--d", "0.5",
-                 "--float", "--starts", "1", "--iters", "5"]) == 0
+    base = ["search", "--graph", str(c4_path), "--n", "2"]
+    run = ["--starts", "1", "--iters", "5"]
+    # a decimal point or an exponent needs --float
+    for d in ("0.5", "1e-1", "5E-1"):
+        assert main(base + ["--d", d]) == EXIT_IO
+        assert "pass --float" in capsys.readouterr().err
+    assert main(base + ["--d", "0.5", "--float"] + run) == 0
+    assert main(base + ["--d", "1e-1", "--float"] + run) == 0
+    # a malformed value is a format error with or without --float
+    assert main(base + ["--d", "1.x", "--float"]) == EXIT_IO
+    assert "bad rational" in capsys.readouterr().err
+    # a decimal reads exactly, not through a binary float
+    assert _parse_rational("0.1", True) == Fraction(1, 10)
+    assert _parse_rational("1e-1", True) == Fraction(1, 10)
+    assert _parse_rational("1/2", False) == Fraction(1, 2)
 
 
 def test_report_csv_sorted_rows(tmp_path, capsys):
@@ -323,6 +335,8 @@ def test_malformed_json_exit_code(tmp_path, capsys):
 
 VALID = {"graph": {"n": 2, "edges": [[0, 1]]},
          "graphon": {"n": 2, "values": [["0", "1"], ["1", "0"]]}}
+REPORT = {"suite": "holder", "trials": 2, "failures": [], "seed": 0,
+          "max_gap": 0.0, "runtime_ms": 1.5}
 
 
 @pytest.mark.parametrize("role, payload", [
@@ -339,6 +353,11 @@ VALID = {"graph": {"n": 2, "edges": [[0, 1]]},
     pytest.param("graphon", {"n": 2.5, "values": [["0", "1"], ["1", "0"]]},
                  id="graphon-fractional-n"),
     pytest.param("report", [1, 2], id="report-a-list"),
+    pytest.param("report", {**REPORT, "trials": 2.7}, id="fractional-trials"),
+    pytest.param("report", {**REPORT, "max_gap": "0.5"}, id="string-max-gap"),
+    pytest.param("report", {**REPORT, "failures": "ab"},
+                 id="failures-a-string"),
+    pytest.param("report", {**REPORT, "suite": 5}, id="suite-a-number"),
 ])
 def test_malformed_input_file_exit_code(role, payload, tmp_path, capsys):
     # a file that does not describe its object is a format error: exit 3,
@@ -354,6 +373,13 @@ def test_malformed_input_file_exit_code(role, payload, tmp_path, capsys):
                 "--graphon", str(paths["graphon"])]
     assert main(argv) == EXIT_IO
     assert capsys.readouterr().out == ""
+
+
+def test_report_reads_a_well_formed_report(tmp_path, capsys):
+    # the control for the malformed reports above
+    write_json(tmp_path / "report.json", {**REPORT, "max_gap": 0})
+    assert main(["report", "--inputs", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "holder,2,0,0.0,1.5"
 
 
 @pytest.mark.parametrize("pins", ["0", "a:b", "0:0:1"])

@@ -269,6 +269,43 @@ def test_spec_json_requires_n():
         ReplacementSpec.from_json_dict(data)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 3.7), ("n", True), ("edge", 1.0), ("k", 2.9), ("count", 1.5),
+    ("count", True),
+])
+def test_spec_json_takes_integers_only(field, value):
+    # a non-integer is refused, never truncated or read as 1
+    data = {"n": 3, "edges": [[0, 1]], "lengths": [[{"k": 2, "count": 1}]]}
+    if field == "n":
+        data["n"] = value
+    elif field == "edge":
+        data["edges"] = [[0, value]]
+    else:
+        data["lengths"][0][0][field] = value
+    with pytest.raises(ValueError):
+        ReplacementSpec.from_json_dict(data)
+
+
+@pytest.mark.parametrize("bundle", [((2.9, 1),), ((2, 1.5),), ((True, 1),),
+                                    ((2, True),), (("2", 1),)])
+def test_spec_rejects_non_integer_lengths_and_counts(bundle):
+    with pytest.raises(ValueError, match="not an integer"):
+        ReplacementSpec(2, ((0, 1),), (bundle,))
+
+
+@pytest.mark.parametrize("build, lengths", [
+    (generalized_theta, [2.5, 2.9]),
+    (generalized_theta, [2, True]),
+    (flower, [3.7]),
+    (odd_theta_decomposition, [3.9, 1]),
+])
+def test_gadget_constructors_reject_non_integer_lengths(build, lengths):
+    # each used to truncate through int(), to C4, K3 or C4, or read True as 1
+    bad = next(x for x in lengths if type(x) is not int)
+    with pytest.raises(ValueError, match=f"{bad} is not an integer"):
+        build(lengths)
+
+
 # -- semidirect product ------------------------------------------------------
 
 def test_semidirect_glued_edges_make_c4():
