@@ -17,7 +17,6 @@ from .graphs import (
     disjoint_union,
     flower,
     generalized_theta,
-    is_isomorphic,
     odd_theta_decomposition,
     path_graph,
     replace_edges,

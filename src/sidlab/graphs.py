@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,7 +39,6 @@ __all__ = [
     "classify_theorem12",
     "odd_theta_decomposition",
     "find_isomorphism",
-    "is_isomorphic",
     "edge_orbits",
 ]
 
@@ -47,19 +48,27 @@ class Graph:
     """Simple undirected graph: vertex count plus a sorted tuple of edges.
 
     ``n == 0`` is permitted and denotes the empty graph (the identity for
-    disjoint unions).  Loops, duplicate edges, and out-of-range endpoints are
-    rejected at construction.
+    disjoint unions).  A vertex count or endpoint that is not an integer (a
+    bool included), loops, duplicate edges, and out-of-range endpoints are
+    rejected at construction; integers are stored as plain ``int``.
     """
 
     n: int
     edges: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        # the exact-int test keeps the common case off ``_integer``
+        n = self.n if type(self.n) is int else _integer(self.n, "vertex count")
+        if n < 0:
             raise ValueError("vertex count must be a nonnegative integer")
+        object.__setattr__(self, "n", n)
         seen = set()
         for edge in self.edges:
             u, v = edge
+            if type(u) is not int:
+                u = _integer(u, "endpoint")
+            if type(v) is not int:
+                v = _integer(v, "endpoint")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -123,10 +132,7 @@ class Graph:
     def from_json_dict(cls, data: dict) -> "Graph":
         """The graph a JSON dict describes; the vertex count and every
         endpoint must be JSON integers, read without truncation."""
-        n, edges = data["n"], tuple(tuple(e) for e in data["edges"])
-        if not all(type(x) is int for x in (n, *itertools.chain(*edges))):
-            raise ValueError("vertex count and endpoints must be integers")
-        return cls(n, edges)
+        return cls(data["n"], data["edges"])
 
 
 def complete_graph(h: int) -> Graph:
@@ -239,10 +245,6 @@ def find_isomorphism(g1: Graph, g2: Graph, fixed: dict | None = None):
     if extend(0):
         return dict(mapping)
     return None
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return find_isomorphism(g1, g2) is not None
 
 
 @lru_cache(maxsize=256)
@@ -404,13 +406,15 @@ def replace_edges(host: Graph, gadget: RootedGraph) -> Graph:
     return Graph(nxt, tuple(edges))
 
 
-def replace_edges_nonuniform(host: Graph, spec: "ReplacementSpec") -> Graph:
-    """Replace each host edge by its own bundle of internally disjoint paths."""
-    if not spec.matches(host):
-        raise ValueError("replacement spec does not match the host graph")
+def replace_edges_nonuniform(spec: "ReplacementSpec") -> Graph:
+    """Replace each host edge by its own bundle of internally disjoint paths.
+
+    New vertices are appended per edge in sorted edge order, per bundle in
+    ascending length.
+    """
     edges = []
-    nxt = host.n
-    for (u, v), bundle in zip(host.edges, spec.per_edge_lengths):
+    nxt = spec.host_n
+    for (u, v), bundle in spec.bundles:
         for k, count in bundle:
             for _ in range(count):
                 nxt = _lay_path(edges, u, v, k, nxt)
@@ -473,28 +477,37 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 # Non-uniform replacement specs and their classifier.
 # ---------------------------------------------------------------------------
 
+def _items(pairs):
+    """The ``(key, value)`` pairs of a mapping, or ``pairs`` itself."""
+    return pairs.items() if isinstance(pairs, Mapping) else pairs
+
+
 @dataclass(frozen=True)
 class ReplacementSpec:
-    """Per-edge multisets of path lengths for a non-uniform edge replacement.
+    """A host graph on ``host_n`` vertices whose every edge carries its own
+    bundle of internally disjoint paths: a non-uniform edge replacement.
 
-    ``per_edge_lengths`` is aligned with ``host_edges``; each entry is a tuple
-    of ``(length, count)`` pairs sorted by length.  A length-1 path stands for
+    ``bundles`` is given as ``(edge, bundle)`` pairs or as a mapping
+    ``{edge: bundle}``, and each bundle as ``(length, count)`` pairs or as a
+    mapping ``{length: count}``; the host's edges are exactly the edges
+    given, checked as ``Graph`` checks them, so an edge given twice, in
+    either orientation, is rejected.  Each edge is oriented ``(min, max)``
+    together with its bundle, and the pairs are stored sorted by edge, in
+    ``Graph.edges`` order, as ``((u, v), ((length, count), ...))`` with
+    lengths ascending and zero counts dropped.  A length-1 path stands for
     keeping the edge itself, so its count is capped at 1.
     """
 
     host_n: int
-    host_edges: tuple
-    per_edge_lengths: tuple
+    bundles: tuple
 
     def __post_init__(self):
-        host = Graph(self.host_n, self.host_edges)  # validates the edge list
-        object.__setattr__(self, "host_edges", host.edges)
-        if len(self.per_edge_lengths) != len(self.host_edges):
-            raise ValueError("one length multiset required per host edge")
-        norm = []
-        for bundle in self.per_edge_lengths:
+        pairs = list(_items(self.bundles))
+        host = Graph(self.host_n, tuple(edge for edge, _ in pairs))
+        norm = {}
+        for (u, v), bundle in pairs:
             counts = {}
-            for k, c in bundle:
+            for k, c in _items(bundle):
                 k, c = _integer(k, "path length"), _integer(c, "path count")
                 if k < 1:
                     raise ValueError("path lengths must be at least 1")
@@ -503,13 +516,16 @@ class ReplacementSpec:
                 counts[k] = counts.get(k, 0) + c
             if counts.get(1, 0) > 1:
                 raise ValueError("at most one length-1 path per edge")
-            norm.append(tuple(sorted((k, c) for k, c in counts.items() if c > 0)))
-        object.__setattr__(self, "per_edge_lengths", tuple(norm))
+            norm[min(u, v), max(u, v)] = tuple(
+                sorted((k, c) for k, c in counts.items() if c > 0))
+        object.__setattr__(self, "host_n", host.n)
+        object.__setattr__(self, "bundles",
+                           tuple((e, norm[e]) for e in host.edges))
 
     def totals(self) -> dict:
         """Total path count per length, summed over host edges."""
         out = {}
-        for bundle in self.per_edge_lengths:
+        for _, bundle in self.bundles:
             for k, c in bundle:
                 out[k] = out.get(k, 0) + c
         return dict(sorted(out.items()))
@@ -521,43 +537,35 @@ class ReplacementSpec:
             raise ValueError("alpha values need a host with at least 2 vertices")
         return {k: Fraction(c, pairs) for k, c in self.totals().items()}
 
-    def matches(self, host: Graph) -> bool:
-        return host.n == self.host_n and host.edges == self.host_edges
-
     @classmethod
     def uniform(cls, host: Graph, lengths) -> "ReplacementSpec":
         """Same multiset of path lengths on every host edge."""
-        counts = {}
-        for k in lengths:
-            counts[k] = counts.get(k, 0) + 1
-        bundle = tuple(sorted(counts.items()))
-        return cls(host.n, host.edges, tuple(bundle for _ in host.edges))
-
-    @classmethod
-    def from_length_maps(cls, host: Graph, maps) -> "ReplacementSpec":
-        """Build from one {length: count} mapping per host edge, in edge order."""
-        bundles = tuple(tuple(sorted(dict(m).items())) for m in maps)
-        return cls(host.n, host.edges, bundles)
+        counts = Counter(lengths)
+        return cls(host.n, [(e, counts) for e in host.edges])
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.host_n,
-            "edges": [list(e) for e in self.host_edges],
+            "edges": [list(e) for e, _ in self.bundles],
             "lengths": [
                 [{"k": k, "count": c} for k, c in bundle]
-                for bundle in self.per_edge_lengths
+                for _, bundle in self.bundles
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReplacementSpec":
-        """The spec a JSON dict describes; the host is read as
-        ``Graph.from_json_dict`` reads a graph, and every length and count
-        must be an integer, read without truncation."""
-        Graph.from_json_dict(data)
-        bundles = tuple(tuple((item["k"], item["count"]) for item in bundle)
-                        for bundle in data["lengths"])
-        return cls(data["n"], tuple(tuple(e) for e in data["edges"]), bundles)
+        """The spec a JSON dict describes: ``lengths[i]`` is the bundle of
+        ``edges[i]``, in any edge order and orientation, and the vertex
+        count, every endpoint, length and count must be an integer, read
+        without truncation."""
+        edges, lengths = data["edges"], data["lengths"]
+        if len(edges) != len(lengths):
+            raise ValueError("one length list required per host edge")
+        return cls(data["n"], [
+            (e, [(item["k"], item["count"]) for item in bundle])
+            for e, bundle in zip(edges, lengths)
+        ])
 
 
 class Theorem12Case(str, Enum):
@@ -572,7 +580,7 @@ class Theorem12Classification:
     certificate: dict
 
 
-def classify_theorem12(host: Graph, spec: ReplacementSpec) -> Theorem12Classification:
+def classify_theorem12(spec: ReplacementSpec) -> Theorem12Classification:
     """Decide which hypothesis a non-uniform even replacement satisfies.
 
     CaseDivisible: all lengths even and every per-length total divisible by
@@ -581,10 +589,8 @@ def classify_theorem12(host: Graph, spec: ReplacementSpec) -> Theorem12Classific
     hold.  Otherwise NotCovered, with a certificate naming the offending
     length class (as k, where the class holds paths of length 2k).
     """
-    if not spec.matches(host):
-        raise ValueError("replacement spec does not match the host graph")
     totals = spec.totals()
-    pairs = comb(host.n, 2)
+    pairs = comb(spec.host_n, 2)
     odd = sorted(k for k in totals if k % 2 == 1)
     if odd:
         return Theorem12Classification(

@@ -157,8 +157,7 @@ def deficit(graph: Graph, w: StepGraphon, d=None) -> Fraction:
     return hom_density(graph, w).value - base ** graph.num_edges
 
 
-def holder_lower_bound(graph: Graph, spec: ReplacementSpec,
-                       w: StepGraphon) -> DensityValue:
+def holder_lower_bound(spec: ReplacementSpec, w: StepGraphon) -> DensityValue:
     """Uniformized lower bound for the density of a path-replaced graph.
 
     Builds the combined pair weight  E[i][j] = prod_k (W^k)[i][j]^alpha_k
@@ -166,10 +165,8 @@ def holder_lower_bound(graph: Graph, spec: ReplacementSpec,
     complete graph on the h host vertices against E.  The bound is exact
     when every exponent is integral, and a float otherwise.
     """
-    if not spec.matches(graph):
-        raise ValueError("replacement spec does not match the host graph")
     alphas = spec.alphas()
-    h = graph.n
+    h = spec.host_n
     n = w.n_steps
     powers = {k: kernel_power(w, k) for k in alphas}
     if all(a.denominator == 1 for a in alphas.values()):

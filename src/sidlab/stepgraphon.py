@@ -229,20 +229,10 @@ class LocalDensityReport:
     the decision procedure, always ``"exact"`` (the face enumeration).
     """
 
-    target_d: Fraction
     deficit: float
     deficit_exact: Fraction
     witness: tuple
     method: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target_d": _frac_str(self.target_d),
-            "deficit": self.deficit,
-            "deficit_exact": _frac_str(self.deficit_exact),
-            "witness": [float(x) for x in self.witness],
-            "method": self.method,
-        }
 
 
 def _dot(u, v):
@@ -335,7 +325,6 @@ def local_density_deficit(w: StepGraphon, d) -> LocalDensityReport:
         )
     exact, witness = _exact_box_minimum(w, d)
     return LocalDensityReport(
-        target_d=d,
         deficit=float(exact),
         deficit_exact=exact,
         witness=witness,

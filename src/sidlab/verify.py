@@ -39,7 +39,6 @@ from .graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    disjoint_union,
     flower,
     generalized_theta,
     odd_theta_decomposition,
@@ -364,26 +363,23 @@ def verify_local_density(trials: int = 50, seed: int = 0) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def _theorem12_instances():
-    """Non-uniform replacement instances admitted by the classifier."""
-    out = []
+    """Named non-uniform replacement specs admitted by the classifier."""
     k3 = complete_graph(3)
-    uniform = ReplacementSpec.uniform(k3, [2])
-    out.append(("nonuniform_divisible_uniform", k3, uniform))
-    mixed = ReplacementSpec.from_length_maps(k3, [{2: 2}, {2: 1, 4: 3}, {}])
-    out.append(("nonuniform_divisible_mixed", k3, mixed))
-    single = ReplacementSpec.from_length_maps(k3, [{4: 2}, {4: 1}, {4: 1}])
-    out.append(("nonuniform_single_length", k3, single))
-    # Odd subdivision completed by a theta partner on a disjoint edge: the
-    # union host is H0 + K2 and the partner tops every length class up to a
-    # multiple of C(h, 2).
-    host = disjoint_union(k3, Graph(2, ((0, 1),)))
-    partner = ReplacementSpec.from_length_maps(
-        host, [{2: 1}, {2: 1}, {2: 1}, {2: 7}]
-    )
-    out.append(("corollary_union", host, partner))
-    for name, h, spec in out:
-        case = classify_theorem12(h, spec).case
-        if case is Theorem12Case.NOT_COVERED:
+    out = [
+        ("nonuniform_divisible_uniform", ReplacementSpec.uniform(k3, [2])),
+        ("nonuniform_divisible_mixed", ReplacementSpec(
+            3, {(0, 1): {2: 2}, (0, 2): {2: 1, 4: 3}, (1, 2): {}})),
+        ("nonuniform_single_length", ReplacementSpec(
+            3, {(0, 1): {4: 2}, (0, 2): {4: 1}, (1, 2): {4: 1}})),
+        # Odd subdivision completed by a theta partner on a disjoint edge:
+        # the union host is H0 + K2 and the partner tops every length class
+        # up to a multiple of C(h, 2).
+        ("corollary_union", ReplacementSpec(
+            5, {(0, 1): {2: 1}, (0, 2): {2: 1}, (1, 2): {2: 1},
+                (3, 4): {2: 7}})),
+    ]
+    for name, spec in out:
+        if classify_theorem12(spec).case is Theorem12Case.NOT_COVERED:
             raise AssertionError(f"instance {name} rejected by the classifier")
     return out
 
@@ -417,8 +413,8 @@ def sidorenko_family_instances():
         ("subdiv_K3_l3", subdivide(complete_graph(3), 3)),
         ("subdiv_K4_l1", subdivide(complete_graph(4), 1)),
     ]
-    for name, host, spec in _theorem12_instances():
-        instances.append((name, replace_edges_nonuniform(host, spec)))
+    for name, spec in _theorem12_instances():
+        instances.append((name, replace_edges_nonuniform(spec)))
     return tuple(instances)
 
 
@@ -510,11 +506,10 @@ def _check_holder_equality(trial_seed, sizes=None):
     lengths = [2 * rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
     spec = ReplacementSpec.uniform(host, lengths)
     w = _random_regular_graphon(rng, n)
-    replaced = replace_edges_nonuniform(host, spec)
+    replaced = replace_edges_nonuniform(spec)
     lhs = hom_density(replaced, w).value
-    rhs = holder_lower_bound(host, spec, w).value
-    inputs = {"kind": "uniform-complete-equality", "host": host, "spec": spec,
-              "graphon": w}
+    rhs = holder_lower_bound(spec, w).value
+    inputs = {"kind": "uniform-complete-equality", "spec": spec, "graphon": w}
     return _decide(lhs, rhs, (n,), inputs, equal=True)
 
 
@@ -528,18 +523,17 @@ def _check_holder_inequality(trial_seed, sizes=None):
         {2 * rng.randint(1, 2): 1 for _ in range(rng.randint(1, 2))}
         for _ in host.edges
     ]
-    spec = ReplacementSpec.from_length_maps(host, maps)
+    spec = ReplacementSpec(host.n, zip(host.edges, maps))
     w = _random_regular_graphon(rng, n)
-    replaced = replace_edges_nonuniform(host, spec)
-    inputs = {"kind": "random-replacement", "host": host, "spec": spec,
-              "graphon": w}
+    replaced = replace_edges_nonuniform(spec)
+    inputs = {"kind": "random-replacement", "spec": spec, "graphon": w}
     if all(a.denominator == 1 for a in spec.alphas().values()):
         lhs = hom_density(replaced, w).value
-        rhs = holder_lower_bound(host, spec, w).value
+        rhs = holder_lower_bound(spec, w).value
         return _decide(lhs, rhs, (n,), inputs)
     # a fractional exponent is decided in float until it has an exact bound
     lhs = float(hom_density(replaced, w, mode="float").value)
-    rhs = float(holder_lower_bound(host, spec, w).value)
+    rhs = float(holder_lower_bound(spec, w).value)
     gap = lhs - rhs
     record = None
     if not _rel_ok(lhs, rhs, FLOAT_TOL):

@@ -216,20 +216,20 @@ def test_criterion_9_classifier():
     k3 = complete_graph(3)
     hand_cases = [
         (ReplacementSpec.uniform(k3, [2]), Theorem12Case.DIVISIBLE),
-        (ReplacementSpec.from_length_maps(k3, [{2: 1}, {4: 1}, {6: 1}]),
+        (ReplacementSpec(3, {(0, 1): {2: 1}, (0, 2): {4: 1}, (1, 2): {6: 1}}),
          Theorem12Case.NOT_COVERED),
         (ReplacementSpec.uniform(k3, [4]), Theorem12Case.DIVISIBLE),
     ]
     hand_ok = all(
-        classify_theorem12(k3, spec).case is expected
+        classify_theorem12(spec).case is expected
         for spec, expected in hand_cases
     )
-    offending = classify_theorem12(k3, hand_cases[1][0]).certificate["k"] == 1
+    offending = classify_theorem12(hand_cases[1][0]).certificate["k"] == 1
     # suite consistency: every non-uniform replacement instance the family
     # suite runs must be admitted by the classifier
     suite_ok = all(
-        classify_theorem12(host, spec).case is not Theorem12Case.NOT_COVERED
-        for _, host, spec in _theorem12_instances()
+        classify_theorem12(spec).case is not Theorem12Case.NOT_COVERED
+        for _, spec in _theorem12_instances()
     )
     elapsed = time.perf_counter() - t0
     ok = hand_ok and offending and suite_ok

@@ -1,5 +1,8 @@
-import pytest
+import json
 from fractions import Fraction
+
+import numpy as np
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +20,6 @@ from sidlab.graphs import (
     find_isomorphism,
     flower,
     generalized_theta,
-    is_isomorphic,
     odd_theta_decomposition,
     path_graph,
     replace_edges,
@@ -61,6 +63,21 @@ def test_bipartiteness():
     assert not complete_graph(3).is_bipartite()
 
 
+@pytest.mark.parametrize("n, edges", [
+    (3, ((0, 1.5),)), (True, ()), (2, ((0, True),)), (3, ((0, "1"),)),
+])
+def test_graph_rejects_non_integers(n, edges):
+    # 1.5 used to fail later with a KeyError, and True was read as 1
+    with pytest.raises(ValueError, match="not an integer"):
+        Graph(n, edges)
+
+
+def test_graph_stores_plain_ints():
+    g = Graph(np.int64(3), ((np.int64(2), np.int64(1)),))
+    assert g == Graph(3, ((1, 2),))
+    assert type(g.n) is int and all(type(x) is int for x in g.edges[0])
+
+
 def test_graph_json_roundtrip():
     g = complete_multipartite([2, 3])
     assert Graph.from_json_dict(g.to_json_dict()) == g
@@ -72,8 +89,9 @@ def test_theta_22_is_c4():
     t = generalized_theta([2, 2], "even")
     assert t.graph.n == 4
     assert t.graph.num_edges == 4
-    assert is_isomorphic(t.graph, cycle_graph(4))
-    assert is_isomorphic(t.graph, complete_multipartite([2, 2]))
+    assert find_isomorphism(t.graph, cycle_graph(4)) is not None
+    assert find_isomorphism(t.graph,
+                            complete_multipartite([2, 2])) is not None
     # roots are the two opposite degree-2 vertices joined by both paths
     assert t.graph.degrees()[t.roots[0]] == 2
     assert tuple(sorted(t.roots)) not in t.graph.edges
@@ -89,7 +107,7 @@ def test_theta_13_explicit_edges():
     # one edge between the roots plus a length-3 detour: a 4-cycle
     t = generalized_theta([1, 3], "odd")
     assert t.graph.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
-    assert is_isomorphic(t.graph, cycle_graph(4))
+    assert find_isomorphism(t.graph, cycle_graph(4)) is not None
 
 
 def test_theta_duplicate_unit_length_rejected():
@@ -118,7 +136,7 @@ def test_theta_always_has_root_swap_automorphism(lengths):
 # -- flower ------------------------------------------------------------------
 
 def test_flower_single_triangle():
-    assert is_isomorphic(flower([3]), complete_graph(3))
+    assert find_isomorphism(flower([3]), complete_graph(3)) is not None
 
 
 def test_flower_bowtie_counts():
@@ -144,7 +162,8 @@ def test_flower_hub_meets_all_cycles():
 # -- subdivide ---------------------------------------------------------------
 
 def test_subdivide_k3_once_is_c6():
-    assert is_isomorphic(subdivide(complete_graph(3), 1), cycle_graph(6))
+    assert find_isomorphism(subdivide(complete_graph(3), 1),
+                            cycle_graph(6)) is not None
 
 
 def test_subdivide_zero_is_identity():
@@ -163,7 +182,7 @@ def test_subdivide_counts():
 
 def test_replace_single_edge_with_theta22_is_c4():
     out = replace_edges(Graph(2, ((0, 1),)), generalized_theta([2, 2], "even"))
-    assert is_isomorphic(out, cycle_graph(4))
+    assert find_isomorphism(out, cycle_graph(4)) is not None
 
 
 def test_replace_k3_with_path2_equals_subdivision():
@@ -200,27 +219,26 @@ def test_replace_single_even_path_matches_subdivide(nv, length):
     b = subdivide(host, length - 1)
     assert a == b
     if a.n <= 12:
-        assert is_isomorphic(a, b)
+        assert find_isomorphism(a, b) is not None
 
 
 # -- replacement specs -------------------------------------------------------
 
 def test_nonuniform_uniform_agrees_with_theta_replacement():
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.uniform(k3, [2])
-    assert is_isomorphic(replace_edges_nonuniform(k3, spec), cycle_graph(6))
+    spec = ReplacementSpec.uniform(complete_graph(3), [2])
+    out = replace_edges_nonuniform(spec)
+    assert find_isomorphism(out, cycle_graph(6)) is not None
 
 
 def test_nonuniform_single_edge_theta22():
-    k2 = Graph(2, ((0, 1),))
-    spec = ReplacementSpec.from_length_maps(k2, [{2: 2}])
-    assert is_isomorphic(replace_edges_nonuniform(k2, spec), cycle_graph(4))
+    spec = ReplacementSpec(2, {(0, 1): {2: 2}})
+    out = replace_edges_nonuniform(spec)
+    assert find_isomorphism(out, cycle_graph(4)) is not None
 
 
 def test_nonuniform_mixed_lengths_counts():
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.from_length_maps(k3, [{2: 1}, {4: 1}, {2: 1}])
-    out = replace_edges_nonuniform(k3, spec)
+    spec = ReplacementSpec(3, {(0, 1): {2: 1}, (0, 2): {4: 1}, (1, 2): {2: 1}})
+    out = replace_edges_nonuniform(spec)
     # internal vertices: (2-1) + (4-1) + (2-1) = 5; edges: 2 + 4 + 2 = 8
     assert (out.n, out.num_edges) == (8, 8)
     assert out.num_edges == sum(k * c for k, c in spec.totals().items())
@@ -228,21 +246,56 @@ def test_nonuniform_mixed_lengths_counts():
 
 def test_spec_rejects_duplicate_unit_paths():
     with pytest.raises(ValueError):
-        ReplacementSpec.from_length_maps(Graph(2, ((0, 1),)), [{1: 2}])
+        ReplacementSpec(2, {(0, 1): {1: 2}})
 
 
 def test_spec_mismatch_rejected():
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.uniform(k3, [2])
-    with pytest.raises(ValueError):
-        replace_edges_nonuniform(complete_graph(4), spec)
-    with pytest.raises(ValueError, match="one length multiset"):
-        ReplacementSpec.from_length_maps(k3, [{2: 1}, {4: 1}])
+    data = ReplacementSpec.uniform(complete_graph(3), [2]).to_json_dict()
+    data["lengths"].pop()
+    with pytest.raises(ValueError, match="one length list"):
+        ReplacementSpec.from_json_dict(data)
+
+
+def test_spec_pairs_each_bundle_with_its_edge():
+    # the length-2 path is meant for (1, 2) and the length-4 one for (0, 1),
+    # whatever order the edges come in
+    spec = ReplacementSpec(3, (((1, 2), ((2, 1),)), ((0, 1), ((4, 1),))))
+    assert spec.bundles == (((0, 1), ((4, 1),)), ((1, 2), ((2, 1),)))
+    assert spec == ReplacementSpec(3, {(1, 2): {2: 1}, (0, 1): {4: 1}})
+    # vertex 3 lies on the length-4 path from 0 to 1
+    out = replace_edges_nonuniform(spec)
+    assert out.edges == ((0, 3), (1, 5), (1, 6), (2, 6), (3, 4), (4, 5))
+
+
+def test_spec_rejects_an_edge_given_twice():
+    with pytest.raises(ValueError, match="duplicate edge"):
+        ReplacementSpec(2, (((0, 1), {2: 1}), ((1, 0), {4: 1})))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_spec_ignores_pair_order_and_edge_orientation(data):
+    n = data.draw(st.integers(min_value=2, max_value=5))
+    edges = data.draw(st.lists(
+        st.sampled_from(list(complete_graph(n).edges)), min_size=1,
+        unique=True))
+    bundle = st.dictionaries(st.integers(min_value=2, max_value=4),
+                             st.integers(min_value=0, max_value=2),
+                             max_size=2)
+    pairs = [(e, data.draw(bundle)) for e in sorted(edges)]
+    spec = ReplacementSpec(n, pairs)
+    shuffled = data.draw(st.permutations(pairs))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                               max_size=len(pairs)))
+    moved = ReplacementSpec(n, [((v, u) if flip else (u, v), bundle)
+                                for ((u, v), bundle), flip
+                                in zip(shuffled, flips)])
+    assert moved == spec
+    assert replace_edges_nonuniform(moved) == replace_edges_nonuniform(spec)
 
 
 def test_spec_alpha_values():
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.from_length_maps(k3, [{2: 1}, {4: 1}, {2: 1}])
+    spec = ReplacementSpec(3, {(0, 1): {2: 1}, (0, 2): {4: 1}, (1, 2): {2: 1}})
     assert spec.alphas() == {2: Fraction(2, 3), 4: Fraction(1, 3)}
     # edge-count consistency: sum_k k * alpha_k * C(h,2) == e(H')
     assert sum(k * a * 3 for k, a in spec.alphas().items()) == sum(
@@ -250,16 +303,24 @@ def test_spec_alpha_values():
 
 
 def test_spec_json_roundtrip():
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.from_length_maps(k3, [{2: 2}, {4: 1}, {2: 1}])
+    spec = ReplacementSpec(3, {(0, 1): {2: 2}, (0, 2): {4: 1}, (1, 2): {2: 1}})
     assert ReplacementSpec.from_json_dict(spec.to_json_dict()) == spec
+
+
+def test_spec_json_file_with_unsorted_reversed_edges(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "n": 3, "edges": [[2, 1], [0, 1]],
+        "lengths": [[{"k": 2, "count": 1}], [{"k": 4, "count": 1}]],
+    }))
+    back = ReplacementSpec.from_json_dict(json.loads(path.read_text()))
+    assert back == ReplacementSpec(3, {(1, 2): {2: 1}, (0, 1): {4: 1}})
 
 
 def test_spec_json_requires_n():
     # vertex 3 is isolated: "n" cannot be read off the edges, and C(4, 2)
     # sets the exponents
-    host = Graph(4, ((0, 1), (1, 2)))
-    spec = ReplacementSpec.from_length_maps(host, [{2: 1}, {2: 1}])
+    spec = ReplacementSpec(4, {(0, 1): {2: 1}, (1, 2): {2: 1}})
     data = spec.to_json_dict()
     back = ReplacementSpec.from_json_dict(data)
     assert back == spec
@@ -290,7 +351,7 @@ def test_spec_json_takes_integers_only(field, value):
                                     ((2, True),), (("2", 1),)])
 def test_spec_rejects_non_integer_lengths_and_counts(bundle):
     with pytest.raises(ValueError, match="not an integer"):
-        ReplacementSpec(2, ((0, 1),), (bundle,))
+        ReplacementSpec(2, (((0, 1), bundle),))
 
 
 @pytest.mark.parametrize("build, lengths", [
@@ -310,7 +371,7 @@ def test_gadget_constructors_reject_non_integer_lengths(build, lengths):
 
 def test_semidirect_glued_edges_make_c4():
     out = semidirect_product(Graph(2, ((0, 1),)), {0}, 1, complete_graph(2), 1)
-    assert is_isomorphic(out, cycle_graph(4))
+    assert find_isomorphism(out, cycle_graph(4)) is not None
 
 
 def test_semidirect_empty_gluing_set():
@@ -337,18 +398,17 @@ def test_semidirect_matches_direct_clique_subdivision(h, l1, l2):
     via_product = semidirect_product(
         path_graph(l2), {0}, l2, complete_graph(h - 1), l1
     )
-    kh = complete_graph(h)
-    spec = ReplacementSpec.from_length_maps(
-        kh, [{l2 if 0 in e else 2 * l1: 1} for e in kh.edges])
-    direct = replace_edges_nonuniform(kh, spec)
+    spec = ReplacementSpec(h, {e: {l2 if 0 in e else 2 * l1: 1}
+                               for e in complete_graph(h).edges})
+    direct = replace_edges_nonuniform(spec)
     assert via_product.n == direct.n
     assert via_product.num_edges == direct.num_edges
-    assert is_isomorphic(via_product, direct)
+    assert find_isomorphism(via_product, direct) is not None
 
 
 def test_semidirect_h3_l1_l1_is_c4():
     out = semidirect_product(path_graph(1), {0}, 1, complete_graph(2), 1)
-    assert is_isomorphic(out, cycle_graph(4))
+    assert find_isomorphism(out, cycle_graph(4)) is not None
 
 
 # -- disjoint union ----------------------------------------------------------
@@ -368,41 +428,36 @@ def test_union_with_empty_is_identity():
 # -- classifier --------------------------------------------------------------
 
 def test_classifier_divisible_case():
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.uniform(k3, [2])
-    out = classify_theorem12(k3, spec)
+    spec = ReplacementSpec.uniform(complete_graph(3), [2])
+    out = classify_theorem12(spec)
     assert out.case is Theorem12Case.DIVISIBLE
     assert out.certificate["alpha"] == {2: 1}
 
 
 def test_classifier_not_covered_with_offending_class():
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.from_length_maps(k3, [{2: 1}, {4: 1}, {6: 1}])
-    out = classify_theorem12(k3, spec)
+    spec = ReplacementSpec(3, {(0, 1): {2: 1}, (0, 2): {4: 1}, (1, 2): {6: 1}})
+    out = classify_theorem12(spec)
     assert out.case is Theorem12Case.NOT_COVERED
     assert out.certificate["k"] == 1
     assert out.certificate["length"] == 2
 
 
 def test_classifier_divisible_priority_over_single_length():
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.uniform(k3, [4])
-    out = classify_theorem12(k3, spec)
+    spec = ReplacementSpec.uniform(complete_graph(3), [4])
+    out = classify_theorem12(spec)
     assert out.case is Theorem12Case.DIVISIBLE
 
 
 def test_classifier_single_length():
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.from_length_maps(k3, [{4: 2}, {4: 1}, {4: 1}])
-    out = classify_theorem12(k3, spec)
+    spec = ReplacementSpec(3, {(0, 1): {4: 2}, (0, 2): {4: 1}, (1, 2): {4: 1}})
+    out = classify_theorem12(spec)
     assert out.case is Theorem12Case.SINGLE_LENGTH
     assert out.certificate["alpha"] == Fraction(4, 3)
 
 
 def test_classifier_rejects_odd_lengths():
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.uniform(k3, [3])
-    out = classify_theorem12(k3, spec)
+    spec = ReplacementSpec.uniform(complete_graph(3), [3])
+    out = classify_theorem12(spec)
     assert out.case is Theorem12Case.NOT_COVERED
     assert out.certificate["reason"] == "odd path length present"
 
@@ -415,9 +470,8 @@ def test_classifier_rejects_odd_lengths():
 def test_classifier_uniform_even_on_cliques_is_divisible(h, lengths):
     if lengths.count(1) > 1:
         return
-    kh = complete_graph(h)
-    spec = ReplacementSpec.uniform(kh, lengths)
-    assert classify_theorem12(kh, spec).case is Theorem12Case.DIVISIBLE
+    spec = ReplacementSpec.uniform(complete_graph(h), lengths)
+    assert classify_theorem12(spec).case is Theorem12Case.DIVISIBLE
 
 
 # -- tree decompositions -----------------------------------------------------
@@ -449,20 +503,21 @@ def test_tree_decomposition_validate_catches_disconnected_vertex():
 
 def test_odd_theta_31_matches_frozen_construction():
     g, td = odd_theta_decomposition([3, 1])
-    assert is_isomorphic(g, cycle_graph(4))
+    assert find_isomorphism(g, cycle_graph(4)) is not None
     assert td.bags == (frozenset({0, 1, 2}), frozenset({1, 2, 3}))
     assert td.tree_edges == ((0, 1),)
 
 
 def test_odd_theta_33_is_c6():
     g, td = odd_theta_decomposition([3, 3])
-    assert is_isomorphic(g, cycle_graph(6))
+    assert find_isomorphism(g, cycle_graph(6)) is not None
     td.validate(g)
 
 
 def test_odd_theta_531_arm_structure():
     g, td = odd_theta_decomposition([5, 3, 1])
-    assert is_isomorphic(g, generalized_theta([5, 3, 1], "odd").graph)
+    theta = generalized_theta([5, 3, 1], "odd").graph
+    assert find_isomorphism(g, theta) is not None
     # star decomposition: center plus one leaf bag per longer path
     assert td.tree_edges == ((0, 1), (0, 2))
     # center spider arms 1, 2, 1 -> bag of size 1 + 1 + 2 + 1
@@ -489,8 +544,8 @@ def test_odd_theta_decomposition_always_valid(lengths):
     g, td = odd_theta_decomposition(lengths)
     td.validate(g)
     assert g.num_edges == sum(lengths)
-    assert is_isomorphic(g, generalized_theta(sorted(lengths, reverse=True),
-                                              "odd").graph)
+    theta = generalized_theta(sorted(lengths, reverse=True), "odd").graph
+    assert find_isomorphism(g, theta) is not None
 
 
 # -- isomorphism utilities ---------------------------------------------------
@@ -513,4 +568,4 @@ def test_non_isomorphic_same_degrees():
     # C6 vs two triangles: identical degree sequences, different graphs
     g1 = cycle_graph(6)
     g2 = disjoint_union(complete_graph(3), complete_graph(3))
-    assert not is_isomorphic(g1, g2)
+    assert find_isomorphism(g1, g2) is None

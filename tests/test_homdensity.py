@@ -784,47 +784,44 @@ def test_holder_uniform_complete_host_equality():
         host = complete_graph(3)
         spec = ReplacementSpec.uniform(host, lengths)
         w = random_symmetric(rng, 3)
-        bound = holder_lower_bound(host, spec, w)
+        bound = holder_lower_bound(spec, w)
         assert bound.mode == "exact"
-        direct = hom_density(replace_edges_nonuniform(host, spec), w).value
+        direct = hom_density(replace_edges_nonuniform(spec), w).value
         assert bound.value == direct
 
 
 def test_holder_constant_graphon_value():
     host = complete_graph(3)
     spec = ReplacementSpec.uniform(host, [2])
-    bound = holder_lower_bound(host, spec, constant_graphon(F(1, 2), 2))
+    bound = holder_lower_bound(spec, constant_graphon(F(1, 2), 2))
     assert bound.value == F(1, 2) ** 6
 
 
 def test_holder_path_host_fractional_alpha():
     # two-edge path with bundles {2:1} and {2:2}: alpha_2 = 1, still integral
-    host = path_graph(2)
-    spec = ReplacementSpec.from_length_maps(host, [{2: 1}, {2: 2}])
+    spec = ReplacementSpec(3, {(0, 1): {2: 1}, (1, 2): {2: 2}})
     assert spec.alphas() == {2: F(1)}
     rng = random.Random(67)
     for _ in range(20):
         half = [F(rng.randrange(13), 12) for _ in range(3)]
         w = circulant_graphon([half[0], half[1], half[2], half[2], half[1]])
-        lhs = hom_density(replace_edges_nonuniform(host, spec), w).value
-        bound = holder_lower_bound(host, spec, w).value
+        lhs = hom_density(replace_edges_nonuniform(spec), w).value
+        bound = holder_lower_bound(spec, w).value
         assert lhs >= bound
 
 
 def test_holder_noninteger_alpha_uses_float():
-    host = path_graph(2)
-    spec = ReplacementSpec.from_length_maps(host, [{2: 1}, {4: 1}])
+    spec = ReplacementSpec(3, {(0, 1): {2: 1}, (1, 2): {4: 1}})
     assert spec.alphas() == {2: F(1, 3), 4: F(1, 3)}
     w = circulant_graphon([F(1, 2), F(1, 3), F(1, 3)])
-    bound = holder_lower_bound(host, spec, w)
+    bound = holder_lower_bound(spec, w)
     assert bound.mode == "float"
-    lhs = float(hom_density(replace_edges_nonuniform(host, spec), w).value)
+    lhs = float(hom_density(replace_edges_nonuniform(spec), w).value)
     assert lhs >= float(bound.value) - 1e-12
 
 
 def test_holder_zero_weight_entries_use_zero_power_convention():
-    host = path_graph(2)
-    spec = ReplacementSpec.from_length_maps(host, [{2: 1}, {4: 1}])
+    spec = ReplacementSpec(3, {(0, 1): {2: 1}, (1, 2): {4: 1}})
     w = StepGraphon([[0, 0], [0, 0]])
-    bound = holder_lower_bound(host, spec, w)
+    bound = holder_lower_bound(spec, w)
     assert float(bound.value) == 0.0

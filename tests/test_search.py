@@ -169,9 +169,8 @@ REGRESSION_CASES = {
 def theta224():
     from sidlab.graphs import ReplacementSpec, replace_edges_nonuniform
 
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.from_length_maps(k3, [{2: 1}, {2: 1}, {4: 1}])
-    return replace_edges_nonuniform(k3, spec)
+    spec = ReplacementSpec(3, {(0, 1): {2: 1}, (0, 2): {2: 1}, (1, 2): {4: 1}})
+    return replace_edges_nonuniform(spec)
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSION_CASES))
@@ -259,10 +258,9 @@ def test_search_instance_outside_proved_families():
     from sidlab.graphs import ReplacementSpec, Theorem12Case, \
         classify_theorem12, replace_edges_nonuniform
 
-    k3 = complete_graph(3)
-    spec = ReplacementSpec.from_length_maps(k3, [{2: 1}, {2: 1}, {4: 1}])
-    assert classify_theorem12(k3, spec).case is Theorem12Case.NOT_COVERED
-    target = replace_edges_nonuniform(k3, spec)
+    spec = ReplacementSpec(3, {(0, 1): {2: 1}, (0, 2): {2: 1}, (1, 2): {4: 1}})
+    assert classify_theorem12(spec).case is Theorem12Case.NOT_COVERED
+    target = replace_edges_nonuniform(spec)
     assert target.is_bipartite()
     res = search_counterexample(target, n=3, d=F(1, 2), starts=8, iters=200,
                                 seed=11)

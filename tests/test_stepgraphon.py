@@ -240,13 +240,6 @@ def test_local_density_witness_recheck_is_exact():
     assert again == rep.deficit_exact
 
 
-def test_local_density_report_json():
-    rep = local_density_deficit(constant_graphon(F(1, 4), 2), F(1, 4))
-    data = rep.to_json_dict()
-    assert data["method"] == "exact"
-    assert len(data["witness"]) == 2
-
-
 def test_local_density_rejects_bad_target():
     with pytest.raises(ValueError):
         local_density_deficit(BIP, F(3, 2))
