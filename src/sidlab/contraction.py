@@ -6,8 +6,11 @@ Evaluates sums of the form
         prod over edges (u, v) of  A[phi(u)][phi(v)]
 
 where pinned vertices are fixed to given steps and kept vertices survive as
-output axes.  One bucket-elimination engine (greedy min-fill order, one
-einsum per eliminated vertex) runs on either of two arrays:
+output axes.  One bucket-elimination engine runs on either of two arrays.
+It eliminates the vertices in greedy min-fill order.  A vertex's bucket
+first multiplies pairs of its factors, without summing, while a pair spans
+fewer variables than the whole bucket; then one einsum sums the vertex out
+of what is left.  The two arrays are:
 
 * exact: Python ints in an object array, a ``StepGraphon``'s cached grid or
   a raw rational grid times the lcm q of its denominators.  No step divides;
@@ -19,9 +22,9 @@ einsum per eliminated vertex) runs on either of two arrays:
 Each contraction shape (vertex count, edge list, pinned-vertex set, kept
 vertices) is compiled once, in the elimination-order cache, into one
 ``EliminationOrder``: the vertex sequence, and which grid rows feed which
-operand with one einsum subscript string per step.  The engine runs it in
-either dtype; the pinned steps are read per call, so one order serves every
-pin target.
+operand with one einsum subscript string per step, pairwise products
+included.  The engine runs it in either dtype; the pinned steps are read
+per call, so one order serves every pin target.
 
 The brute-force oracle enumerates every assignment over the same two grids,
 in numpy chunks of assignment indices, and forms each assignment's product
@@ -67,15 +70,17 @@ _EINSUM_MAX_OPERANDS = 32
 # sublist form, so a plan's subscript strings run the very same contraction.
 _LABELS = string.ascii_uppercase + string.ascii_lowercase
 # What a plan step does with its einsum result: keep it as a new operand
-# without dividing (a chunk of an oversized bucket), divide it by n and keep
-# it, or divide it by n and multiply it into the constant.
+# without dividing (a chunk of an oversized bucket, or the product of two of
+# a bucket's factors), divide it by n and keep it, or divide it by n and
+# multiply it into the constant.
 _FOLD, _FACTOR, _SCALAR = range(3)
 
 
 class EliminationOrder(NamedTuple):
     """One contraction shape, compiled: ``arities[i]`` counts the variables
-    of the factor built when ``vertices[i]`` is summed out (it and its
-    current neighbors), so the largest arity is ``width + 1``.
+    of the bucket in which ``vertices[i]`` is summed out (it and its current
+    neighbors), so the largest arity is ``width + 1``; a pairwise product
+    inside a bucket spans fewer.
 
     Operand slots are numbered in creation order: first one per edge with
     an unpinned endpoint, then one per step whose result stays an operand
@@ -83,10 +88,11 @@ class EliminationOrder(NamedTuple):
     the grid, except that each ``(s, p, column)`` of ``rows`` puts in slot s
     the row of the grid at pinned vertex p's step, or its column when p is
     the edge's second endpoint.  ``steps`` are ``(subscripts, kind,
-    *slots)``, flat to keep a cached order small.  ``tail`` is None when
-    nothing is kept, else ``(subscripts, covered, *slots)``: the einsum of
-    what is left (None if nothing is) into the kept vertices that
-    ``covered`` marks.
+    *slots)``, flat to keep a cached order small; a bucket's ``_FOLD``
+    steps, its chunks and then its pairwise products, come before the step
+    that sums its vertex out.  ``tail`` is None when nothing is kept, else
+    ``(subscripts, covered, *slots)``: the einsum of what is left (None if
+    nothing is) into the kept vertices that ``covered`` marks.
     """
 
     vertices: tuple
@@ -139,17 +145,38 @@ def _compile(edges, pinset, keep, vertices, arities):
     edge_slots = len(scopes)
     steps = []
 
+    def product(group):
+        # a _FOLD step multiplying ``group`` without summing, keeping every
+        # variable; returns the slot of its result
+        out_vars = tuple(sorted({w for s in group for w in scopes[s]}))
+        steps.append((_subscripts([scopes[s] for s in group], out_vars),
+                      _FOLD, *group))
+        scopes.append(out_vars)
+        return len(scopes) - 1
+
     def fold(group):
         # np.einsum takes at most 32 operands before NumPy 2 (64 since), and
         # a high-degree vertex can collect more factors than that: fold them
-        # in chunks first, each keeping all of its variables.
+        # in chunks first.
         while len(group) > _EINSUM_MAX_OPERANDS:
-            head = group[:_EINSUM_MAX_OPERANDS]
-            head_vars = tuple(sorted({w for s in head for w in scopes[s]}))
-            steps.append((_subscripts([scopes[s] for s in head], head_vars),
-                          _FOLD, *head))
-            scopes.append(head_vars)
-            group = [len(scopes) - 1] + group[_EINSUM_MAX_OPERANDS:]
+            group = ([product(group[:_EINSUM_MAX_OPERANDS])]
+                     + group[_EINSUM_MAX_OPERANDS:])
+        return group
+
+    def pair_up(group, bucket_size):
+        # Multiply the two factors of smallest joint scope (the earliest
+        # such pair) into one while that product spans fewer variables than
+        # the whole bucket: it enumerates fewer index tuples than the
+        # bucket's einsum, which then multiplies one factor fewer per tuple.
+        # A product as wide as the bucket saves nothing.
+        while len(group) > 2:
+            size, i, j = min(
+                (len(set(scopes[group[i]]).union(scopes[group[j]])), i, j)
+                for i, j in itertools.combinations(range(len(group)), 2))
+            if size >= bucket_size:
+                break
+            group[i] = product([group[i], group[j]])
+            del group[j]
         return group
 
     # ``live`` lists the slots not yet consumed, in the order the factors
@@ -163,7 +190,7 @@ def _compile(edges, pinset, keep, vertices, arities):
         live = [s for s in live if v not in scopes[s]]
         out_vars = tuple(sorted({w for s in group for w in scopes[s]
                                  if w != v}))
-        group = fold(group)
+        group = pair_up(fold(group), len(out_vars) + 1)
         steps.append((_subscripts([scopes[s] for s in group], out_vars),
                       _FACTOR if out_vars else _SCALAR, *group))
         if out_vars:

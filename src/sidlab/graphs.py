@@ -141,7 +141,7 @@ def complete_graph(h: int) -> Graph:
 
 def complete_multipartite(sizes) -> Graph:
     """Complete multipartite graph with consecutive index blocks as parts."""
-    sizes = list(sizes)
+    sizes = [_integer(s, "part size") for s in sizes]
     if any(s <= 0 for s in sizes):
         raise ValueError("part sizes must be positive")
     bounds = []
@@ -157,6 +157,7 @@ def complete_multipartite(sizes) -> Graph:
 
 def path_graph(length: int) -> Graph:
     """Path with ``length`` edges on vertices 0..length."""
+    length = _integer(length, "path length")
     if length < 0:
         raise ValueError("path length must be nonnegative")
     return Graph(length + 1, tuple((i, i + 1) for i in range(length)))
@@ -376,6 +377,7 @@ def subdivide(graph: Graph, times: int) -> Graph:
 
     New vertices are appended per edge in sorted edge order.
     """
+    times = _integer(times, "subdivision count")
     if times < 0:
         raise ValueError("subdivision count must be nonnegative")
     edges = []
@@ -435,6 +437,8 @@ def semidirect_product(h1: Graph, independent_set, a: int, h2: Graph,
     edge order.
     """
     shared = sorted(set(independent_set))
+    a = _integer(a, "vertex")
+    subdivision_k = _integer(subdivision_k, "subdivision parameter")
     if any(not (0 <= w < h1.n) for w in shared):
         raise ValueError("independent set contains invalid vertices")
     if not (0 <= a < h1.n):

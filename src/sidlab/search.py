@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class ProjectionError(RuntimeError):
 
 def _affine_project(m: np.ndarray, row_target: float) -> np.ndarray:
     """Frobenius projection onto symmetric grids with constant row sums,
-    applied to each grid of a ``(..., n, n)`` stack; exact on Fractions."""
+    applied to each grid of a ``(..., n, n)`` stack."""
     n = m.shape[-1]
     r = row_target - m.sum(axis=-1)
     sigma = r.sum(axis=-1, keepdims=True) / (2 * n)
@@ -294,9 +295,11 @@ def certify_violation(graph: Graph, matrix, d=None,
                       max_denominator: int = 10 ** 6) -> dict | None:
     """Exact-arithmetic recheck of a float witness.
 
-    Rationalizes every entry by continued fractions, re-projects the affine
-    row-sum constraint exactly when a degree is given, clamps to [0, 1], and
-    recomputes both sides of the density inequality over the rationals.
+    Rationalizes every distinct entry by continued fractions, symmetrizes,
+    re-projects the affine row-sum constraint exactly when a degree is
+    given, clamps to [0, 1], and recomputes both sides of the density
+    inequality over the rationals.  Every step between the rationalized
+    entries and the graphon runs on one integer grid over one denominator.
     Returns a JSON-able certificate when the violation survives, else None.
     Raises ValueError for an empty or non-square grid, or d outside [0, 1].
     """
@@ -306,12 +309,26 @@ def certify_violation(graph: Graph, matrix, d=None,
     if d is not None and not 0 <= Fraction(d) <= 1:
         raise ValueError("degree must lie in [0, 1]")
     n = m.shape[0]
-    x = np.array([[Fraction(v).limit_denominator(max_denominator) for v in row]
-                  for row in m.tolist()], dtype=object)
-    x = (x + x.T) / 2
+    rational = {v: Fraction(v).limit_denominator(max_denominator)
+                for v in set(m.ravel().tolist())}
+    lcd = lcm(*(x.denominator for x in rational.values()))
+    scaled = {v: x.numerator * (lcd // x.denominator)
+              for v, x in rational.items()}
+    x = np.array([[scaled[v] for v in row] for row in m.tolist()],
+                 dtype=object)
+    # the symmetrized grid (x + x^T) / 2 is s / q
+    s, q = x + x.T, 2 * lcd
     if d is not None:
-        x = _affine_project(x, Fraction(d) * n)
-    w = StepGraphon(np.clip(x, 0, 1))
+        # ``_affine_project`` onto row sums n*d, d = a/b, in closed form:
+        # with r_i = q*n*a - b*sum_j s_ij and t_i = 2n*r_i - sum r, its
+        # bump mu_i + mu_j is (t_i + t_j) / (2 n^2 b q)
+        a, b = Fraction(d).as_integer_ratio()
+        r = q * n * a - b * s.sum(axis=1)
+        t = 2 * n * r - r.sum()
+        s = 2 * n * n * b * s + (t[:, None] + t[None, :])
+        q *= 2 * n * n * b
+    w = StepGraphon._from_integers(np.minimum(np.maximum(s, 0), q).tolist(),
+                                   q)
     lhs = contraction.contract_exact(graph.n, graph.edges, w, n)
     rhs = edge_density(w) ** graph.num_edges
     if lhs >= rhs:

@@ -302,6 +302,13 @@ def test_high_degree_vertex_contracts():
                - float(expected)) < 1e-12
     assert contract_exact(star.n, star.edges, w.values, 3,
                           keep=(0,)) == tuple(at_hub)
+    # chunking leaves at most 32 operands in a bucket, which bounds the
+    # pairwise products in it: with the hub kept the plan is 70 leaf steps
+    # and the tail's two chunks; without it, 69 leaf steps, then the
+    # bucket of the hub and the last leaf: two chunks, 6 products of the 7
+    # unary leaf factors they leave, the hub's step, and the last leaf's
+    assert len(elimination_order(star.n, star.edges, keep=(0,)).steps) == 72
+    assert len(elimination_order(star.n, star.edges).steps) == 69 + 2 + 6 + 2
     stack = random_float_stack(np.random.default_rng(71), 3, 3)
     for keep in ((), (0,)):
         batched = contract_float(star.n, star.edges, stack, 3, keep=keep)
@@ -311,6 +318,37 @@ def test_high_degree_vertex_contracts():
             ref = (grid.sum(axis=1) / 3) ** leaves
             np.testing.assert_allclose(alone, ref if keep else ref.mean(),
                                        rtol=1e-12)
+
+
+def test_dense_bucket_multiplies_pairwise():
+    # K5's first bucket AB,AC,AD,AE->BCDE multiplies AB,AC and then AD,AE
+    # (three-variable products) and only then sums A out of their product
+    plan = elimination_order(5, complete_graph(5).edges).steps
+    assert [step[:2] for step in plan[:3]] == [
+        ("...AB,...AC->...ABC", contraction._FOLD),
+        ("...AB,...AC->...ABC", contraction._FOLD),
+        ("...ABC,...ADE->...BCDE", contraction._FACTOR),
+    ]
+    assert all(len(step) == 4 for step in plan
+               if step[1] == contraction._FOLD)
+
+
+@pytest.mark.parametrize("graph, n", [
+    (complete_graph(4), 2), (complete_graph(4), 3),
+    (complete_graph(5), 2), (complete_graph(5), 3),
+    (complete_multipartite([3, 3]), 2), (complete_multipartite([3, 3]), 3),
+    (replace_edges(complete_graph(4), generalized_theta([2, 2])), 2),
+])
+@pytest.mark.parametrize("keep", [(), (0,), (1, 0)])
+def test_pairwise_buckets_match_the_oracle(graph, n, keep):
+    # raw_contractions draws at most 8 edges and never fills a bucket with
+    # four factors; these dense shapes multiply factors pairwise in their
+    # buckets (K4 and K5 hosts, K3,3 and the theta(2,2) replacement of K4)
+    w = random_symmetric(random.Random(graph.n * 10 + n), n)
+    exact = contract_exact(graph.n, graph.edges, w, n, keep=keep)
+    assert exact == bruteforce_exact(graph.n, graph.edges, w, n, keep=keep)
+    fl = contract_float(graph.n, graph.edges, w.float_matrix, n, keep=keep)
+    assert np.max(np.abs(fl - np.array(exact, dtype=float))) < 1e-12
 
 
 def test_width_cap_enforced(monkeypatch):

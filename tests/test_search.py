@@ -391,3 +391,46 @@ def test_certify_equals_the_fraction_loops(monkeypatch, d):
         assert json.dumps(cert) == json.dumps(expected)
         certified += cert is not None
     assert certified > 0
+
+
+def symmetric_witnesses():
+    """Exactly symmetric float witnesses that repeat entries: the winners of
+    short searches, a two-block near-bipartite grid and a grid drawn from a
+    few values, some outside [0, 1]."""
+    out = [search_counterexample(graph, n=n, d=d, starts=2, iters=15,
+                                 seed=seed).best_w.float_matrix
+           for graph, n, d, seed in [(cycle_graph(4), 4, F(1, 2), 3),
+                                     (complete_multipartite([2, 3]), 5,
+                                      F(1, 3), 5)]]
+    blocks = np.full((4, 4), 0.9)
+    blocks[:2, :2] = blocks[2:, 2:] = 0.05
+    out.append(blocks)
+    rng = np.random.default_rng(21)
+    m = rng.choice([-0.1, 0.1, 1 / 3, 0.7, 1.05], size=(5, 5))
+    out.append(np.triu(m) + np.triu(m, 1).T)
+    return out
+
+
+@pytest.mark.parametrize("d", [None, F(1, 3), F(1, 2)])
+def test_certify_symmetric_witnesses_equal_the_fraction_loops(monkeypatch,
+                                                               d):
+    # each distinct float of a symmetric witness is rationalized once for
+    # all of its positions; the graphon and certificate must not notice
+    seen = []
+
+    def recording(w):
+        seen.append(w)
+        return edge_density(w)
+
+    monkeypatch.setattr(search, "edge_density", recording)
+    certified = 0
+    for m in symmetric_witnesses():
+        assert np.all(m == m.T) and len(np.unique(m)) < m.size
+        for graph in (complete_graph(3), cycle_graph(4)):
+            for max_denominator in (10, 10 ** 6):
+                w, expected = reference_certify(graph, m, d, max_denominator)
+                cert = certify_violation(graph, m, d, max_denominator)
+                assert seen.pop() == w
+                assert json.dumps(cert) == json.dumps(expected)
+                certified += cert is not None
+    assert certified > 0
