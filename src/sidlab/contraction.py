@@ -23,8 +23,10 @@ Each contraction shape (vertex count, edge list, pinned-vertex set, kept
 vertices) is compiled once, in the elimination-order cache, into one
 ``EliminationOrder``: the vertex sequence, and which grid rows feed which
 operand with one einsum subscript string per step, pairwise products
-included.  The engine runs it in either dtype; the pinned steps are read
-per call, so one order serves every pin target.
+included, in one pass that emits each min-fill vertex's bucket steps as it
+picks the vertex.  The engine runs it in either dtype; the pinned steps are
+read per call, so one order serves every pin target.  Only the two
+``contract_*`` entry points run the engine, for the density gradient too.
 
 The brute-force oracle enumerates every assignment over the same two grids,
 in numpy chunks of assignment indices, and forms each assignment's product
@@ -77,10 +79,11 @@ _FOLD, _FACTOR, _SCALAR = range(3)
 
 
 class EliminationOrder(NamedTuple):
-    """One contraction shape, compiled: ``arities[i]`` counts the variables
-    of the bucket in which ``vertices[i]`` is summed out (it and its current
-    neighbors), so the largest arity is ``width + 1``; a pairwise product
-    inside a bucket spans fewer.
+    """One contraction shape, compiled in the pass that picks its order:
+    ``arities[i]`` counts the variables of the bucket in which
+    ``vertices[i]`` is summed out (it and its current neighbors, a vertex
+    with a loop counted twice), so the largest arity is ``width + 1``; a
+    pairwise product inside a bucket spans fewer.
 
     Operand slots are numbered in creation order: first one per edge with
     an unpinned endpoint, then one per step whose result stays an operand
@@ -126,9 +129,13 @@ def _subscripts(scopes, out_vars):
     return sys.intern("".join(parts)[1:])
 
 
-def _compile(edges, pinset, keep, vertices, arities):
-    """The order that eliminates ``vertices`` in sequence, bucket by bucket,
-    with its plan compiled."""
+@lru_cache(maxsize=4096)
+def _elimination_order_cached(n_vertices, edges, pins, keep):
+    """The min-fill order of one contraction shape, compiled in the same
+    pass that picks it: each picked vertex's bucket steps are emitted from
+    the live factors, over the vertex's current neighbors."""
+    pinset = set(pins)
+    adj = {v: set() for v in range(n_vertices) if v not in pinset}
     rows, pinned_edges, scopes = [], [], []
     for edge in edges:
         u, v = edge
@@ -141,9 +148,24 @@ def _compile(edges, pinset, keep, vertices, arities):
         elif v in pinset:
             rows.append((len(scopes), v, True))
             edge = (u,)
+        else:
+            adj[u].add(v)
+            adj[v].add(u)
         scopes.append(edge)
     edge_slots = len(scopes)
     steps = []
+
+    def fill(v):
+        # pairs of distinct neighbors that are not adjacent; past two
+        # neighbors, each pair is counted once from either end (adjacency is
+        # symmetric)
+        nbrs = adj[v]
+        if len(nbrs) < 3:
+            if len(nbrs) < 2:
+                return 0
+            a, b = nbrs
+            return int(b not in adj[a])
+        return sum(len(nbrs - adj[a]) - (a not in adj[a]) for a in nbrs) // 2
 
     def product(group):
         # a _FOLD step multiplying ``group`` without summing, keeping every
@@ -180,16 +202,27 @@ def _compile(edges, pinset, keep, vertices, arities):
         return group
 
     # ``live`` lists the slots not yet consumed, in the order the factors
-    # were made; a bucket takes its factors in that order
-    live, isolated = list(range(edge_slots)), 0
-    for v in vertices:
+    # were made; a bucket takes its factors in that order.  Their scopes
+    # cover the current adjacency, so a bucket spans v and its neighbors.
+    vertices, arities, isolated = [], [], 0
+    live = list(range(edge_slots))
+    eliminable = set(adj) - set(keep)
+    while eliminable:
+        v = min(eliminable, key=lambda w: (fill(w), len(adj[w]), w))
+        eliminable.remove(v)
+        vertices.append(v)
+        # a loop leaves v among its own neighbors: the arity counts it
+        arities.append(len(adj[v]) + 1)
+        nbrs = adj.pop(v) - {v}
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(v)
         group = [s for s in live if v in scopes[s]]
         if not group:
             isolated += 1
             continue
         live = [s for s in live if v not in scopes[s]]
-        out_vars = tuple(sorted({w for s in group for w in scopes[s]
-                                 if w != v}))
+        out_vars = tuple(sorted(nbrs))
         group = pair_up(fold(group), len(out_vars) + 1)
         steps.append((_subscripts([scopes[s] for s in group], out_vars),
                       _FACTOR if out_vars else _SCALAR, *group))
@@ -211,44 +244,6 @@ def _compile(edges, pinset, keep, vertices, arities):
     return EliminationOrder(tuple(vertices), tuple(arities), edge_slots,
                             tuple(rows), tuple(pinned_edges), tuple(steps),
                             isolated, tail)
-
-
-@lru_cache(maxsize=4096)
-def _elimination_order_cached(n_vertices, edges, pins, keep):
-    pinset, keepset = set(pins), set(keep)
-    present = [v for v in range(n_vertices) if v not in pinset]
-    adj = {v: set() for v in present}
-    for u, v in edges:
-        if u in pinset or v in pinset:
-            continue
-        adj[u].add(v)
-        adj[v].add(u)
-    eliminable = set(present) - keepset
-
-    def fill(v):
-        # pairs of distinct neighbors that are not adjacent; past two
-        # neighbors, each pair is counted once from either end (adjacency is
-        # symmetric)
-        nbrs = adj[v]
-        if len(nbrs) < 3:
-            if len(nbrs) < 2:
-                return 0
-            a, b = nbrs
-            return int(b not in adj[a])
-        return sum(len(nbrs - adj[a]) - (a not in adj[a]) for a in nbrs) // 2
-
-    order, arities = [], []
-    while eliminable:
-        v = min(eliminable, key=lambda w: (fill(w), len(adj[w]), w))
-        order.append(v)
-        arities.append(len(adj[v]) + 1)
-        nbrs = set(adj[v])
-        for a in nbrs:
-            adj[a] |= nbrs - {a}
-            adj[a].discard(v)
-        del adj[v]
-        eliminable.remove(v)
-    return _compile(edges, pinset, keep, order, arities)
 
 
 def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:

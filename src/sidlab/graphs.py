@@ -136,6 +136,7 @@ class Graph:
 
 
 def complete_graph(h: int) -> Graph:
+    h = _integer(h, "vertex count")
     return Graph(h, tuple(itertools.combinations(range(h), 2)))
 
 
@@ -164,6 +165,7 @@ def path_graph(length: int) -> Graph:
 
 
 def cycle_graph(length: int) -> Graph:
+    length = _integer(length, "cycle length")
     if length < 3:
         raise ValueError("cycle length must be at least 3")
     edges = [(i, i + 1) for i in range(length - 1)] + [(length - 1, 0)]

@@ -97,7 +97,7 @@ def hom_density(graph: Graph, w: StepGraphon, mode: str = "exact",
     return DensityValue(value, mode, graph.n - len(pins))
 
 
-def _gradient(graph: Graph, a: np.ndarray) -> np.ndarray:
+def _gradient(graph: Graph, w, n_steps: int, contract) -> np.ndarray:
     """Density gradient from one cavity kernel per edge orbit.
 
     An automorphism of ``graph`` that maps edge (u, v) onto (u', v') maps
@@ -105,32 +105,30 @@ def _gradient(graph: Graph, a: np.ndarray) -> np.ndarray:
     orientation, so the representative's ``K + Kᵀ`` (both orientations)
     times the orbit's size stands for every edge of the orbit.
 
-    ``a`` is float64, giving the gradient itself, or an exact graphon's
-    ``integer_grid`` (see ``contraction._eliminate``), giving integers
-    that ``density_gradient`` divides by one common denominator.  A float
-    stack ``(..., n, n)`` gives one gradient per grid.
+    ``contract`` is ``contraction.contract_float``, with ``w`` a float grid
+    or a stack ``(..., n, n)`` of them (one gradient per grid), or
+    ``contraction.contract_exact``, with ``w`` a ``StepGraphon``, giving an
+    object array of Fractions.
     """
-    n = a.shape[-1]
-    exact = a.dtype == object
-    grid = np.zeros(a.shape, dtype=a.dtype)
     edges = graph.edges
+    # np.shape reads no batch axes off a StepGraphon
+    grid = np.zeros(np.shape(w)[:-2] + (n_steps, n_steps), dtype=int)
     for orbit in edge_orbits(graph):
         k = edges.index(orbit[0])
-        kernel, _ = contraction._eliminate(graph.n, edges[:k] + edges[k + 1:],
-                                           a, n, keep=orbit[0])
-        grid += len(orbit) * (kernel + np.swapaxes(kernel, -1, -2))
-    if not exact:
-        grid /= n ** 2
+        kernel = np.asarray(contract(graph.n, edges[:k] + edges[k + 1:], w,
+                                     n_steps, keep=orbit[0]))
+        grid = grid + len(orbit) * (kernel + np.swapaxes(kernel, -1, -2))
+    grid = grid / n_steps ** 2
     # The two orientations double off-diagonal entries but must not double
     # the diagonal, where both orientations are the same assignment.
-    i = np.arange(n)
-    diag = grid[..., i, i]
-    grid[..., i, i] = diag // 2 if exact else diag / 2.0
+    i = np.arange(n_steps)
+    grid[..., i, i] /= 2
     return grid
 
 
 def _gradient_float(graph: Graph, a: np.ndarray):
-    return _gradient(graph, np.asarray(a, dtype=float))
+    a = np.asarray(a, dtype=float)
+    return _gradient(graph, a, a.shape[-1], contraction.contract_float)
 
 
 def density_gradient(graph: Graph, w: StepGraphon):
@@ -141,11 +139,9 @@ def density_gradient(graph: Graph, w: StepGraphon):
     its partial collects both edge orientations; diagonal entries collect
     one.  Matches central finite differences of ``hom_density``.
     """
-    # each cavity has e - 1 edges and eliminates all but its two kept
-    # vertices; the 1/n^2 of the gradient makes n^(#vertices) in all
-    scale = Fraction(w.q) ** (1 - graph.num_edges) / w.n_steps ** graph.n
-    return tuple(tuple(scale * x for x in row)
-                 for row in _gradient(graph, w.integer_grid))
+    # Fraction() also reads the float zeros of an edgeless graph
+    return tuple(tuple(map(Fraction, row)) for row in
+                 _gradient(graph, w, w.n_steps, contraction.contract_exact))
 
 
 def deficit(graph: Graph, w: StepGraphon, d=None) -> Fraction:

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .contraction import _scaled_integer_grid, contract_exact
-from .graphs import RootedGraph
+from .graphs import RootedGraph, _integer
 
 __all__ = [
     "EXACT_STEP_CAP",
@@ -135,6 +135,8 @@ class StepGraphon:
         n, rows = data["n"], data["values"]
         if type(n) is not int or len(rows) != n:
             raise ValueError("graphon value grid does not match declared size")
+        if any(isinstance(x, bool) for row in rows for x in row):
+            raise ValueError("a graphon value is a boolean, not a number")
         return cls([[Fraction(x) for x in row] for row in rows])
 
 
@@ -337,6 +339,7 @@ def local_density_deficit(w: StepGraphon, d) -> LocalDensityReport:
 # ---------------------------------------------------------------------------
 
 def constant_graphon(d, n: int) -> StepGraphon:
+    n = _integer(n, "step count")
     d = Fraction(d)
     return StepGraphon._from_integers([[d.numerator] * n] * n, d.denominator)
 
@@ -406,6 +409,7 @@ def _switch_repair(pairs, rng: random.Random, max_attempts=3000):
 
 def regular_graph_graphon(n: int, deg: int, seed: int) -> StepGraphon:
     """Random simple deg-regular graph as a 0/1 graphon; (deg/n)-regular."""
+    n, deg = _integer(n, "step count"), _integer(deg, "degree")
     if deg < 0 or deg >= n:
         raise ValueError(f"degree {deg} infeasible for {n} vertices")
     if (n * deg) % 2 != 0:
@@ -439,6 +443,7 @@ def mixture_graphon(graphons, weights) -> StepGraphon:
 def pointwise_dense_graphon(n: int, d, noise, seed: int,
                             denominator: int = 64) -> StepGraphon:
     """Entries in [d, 1]: d plus rational noise; d-locally dense pointwise."""
+    n = _integer(n, "step count")
     d = Fraction(d)
     noise = Fraction(noise)
     if not 0 <= d <= 1 or not 0 <= noise <= 1:

@@ -201,15 +201,16 @@ def _trial_seeds(seed, count):
 # Random instance helpers (all driven by a caller-owned random.Random).
 # ---------------------------------------------------------------------------
 
-def _random_graph(rng, nv, edge_prob=0.6, min_edges=1) -> Graph:
+def _random_graph(rng, nv) -> Graph:
+    """Each pair an edge with probability 0.6, redrawn until one edge is."""
     for _ in range(64):
         edges = [
             (u, v)
             for u in range(nv)
             for v in range(u + 1, nv)
-            if rng.random() < edge_prob
+            if rng.random() < 0.6
         ]
-        if len(edges) >= min_edges:
+        if edges:
             return Graph(nv, tuple(edges))
     return complete_graph(nv)
 
@@ -229,21 +230,20 @@ def _random_theta(rng, parity="any"):
     return generalized_theta(lengths, parity)
 
 
-def _random_rational_graphon(rng, n, denominator=6) -> StepGraphon:
+def _random_rational_graphon(rng, n) -> StepGraphon:
+    """Entries drawn uniformly from 0, 1/6, ..., 1."""
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            grid[i][j] = grid[j][i] = rng.randrange(denominator + 1)
-    return StepGraphon._from_integers(grid, denominator)
+            grid[i][j] = grid[j][i] = rng.randrange(7)
+    return StepGraphon._from_integers(grid, 6)
 
 
-def _random_regular_graphon(rng, n, denominator=12) -> StepGraphon:
-    """Random regular rational graphon: permuted circulant, sometimes mixed
-    with a random regular graph adjacency (mixtures of regulars stay regular)."""
-    half = [
-        Fraction(rng.randrange(denominator + 1), denominator)
-        for _ in range(n // 2 + 1)
-    ]
+def _random_regular_graphon(rng, n) -> StepGraphon:
+    """Random regular rational graphon: permuted circulant with profile
+    entries in 0, 1/12, ..., 1, sometimes mixed with a random regular graph
+    adjacency (mixtures of regulars stay regular)."""
+    half = [Fraction(rng.randrange(13), 12) for _ in range(n // 2 + 1)]
     profile = [half[min(k, n - k)] for k in range(n)]
     w = circulant_graphon(profile)
     if n >= 3 and rng.random() < 0.4:

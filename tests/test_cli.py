@@ -352,6 +352,8 @@ REPORT = {"suite": "holder", "trials": 2, "failures": [], "seed": 0,
                  id="zero-denominator"),
     pytest.param("graphon", {"n": 2.5, "values": [["0", "1"], ["1", "0"]]},
                  id="graphon-fractional-n"),
+    pytest.param("graphon", {"n": 2, "values": [[True, False], [False, True]]},
+                 id="boolean-values"),
     pytest.param("report", [1, 2], id="report-a-list"),
     pytest.param("report", {**REPORT, "trials": 2.7}, id="fractional-trials"),
     pytest.param("report", {**REPORT, "max_gap": "0.5"}, id="string-max-gap"),

@@ -369,6 +369,8 @@ def test_gadget_constructors_reject_non_integer_lengths(build, lengths):
 
 SIZED_CONSTRUCTORS = {
     "path length": path_graph,
+    "cycle length": cycle_graph,
+    "vertex count": complete_graph,
     "part size": lambda x: complete_multipartite([x, 2]),
     "subdivision count": lambda x: subdivide(complete_graph(3), x),
     "subdivision parameter": lambda x: semidirect_product(
@@ -382,7 +384,8 @@ SIZED_CONSTRUCTORS = {
 @pytest.mark.parametrize("bad", [True, 1.0, 1.5])
 def test_sized_constructors_reject_non_integers(what, bad):
     # each read True as 1: path_graph(True) was K2, subdivide(K3, True) C6
-    # and complete_multipartite([True, 2]) K1,2
+    # and complete_multipartite([True, 2]) K1,2; cycle_graph(3.5) and
+    # complete_graph(2.5) raised TypeError
     with pytest.raises(ValueError, match=f"{what} {bad} is not an integer"):
         SIZED_CONSTRUCTORS[what](bad)
 

@@ -765,17 +765,24 @@ def test_orbit_gradient_equals_the_per_edge_sum(case):
     (THETA_224, 3),
     (frucht_graph(), 18),
 ])
-def test_gradient_contracts_each_edge_orbit_once(graph, cavities,
+@pytest.mark.parametrize("entry", ["contract_float", "contract_exact"])
+def test_gradient_contracts_each_edge_orbit_once(entry, graph, cavities,
                                                  monkeypatch):
+    # the gradient contracts through the public entry points, where the
+    # benchmark's tracer counts every cavity
     calls = []
-    eliminate = contraction._eliminate
+    contract = getattr(contraction, entry)
 
     def counting(*args, **kwargs):
         calls.append(kwargs["keep"])
-        return eliminate(*args, **kwargs)
+        return contract(*args, **kwargs)
 
-    monkeypatch.setattr(contraction, "_eliminate", counting)
-    _gradient_float(graph, constant_graphon(F(1, 2), 3).float_matrix)
+    monkeypatch.setattr(contraction, entry, counting)
+    w = constant_graphon(F(1, 2), 3)
+    if entry == "contract_float":
+        _gradient_float(graph, w.float_matrix)
+    else:
+        density_gradient(graph, w)
     assert len(calls) == cavities
 
 

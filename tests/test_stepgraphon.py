@@ -421,6 +421,25 @@ def test_generate_regular_graph_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("what, build", [
+    pytest.param("step count", lambda x: constant_graphon(F(1, 2), x),
+                 id="constant"),
+    pytest.param("step count", lambda x: regular_graph_graphon(x, 1, 1),
+                 id="regular-steps"),
+    pytest.param("degree", lambda x: regular_graph_graphon(4, x, 1),
+                 id="regular-degree"),
+    pytest.param("step count",
+                 lambda x: pointwise_dense_graphon(x, F(1, 2), F(1, 2), 1),
+                 id="pointwise-dense"),
+])
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5])
+def test_generators_reject_non_integer_sizes(what, build, bad):
+    # constant_graphon(1/2, True) was a 1-step graphon and
+    # regular_graph_graphon(4, True, 1) a 1-regular one
+    with pytest.raises(ValueError, match=f"{what} {bad} is not an integer"):
+        build(bad)
+
+
 def test_generate_regular_graph_infeasible():
     with pytest.raises(ValueError):
         regular_graph_graphon(5, 3, seed=0)  # odd n*deg
