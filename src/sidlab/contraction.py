@@ -25,8 +25,13 @@ vertices) is compiled once, in the elimination-order cache, into one
 operand with one einsum subscript string per step, pairwise products
 included, in one pass that emits each min-fill vertex's bucket steps as it
 picks the vertex.  The engine runs it in either dtype; the pinned steps are
-read per call, so one order serves every pin target.  Only the two
-``contract_*`` entry points run the engine, for the density gradient too.
+read per call, so one order serves every pin target.  Steps that repeat an
+earlier step of the same order (the same subscripts and kind, on operands
+that hold the same values, as each copy of a gadget in a replaced graph
+does) are evaluated once per call, and their result is handed to every
+repeat.  Only ``_contract_integers`` (behind ``contract_exact`` and the
+counting kernels) and ``contract_float`` run the engine, for the density
+gradient too.
 
 The brute-force oracle enumerates every assignment over the same two grids,
 in numpy chunks of assignment indices, and forms each assignment's product
@@ -90,12 +95,16 @@ class EliminationOrder(NamedTuple):
     (every step but a ``_SCALAR`` one).  The first ``edge_slots`` slots hold
     the grid, except that each ``(s, p, column)`` of ``rows`` puts in slot s
     the row of the grid at pinned vertex p's step, or its column when p is
-    the edge's second endpoint.  ``steps`` are ``(subscripts, kind,
-    *slots)``, flat to keep a cached order small; a bucket's ``_FOLD``
+    the edge's second endpoint.  ``steps`` are ``(subscripts, kind, source,
+    last, *slots)``, flat to keep a cached order small; a bucket's ``_FOLD``
     steps, its chunks and then its pairwise products, come before the step
-    that sums its vertex out.  ``tail`` is None when nothing is kept, else
-    ``(subscripts, covered, *slots)``: the einsum of what is left (None if
-    nothing is) into the kept vertices that ``covered`` marks.
+    that sums its vertex out.  ``source`` is the index of the first step
+    with the same subscripts and kind on operands that hold the same values:
+    a step is evaluated only when it is its own source, and a later step of
+    its class takes its result.  ``last`` marks the last step of a class,
+    after which that result is released.  ``tail`` is None when nothing is
+    kept, else ``(subscripts, covered, *slots)``: the einsum of what is left
+    (None if nothing is) into the kept vertices that ``covered`` marks.
     """
 
     vertices: tuple
@@ -133,10 +142,17 @@ def _subscripts(scopes, out_vars):
 def _elimination_order_cached(n_vertices, edges, pins, keep):
     """The min-fill order of one contraction shape, compiled in the same
     pass that picks it: each picked vertex's bucket steps are emitted from
-    the live factors, over the vertex's current neighbors."""
+    the live factors, over the vertex's current neighbors, and each step
+    is matched, by integer operand signatures, against the steps before
+    it."""
     pinset = set(pins)
     adj = {v: set() for v in range(n_vertices) if v not in pinset}
-    rows, pinned_edges, scopes = [], [], []
+    # ``sigs`` gives each slot an integer that two slots share only when
+    # they hold equal values: -1 for the grid, -2 - 2p - column for pinned
+    # vertex p's row or column (whatever its pin target), and for a step's
+    # result the index of the first step with the same subscripts, kind and
+    # operand signatures.
+    rows, pinned_edges, scopes, sigs = [], [], [], []
     for edge in edges:
         u, v = edge
         if u in pinset and v in pinset:
@@ -144,16 +160,29 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
             continue
         if u in pinset:
             rows.append((len(scopes), u, False))
-            edge = (v,)
+            edge, sig = (v,), -2 - 2 * u
         elif v in pinset:
             rows.append((len(scopes), v, True))
-            edge = (u,)
+            edge, sig = (u,), -3 - 2 * v
         else:
             adj[u].add(v)
             adj[v].add(u)
+            sig = -1
         scopes.append(edge)
+        sigs.append(sig)
     edge_slots = len(scopes)
-    steps = []
+    steps, first = [], {}
+
+    def emit(group, out_vars, kind):
+        # append a step contracting ``group`` down to ``out_vars``; a step
+        # that repeats an earlier one takes that step's index as its source
+        subscripts = _subscripts([scopes[s] for s in group], out_vars)
+        key = (subscripts, kind, *[sigs[s] for s in group])
+        source = first.setdefault(key, len(steps))
+        steps.append((subscripts, kind, source, *group))
+        if kind != _SCALAR:
+            scopes.append(out_vars)
+            sigs.append(source)
 
     def fill(v):
         # pairs of distinct neighbors that are not adjacent; past two
@@ -170,10 +199,8 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
     def product(group):
         # a _FOLD step multiplying ``group`` without summing, keeping every
         # variable; returns the slot of its result
-        out_vars = tuple(sorted({w for s in group for w in scopes[s]}))
-        steps.append((_subscripts([scopes[s] for s in group], out_vars),
-                      _FOLD, *group))
-        scopes.append(out_vars)
+        emit(group, tuple(sorted({w for s in group for w in scopes[s]})),
+             _FOLD)
         return len(scopes) - 1
 
     def fold(group):
@@ -224,10 +251,8 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
         live = [s for s in live if v not in scopes[s]]
         out_vars = tuple(sorted(nbrs))
         group = pair_up(fold(group), len(out_vars) + 1)
-        steps.append((_subscripts([scopes[s] for s in group], out_vars),
-                      _FACTOR if out_vars else _SCALAR, *group))
+        emit(group, out_vars, _FACTOR if out_vars else _SCALAR)
         if out_vars:
-            scopes.append(out_vars)
             live.append(len(scopes) - 1)
 
     tail = None
@@ -241,8 +266,13 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
         tail = (subscripts, tuple(k in covered for k in keep), *live)
     else:
         assert not live
+    # the last step of each class releases the result its source saved
+    last = {step[2]: k for k, step in enumerate(steps)}
+    steps = tuple((subscripts, kind, source, last[source] == k, *group)
+                  for k, (subscripts, kind, source, *group)
+                  in enumerate(steps))
     return EliminationOrder(tuple(vertices), tuple(arities), edge_slots,
-                            tuple(rows), tuple(pinned_edges), tuple(steps),
+                            tuple(rows), tuple(pinned_edges), steps,
                             isolated, tail)
 
 
@@ -251,10 +281,14 @@ def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
 
     Pinned vertices are dropped up front (their edges become unary lookups);
     kept vertices participate in the interaction graph but are never
-    eliminated.
+    eliminated.  ``pins`` is read as the ``contract_*`` entry points read
+    it, a dict or (vertex, step) pairs, and pins and kept vertices are
+    checked as they check them; the pin targets do not shape the order.
     """
+    keep = tuple(keep)
+    pins = _check_vertices(n_vertices, pins, keep)
     return _elimination_order_cached(
-        n_vertices, tuple(edges), tuple(sorted(pins)), tuple(keep)
+        n_vertices, tuple(edges), tuple(sorted(pins)), keep
     )
 
 
@@ -273,19 +307,12 @@ def _normalize_pins(pins) -> dict:
     return out
 
 
-def _check_inputs(n_vertices, a, n_steps, pins, keep, stack=False):
-    """Validate the grid, the pins and the kept vertices; returns the pin
-    map.  The grid's last two axes must be ``n_steps`` x ``n_steps``, and
-    only a ``stack`` may lead with batch axes."""
-    if a.shape[-2:] != (n_steps, n_steps) or a.ndim > 2 and not stack:
-        raise ValueError(f"grid of shape {a.shape} is not "
-                         f"{n_steps} x {n_steps}")
+def _check_vertices(n_vertices, pins, keep):
+    """Validate the pinned and the kept vertices; returns the pin map."""
     pins = _normalize_pins(pins)
-    for v, s in pins.items():
+    for v in pins:
         if not (0 <= v < n_vertices):
             raise ValueError(f"pinned vertex {v} out of range")
-        if not (0 <= s < n_steps):
-            raise ValueError(f"pin target step {s} out of range")
     if len(keep) > 2:
         raise ValueError("at most two kept vertices supported")
     for v in keep:
@@ -295,6 +322,20 @@ def _check_inputs(n_vertices, a, n_steps, pins, keep, stack=False):
         raise ValueError(f"kept vertices {keep} repeat a vertex")
     if set(pins) & set(keep):
         raise ValueError("a vertex cannot be both pinned and kept")
+    return pins
+
+
+def _check_inputs(n_vertices, a, n_steps, pins, keep, stack=False):
+    """Validate the grid, the pins and the kept vertices; returns the pin
+    map.  The grid's last two axes must be ``n_steps`` x ``n_steps``, and
+    only a ``stack`` may lead with batch axes."""
+    if a.shape[-2:] != (n_steps, n_steps) or a.ndim > 2 and not stack:
+        raise ValueError(f"grid of shape {a.shape} is not "
+                         f"{n_steps} x {n_steps}")
+    pins = _check_vertices(n_vertices, pins, keep)
+    for s in pins.values():
+        if not (0 <= s < n_steps):
+            raise ValueError(f"pin target step {s} out of range")
     return pins
 
 
@@ -366,12 +407,20 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
             # feeds einsum exactly as a row does
             at = np.ascontiguousarray(np.swapaxes(a, -1, -2))
         slots[s] = (at if column else a)[..., pins[p], :]
-    for subscripts, kind, *operands in order.steps:
-        result = np.einsum(subscripts, *[slots[i] for i in operands])
+    saved = {}
+    for k, (subscripts, kind, source, last, *operands) in \
+            enumerate(order.steps):
+        if source == k:
+            result = np.einsum(subscripts, *[slots[i] for i in operands])
+            if kind != _FOLD and not exact:
+                result = result / n_steps
+            if not last:
+                saved[k] = result
+        else:
+            # the same einsum on equal operands: its source's result
+            result = saved.pop(source) if last else saved[source]
         for i in operands:
             slots[i] = None
-        if kind != _FOLD and not exact:
-            result = result / n_steps
         if kind == _SCALAR:
             const = const * result
         else:
@@ -393,15 +442,24 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
     return full * partial.reshape(shape), len(order.vertices)
 
 
+def _contract_integers(n_vertices, edges, values, n_steps, pins=None,
+                       keep=()):
+    """The exact engine run: the integer result of ``_eliminate`` on the
+    scaled grid of ``values``, and its denominator q^{#edges} *
+    n^{#eliminated}."""
+    a, q = _scaled_integer_grid(values)
+    raw, eliminated = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
+    return raw, q ** len(edges) * n_steps ** eliminated
+
+
 def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
     """Exact contraction of a ``StepGraphon`` or a raw rational grid.
 
     Returns a Fraction when ``keep`` is empty, a tuple (vector) for one kept
     vertex, or a tuple of tuples (grid) for two.
     """
-    a, q = _scaled_integer_grid(values)
-    raw, eliminated = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
-    return _as_fractions(raw, q ** len(edges) * n_steps ** eliminated)
+    return _as_fractions(*_contract_integers(n_vertices, edges, values,
+                                             n_steps, pins, keep))
 
 
 def contract_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):

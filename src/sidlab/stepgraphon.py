@@ -22,7 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contraction import _scaled_integer_grid, contract_exact
+from .contraction import _contract_integers, _scaled_integer_grid
+# Not called here: the benchmark's tracer binds this name in this module
+# (README, "Tests and the acceptance suite").
+from .contraction import contract_exact
 from .graphs import RootedGraph, _integer
 
 __all__ = [
@@ -132,12 +135,17 @@ class StepGraphon:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StepGraphon":
+        """A graphon from its JSON form.  A value is a ``"p/q"`` string, an
+        integer, or a decimal number read as the decimal written (``0.1``
+        is 1/10, not its binary double), so a float export reads back
+        with the same float view."""
         n, rows = data["n"], data["values"]
         if type(n) is not int or len(rows) != n:
             raise ValueError("graphon value grid does not match declared size")
         if any(isinstance(x, bool) for row in rows for x in row):
             raise ValueError("a graphon value is a boolean, not a number")
-        return cls([[Fraction(x) for x in row] for row in rows])
+        return cls([[Fraction(repr(x) if isinstance(x, float) else x)
+                     for x in row] for row in rows])
 
 
 def edge_density(w: StepGraphon) -> Fraction:
@@ -172,11 +180,14 @@ def counting_kernel(w: StepGraphon, gadget: RootedGraph) -> StepGraphon:
     Entry (x, y) integrates out all non-root gadget vertices with the roots
     held at steps x and y; the root-swap automorphism guarantees symmetry.
     For a length-k path this coincides with ``kernel_power(w, k)``, and for a
-    theta gadget with the entrywise product of its per-path kernels.
+    theta gadget with the entrywise product of its per-path kernels.  The
+    engine's integer grid and its denominator become the kernel directly,
+    with no Fraction in between.
     """
     g = gadget.graph
-    return StepGraphon(contract_exact(g.n, g.edges, w, w.n_steps,
-                                      keep=gadget.roots))
+    raw, den = _contract_integers(g.n, g.edges, w, w.n_steps,
+                                  keep=gadget.roots)
+    return StepGraphon._from_integers(raw.tolist(), den)
 
 
 def hadamard(w1: StepGraphon, w2: StepGraphon) -> StepGraphon:

@@ -121,6 +121,16 @@ def test_density_exact_c4_bipartite(c4_path, bipartite2_path, capsys):
     assert data["vH"] == 4
 
 
+def test_density_reads_a_decimal_graphon_value_as_written(tmp_path, capsys):
+    # 0.1 once became its binary double, 3602879701896397/36028797018963968
+    edge, graphon = tmp_path / "k2.json", tmp_path / "w.json"
+    write_json(edge, Graph(2, ((0, 1),)).to_json_dict())
+    write_json(graphon, {"n": 1, "values": [[0.1]]})
+    assert main(["density", "--graph", str(edge),
+                 "--graphon", str(graphon)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "1/10"
+
+
 def test_density_pinned(bipartite2_path, tmp_path, capsys):
     edge = tmp_path / "k2.json"
     write_json(edge, Graph(2, ((0, 1),)).to_json_dict())

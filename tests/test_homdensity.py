@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sidlab import contraction
 from sidlab.contraction import (
@@ -111,11 +111,17 @@ def test_pin_out_of_range():
         hom_density(Graph(2, ((0, 1),)), BIP, pins={0: 5})
 
 
+def order_of(n_vertices, edges, grid, n_steps, pins=(), keep=()):
+    """``elimination_order`` called as a backend is; it reads no grid."""
+    return elimination_order(n_vertices, edges, pins, keep)
+
+
 every_backend = pytest.mark.parametrize("backend, grid", [
     (contract_exact, BIP.values),
     (bruteforce_exact, BIP.values),
     (contract_float, BIP.float_matrix),
     (bruteforce_float, BIP.float_matrix),
+    (order_of, None),
 ])
 
 
@@ -135,6 +141,19 @@ def test_repeated_pin_rejected(backend, grid):
 def test_keep_validated(backend, grid, keep, match):
     with pytest.raises(ValueError, match=match):
         backend(3, ((0, 1), (1, 2)), grid, 2, keep=keep)
+
+
+def test_elimination_order_reads_pins_as_the_entry_points_do():
+    # (vertex, step) pairs once went through sorted() as pairs: nothing was
+    # pinned and vertex 0 was eliminated
+    edges = ((0, 1), (1, 2))
+    order = elimination_order(3, edges, pins=[(0, 1)])
+    assert 0 not in order.vertices
+    assert order is elimination_order(3, edges, pins={0: 2})
+    for pins, keep, match in (([(3, 0)], (), "out of range"),
+                              ({0: 0}, (0,), "both pinned")):
+        with pytest.raises(ValueError, match=match):
+            elimination_order(3, edges, pins, keep)
 
 
 @pytest.mark.parametrize("backend", [
@@ -256,6 +275,62 @@ def test_oracle_and_engine_match_the_reference_loop(case):
         assert np.max(np.abs(out - ref_float)) < 1e-12
 
 
+@st.composite
+def replaced_contractions(draw):
+    """A host of 2 to 5 vertices with every edge replaced by one theta
+    graph of lengths 1 to 4, so its copies repeat the same kernel steps,
+    with a non-symmetric grid, pins and up to two kept vertices.  At most
+    11 vertices, so that two or more steps stay within ~4,000 oracle
+    assignments."""
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                   .filter(lambda ls: ls.count(1) <= 1))
+    inner = sum(lengths) - len(lengths)
+    h = draw(st.integers(2, min(5, 11 - inner)))
+    pairs = list(itertools.combinations(range(h), 2))
+    most = (11 - h) // inner if inner else len(pairs)
+    host = Graph(h, tuple(draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                        max_size=most, unique=True))))
+    graph = replace_edges(host, generalized_theta(lengths))
+    n = draw(st.integers(2, int(4000 ** (1 / graph.n))))
+    grid = [[F(draw(st.integers(0, 6)), 6) for _ in range(n)]
+            for _ in range(n)]
+    # most pins land on host vertices, where copies of the gadget meet and
+    # see different pinned rows
+    vertex = st.one_of(st.integers(0, h - 1), st.integers(0, h - 1),
+                       st.integers(0, graph.n - 1))
+    pins = {v: draw(st.integers(0, n - 1))
+            for v in draw(st.lists(vertex, max_size=2, unique=True))}
+    rest = [v for v in draw(st.permutations(range(graph.n))) if v not in pins]
+    keep = tuple(rest[:draw(st.integers(0, 2))])
+    return graph, grid, n, pins, keep, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(replaced_contractions())
+# K3 o theta(2,2) pinned at two host vertices: the copies on (0, 2) and
+# (1, 2) run the same subscripts on the rows of different pinned vertices
+@example((replace_edges(complete_graph(3), generalized_theta([2, 2])),
+          [[F(1, 6), F(2, 6)], [F(3, 6), F(5, 6)]], 2, {0: 0, 1: 1}, (), 0))
+# K3 o P3 pinned at two path middles: host vertices 1 and 2 run the same
+# subscripts on the columns of different pinned vertices
+@example((replace_edges(complete_graph(3), generalized_theta([2])),
+          [[F(1, 6), F(2, 6)], [F(3, 6), F(5, 6)]], 2, {3: 0, 4: 1}, (), 0))
+def test_replaced_graphs_match_the_oracle(case):
+    # the copies of the gadget share their kernel steps: the engine
+    # evaluates each once and must still agree with the oracle, exactly,
+    # and give every grid of a stack the bits of its own call
+    graph, grid, n, pins, keep, seed = case
+    assert contract_exact(graph.n, graph.edges, grid, n, pins=pins,
+                          keep=keep) == \
+        bruteforce_exact(graph.n, graph.edges, grid, n, pins=pins, keep=keep)
+    stack = np.random.default_rng(seed).random((3, n, n))
+    batched = contract_float(graph.n, graph.edges, stack, n, pins=pins,
+                             keep=keep)
+    for a, out in zip(stack, batched):
+        assert same_bits(out, contract_float(graph.n, graph.edges, a, n,
+                                             pins=pins, keep=keep))
+
+
 SKEW = [[F(1), F(0)], [F(1), F(1, 2)]]
 
 
@@ -322,15 +397,57 @@ def test_high_degree_vertex_contracts():
 
 def test_dense_bucket_multiplies_pairwise():
     # K5's first bucket AB,AC,AD,AE->BCDE multiplies AB,AC and then AD,AE
-    # (three-variable products) and only then sums A out of their product
+    # (three-variable products) and only then sums A out of their product;
+    # both products multiply two copies of the grid, so the second takes
+    # the first one's result
     plan = elimination_order(5, complete_graph(5).edges).steps
-    assert [step[:2] for step in plan[:3]] == [
-        ("...AB,...AC->...ABC", contraction._FOLD),
-        ("...AB,...AC->...ABC", contraction._FOLD),
-        ("...ABC,...ADE->...BCDE", contraction._FACTOR),
+    assert [step[:3] for step in plan[:3]] == [
+        ("...AB,...AC->...ABC", contraction._FOLD, 0),
+        ("...AB,...AC->...ABC", contraction._FOLD, 0),
+        ("...ABC,...ADE->...BCDE", contraction._FACTOR, 2),
     ]
-    assert all(len(step) == 4 for step in plan
+    assert all(len(step) == 6 for step in plan
                if step[1] == contraction._FOLD)
+
+
+def distinct_steps(order):
+    """How many steps of a compiled order the engine evaluates."""
+    return sum(step[2] == k for k, step in enumerate(order.steps))
+
+
+@pytest.mark.parametrize("graph, total, distinct, expected", [
+    # each theta(2,2) copy repeats the first copy's kernel steps; the
+    # counting identity t(K4 o F, W) = t(K4, W^F) gives the value
+    (replace_edges(complete_graph(4), generalized_theta([2, 2])), 22, 7,
+     lambda w: hom_density(complete_graph(4), counting_kernel(
+         w, generalized_theta([2, 2]))).value),
+    # 69 identical leaf steps, and the same pairwise products in the hub's
+    # bucket
+    (Graph(71, tuple((0, i) for i in range(1, 71))), 79, 11,
+     lambda w: sum((sum(row) / 3) ** 70 for row in w.values) / 3),
+])
+def test_repeated_steps_are_evaluated_once(graph, total, distinct, expected):
+    order = elimination_order(graph.n, graph.edges)
+    assert len(order.steps) == total
+    assert distinct_steps(order) <= distinct
+    # every repeat takes an earlier result of the same subscripts and kind,
+    # and the last repeat of each class is the one marked to release it
+    for k, (subscripts, kind, source, last, *_) in enumerate(order.steps):
+        assert source <= k
+        assert order.steps[source][:3] == (subscripts, kind, source)
+        assert last == all(step[2] != source for step in order.steps[k + 1:])
+    calls, einsum = [], np.einsum
+
+    def counted(*args):
+        calls.append(args[0])
+        return einsum(*args)
+
+    w = random_symmetric(random.Random(graph.n), 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "einsum", counted)
+        exact = contract_exact(graph.n, graph.edges, w, 3)
+    assert len(calls) == distinct_steps(order)
+    assert exact == expected(w)
 
 
 @pytest.mark.parametrize("graph, n", [

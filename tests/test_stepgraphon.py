@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -60,6 +61,12 @@ def test_json_roundtrip_exact_and_float():
     assert StepGraphon.from_json_dict(w.to_json_dict()) == w
     f = w.to_json_dict(mode="float")
     assert f["values"][0][1] == float(w.values[0][1])
+    # a float export reads back as the decimals it wrote: the same float
+    # view, and the same graphon when every value is a short decimal
+    back = StepGraphon.from_json_dict(json.loads(json.dumps(f)))
+    assert back.float_matrix.tobytes() == w.float_matrix.tobytes()
+    tenths = StepGraphon([[F(1, 10), F(7, 20)], [F(7, 20), F(1)]])
+    assert StepGraphon.from_json_dict(tenths.to_json_dict("float")) == tenths
 
 
 # -- edge density and regularity ---------------------------------------------
