@@ -12,10 +12,10 @@ first multiplies pairs of its factors, without summing, while a pair spans
 fewer variables than the whole bucket; then one einsum sums the vertex out
 of what is left.  The two arrays are:
 
-* exact: Python ints in an object array, a ``StepGraphon``'s cached grid or
-  a raw rational grid times the lcm q of its denominators.  No step divides;
-  the result is an integer sum and the entry point divides once by
-  q^{#edges} * n^{#eliminated};
+* exact: Python ints in an object array, the integer grid of a
+  ``StepGraphon`` (the only exact input) over its denominator q.  No step
+  divides; the result is an integer sum and the entry point divides once
+  by q^{#edges} * n^{#eliminated};
 * float: float64, or a stack of float64 grids, with one 1/n folded into
   each elimination step, which keeps every intermediate value inside [0, 1].
 
@@ -35,8 +35,8 @@ gradient too.
 
 The brute-force oracle enumerates every assignment over the same two grids,
 in numpy chunks of assignment indices, and forms each assignment's product
-over every edge before it sums; it shares the input checks and the integer
-scaling with the engine, not the elimination.
+over every edge before it sums; it shares the input checks with the engine,
+not the elimination.
 
 One size guard bounds both: a call is refused with ``ValueError`` before any
 work when the engine's largest step (n to its largest arity, times the
@@ -51,7 +51,7 @@ import string
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -309,7 +309,7 @@ def _normalize_pins(pins) -> dict:
 
 def _check_vertices(n_vertices, pins, keep):
     """Validate the pinned and the kept vertices; returns the pin map."""
-    pins = _normalize_pins(pins)
+    pins = pins if isinstance(pins, dict) else _normalize_pins(pins)
     for v in pins:
         if not (0 <= v < n_vertices):
             raise ValueError(f"pinned vertex {v} out of range")
@@ -325,32 +325,25 @@ def _check_vertices(n_vertices, pins, keep):
     return pins
 
 
-def _check_inputs(n_vertices, a, n_steps, pins, keep, stack=False):
-    """Validate the grid, the pins and the kept vertices; returns the pin
-    map.  The grid's last two axes must be ``n_steps`` x ``n_steps``, and
-    only a ``stack`` may lead with batch axes."""
+def _check_inputs(a, n_steps, pins, stack=False):
+    """Validate the grid and the pin targets of the pin map ``pins``.  The
+    grid's last two axes must be ``n_steps`` x ``n_steps``, and only a
+    ``stack`` may lead with batch axes."""
     if a.shape[-2:] != (n_steps, n_steps) or a.ndim > 2 and not stack:
         raise ValueError(f"grid of shape {a.shape} is not "
                          f"{n_steps} x {n_steps}")
-    pins = _check_vertices(n_vertices, pins, keep)
     for s in pins.values():
         if not (0 <= s < n_steps):
             raise ValueError(f"pin target step {s} out of range")
-    return pins
 
 
-def _scaled_integer_grid(values):
-    """Integer grid and denominator q of a ``StepGraphon``, or of a raw
-    rational grid scaled by the lcm q of its denominators."""
-    if hasattr(values, "integer_grid"):
-        return values.integer_grid, values.q
-    denoms = [x.denominator for row in values for x in row]
-    q = lcm(*denoms) if denoms else 1
-    grid = np.array(
-        [[x.numerator * (q // x.denominator) for x in row] for row in values],
-        dtype=object,
-    )
-    return grid, q
+def _integer_grid(w):
+    """The integer grid and the denominator q of the ``StepGraphon`` w."""
+    from .stepgraphon import StepGraphon  # that module imports this one
+    if not isinstance(w, StepGraphon):
+        raise ValueError("exact contraction takes a StepGraphon, not "
+                         f"{type(w).__name__}")
+    return w.integer_grid, w.q
 
 
 def _as_fractions(raw, denominator):
@@ -370,8 +363,8 @@ def _as_fractions(raw, denominator):
 def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
     """Bucket elimination over the weight matrix ``a``, in either dtype.
 
-    ``a`` is float64, or an object array of Python ints (a scaled exact
-    grid).  Float mode divides each step's sum by n; exact mode never
+    ``a`` is float64, or an object array of Python ints (a graphon's
+    integer grid).  Float mode divides each step's sum by n; exact mode never
     divides, so its result is the unnormalized integer sum and the caller
     divides once by n^{#eliminated}.  A float ``a`` may also be a stack of
     grids, shape ``(..., n, n)``: every slice is contracted as the 2-D call
@@ -383,7 +376,9 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
     """
     keep = tuple(keep)
     exact = a.dtype == object
-    pins = _check_inputs(n_vertices, a, n_steps, pins, keep, stack=not exact)
+    pins = _normalize_pins(pins)
+    _check_inputs(a, n_steps, pins, stack=not exact)
+    # checks the pinned and the kept vertices
     order = elimination_order(n_vertices, edges, pins, keep)
     batch = a.shape[:-2]
     states = n_steps ** max(order.arities, default=0) * prod(batch)
@@ -445,15 +440,15 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
 def _contract_integers(n_vertices, edges, values, n_steps, pins=None,
                        keep=()):
     """The exact engine run: the integer result of ``_eliminate`` on the
-    scaled grid of ``values``, and its denominator q^{#edges} *
-    n^{#eliminated}."""
-    a, q = _scaled_integer_grid(values)
+    integer grid of the ``StepGraphon`` ``values``, and its denominator
+    q^{#edges} * n^{#eliminated}."""
+    a, q = _integer_grid(values)
     raw, eliminated = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
     return raw, q ** len(edges) * n_steps ** eliminated
 
 
 def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
-    """Exact contraction of a ``StepGraphon`` or a raw rational grid.
+    """Exact contraction of a ``StepGraphon``, read on its integer grid.
 
     Returns a Fraction when ``keep`` is empty, a tuple (vector) for one kept
     vertex, or a tuple of tuples (grid) for two.
@@ -490,7 +485,9 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
     before the chunk is summed.
     """
     keep = tuple(keep)
-    pins = _check_inputs(n_vertices, a, n_steps, pins, keep)
+    pins = _normalize_pins(pins)
+    _check_inputs(a, n_steps, pins)
+    _check_vertices(n_vertices, pins, keep)
     if n_steps ** n_vertices > STATE_LIMIT:
         raise ValueError(
             f"brute force refused: {n_steps}^{n_vertices} assignments exceed "
@@ -526,7 +523,7 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
 
 
 def bruteforce_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
-    a, q = _scaled_integer_grid(values)
+    a, q = _integer_grid(values)
     raw, free = _bruteforce(n_vertices, edges, a, n_steps, pins, keep)
     return _as_fractions(raw, q ** len(edges) * n_steps ** free)
 

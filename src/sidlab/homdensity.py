@@ -57,20 +57,12 @@ class DensityValue:
         return {"mode": self.mode, "value": v, "vH": self.scale_exponent}
 
 
-# (mode, strategy) -> backend call.  Each entry looks its function up in
-# ``contraction`` when called, so a wrapper installed there is honoured.
-_BACKENDS = {
-    ("exact", "eliminate"): lambda g, w, pins:
-        contraction.contract_exact(g.n, g.edges, w, w.n_steps, pins=pins),
-    ("exact", "bruteforce"): lambda g, w, pins:
-        contraction.bruteforce_exact(g.n, g.edges, w, w.n_steps, pins=pins),
-    ("float", "eliminate"): lambda g, w, pins:
-        contraction.contract_float(g.n, g.edges, w.float_matrix, w.n_steps,
-                                   pins=pins),
-    ("float", "bruteforce"): lambda g, w, pins:
-        contraction.bruteforce_float(g.n, g.edges, w.float_matrix,
-                                     w.n_steps, pins=pins),
-}
+# (mode, strategy) -> the ``contraction`` entry point, looked up there when
+# called, so a wrapper installed there is honoured.
+_BACKENDS = {("exact", "eliminate"): "contract_exact",
+             ("exact", "bruteforce"): "bruteforce_exact",
+             ("float", "eliminate"): "contract_float",
+             ("float", "bruteforce"): "bruteforce_float"}
 
 
 def hom_density(graph: Graph, w: StepGraphon, mode: str = "exact",
@@ -90,7 +82,9 @@ def hom_density(graph: Graph, w: StepGraphon, mode: str = "exact",
     backend = _BACKENDS.get((mode, strategy))
     if backend is None:
         raise ValueError(f"unknown strategy {strategy!r}")
-    value = backend(graph, w, pins)
+    grid = w if mode == "exact" else w.float_matrix
+    value = getattr(contraction, backend)(graph.n, graph.edges, grid,
+                                          w.n_steps, pins=pins)
     if mode == "float":
         # Float roundoff may poke a hair outside [0, 1].
         value = min(max(value, 0.0), 1.0)

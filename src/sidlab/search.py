@@ -31,7 +31,7 @@ from math import lcm
 import numpy as np
 
 from . import contraction
-from .graphs import Graph
+from .graphs import Graph, _integer
 from .homdensity import _gradient_float
 from .stepgraphon import StepGraphon, _frac_str, edge_density
 
@@ -216,6 +216,8 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     """
     if not graph.is_bipartite():
         raise ValueError("search targets bipartite graphs only")
+    n, starts = _integer(n, "step count"), _integer(starts, "start count")
+    iters, seed = _integer(iters, "iteration count"), _integer(seed, "seed")
     if n < 1 or starts < 1 or iters < 1:
         raise ValueError("parameters must be positive")
     if not (np.isfinite(step) and step > 0):

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contraction import _contract_integers, _scaled_integer_grid
+from .contraction import _contract_integers
 # Not called here: the benchmark's tracer binds this name in this module
 # (README, "Tests and the acceptance suite").
 from .contraction import contract_exact
@@ -55,20 +55,21 @@ def _frac_str(x) -> str:
 class StepGraphon:
     """Symmetric grid of rational edge weights in [0, 1] on equal steps.
 
-    Entry (i, j) is ``num[i][j] / q``, checked once in integers and reduced
-    to ``gcd(q, all a) = 1``, so equal graphons compare and hash equal.
-    ``integer_grid`` holds ``num`` as the read-only object array that the
-    exact contraction takes.  The views ``values`` (Fractions) and
-    ``float_matrix`` (``a / q``, rounded like ``float(Fraction)``) are
-    built on first read.
+    Entry (i, j) is ``num[i][j] / q``, with q the lcm of the denominators,
+    checked once in integers and reduced to ``gcd(q, all a) = 1``, so equal
+    graphons compare and hash equal.  ``integer_grid`` holds ``num`` as the
+    read-only object array that the exact entry points read off the
+    graphon.  The views ``values`` (Fractions) and ``float_matrix`` (``a /
+    q``, rounded like ``float(Fraction)``) are built on first read.
     """
 
     __slots__ = ("n_steps", "q", "num", "integer_grid", "_values", "_float")
 
     def __init__(self, values):
-        grid, q = _scaled_integer_grid(
-            [[Fraction(x) for x in row] for row in values])
-        self._set(grid.tolist(), q)
+        rows = [[Fraction(x) for x in row] for row in values]
+        q = math.lcm(*(x.denominator for row in rows for x in row))
+        self._set([[x.numerator * (q // x.denominator) for x in row]
+                   for row in rows], q)
 
     @classmethod
     def _from_integers(cls, num, q):
@@ -167,6 +168,7 @@ def regularity(w: StepGraphon):
 def kernel_power(w: StepGraphon, k: int) -> StepGraphon:
     """Path-counting kernel of length k: the scaled matrix power A^k / n^(k-1),
     an integer matrix power over the denominator q^k n^(k-1)."""
+    k = _integer(k, "kernel power")
     if k < 1:
         raise ValueError("kernel power needs k >= 1")
     power = np.linalg.matrix_power(w.integer_grid, k)
@@ -451,8 +453,11 @@ def mixture_graphon(graphons, weights) -> StepGraphon:
     return StepGraphon._from_integers(grid.tolist(), q)
 
 
-def pointwise_dense_graphon(n: int, d, noise, seed: int,
-                            denominator: int = 64) -> StepGraphon:
+# A pointwise-dense entry is d plus 0 to _NOISE_LEVELS units of noise.
+_NOISE_LEVELS = 64
+
+
+def pointwise_dense_graphon(n: int, d, noise, seed: int) -> StepGraphon:
     """Entries in [d, 1]: d plus rational noise; d-locally dense pointwise."""
     n = _integer(n, "step count")
     d = Fraction(d)
@@ -460,12 +465,13 @@ def pointwise_dense_graphon(n: int, d, noise, seed: int,
     if not 0 <= d <= 1 or not 0 <= noise <= 1:
         raise ValueError("density and noise must lie in [0, 1]")
     rng = random.Random(seed)
-    unit = (1 - d) * noise / denominator
+    unit = (1 - d) * noise / _NOISE_LEVELS
     q = math.lcm(d.denominator, unit.denominator)
     lo, u = int(d * q), int(unit * q)
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            grid[i][j] = grid[j][i] = lo + u * rng.randrange(denominator + 1)
+            level = rng.randrange(_NOISE_LEVELS + 1)
+            grid[i][j] = grid[j][i] = lo + u * level
     return StepGraphon._from_integers(grid, q)
 

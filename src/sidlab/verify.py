@@ -35,6 +35,7 @@ from .graphs import (
     Graph,
     ReplacementSpec,
     Theorem12Case,
+    _integer,
     classify_theorem12,
     complete_graph,
     complete_multipartite,
@@ -98,17 +99,15 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json_dict(self, include_runtime: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "suite": self.suite,
             "trials": self.trials,
             "failures": self.failures,
             "seed": self.seed,
             "max_gap": self.max_gap,
+            "runtime_ms": self.runtime_ms,
         }
-        if include_runtime:
-            out["runtime_ms"] = self.runtime_ms
-        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SuiteReport":
@@ -182,18 +181,19 @@ def _run_suite(suite_id, seed, tasks):
         suite=suite_id,
         trials=len(gaps),
         failures=failures,
-        seed=seed,
+        seed=_integer(seed, "seed"),
         max_gap=max((-gap for gap in gaps), default=0.0),
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 
 def _trial_seeds(seed, count):
-    """``count`` trial seeds drawn from ``seed``; a suite of no trials would
-    pass without checking anything, so a count below 1 is rejected."""
+    """``count`` trial seeds drawn from the integer ``seed``; a count below
+    1, a suite that would pass having checked nothing, is rejected."""
+    count = _integer(count, "trial count")
     if count < 1:
         raise ValueError(f"a suite needs at least one trial, got {count}")
-    master = random.Random(seed)
+    master = random.Random(_integer(seed, "seed"))
     return [master.randrange(2 ** 32) for _ in range(count)]
 
 

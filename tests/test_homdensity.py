@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sidlab import contraction
+from sidlab import contraction, homdensity
 from sidlab.contraction import (
     STATE_LIMIT,
     bruteforce_exact,
@@ -117,8 +117,8 @@ def order_of(n_vertices, edges, grid, n_steps, pins=(), keep=()):
 
 
 every_backend = pytest.mark.parametrize("backend, grid", [
-    (contract_exact, BIP.values),
-    (bruteforce_exact, BIP.values),
+    (contract_exact, BIP),
+    (bruteforce_exact, BIP),
     (contract_float, BIP.float_matrix),
     (bruteforce_float, BIP.float_matrix),
     (order_of, None),
@@ -156,17 +156,67 @@ def test_elimination_order_reads_pins_as_the_entry_points_do():
             elimination_order(3, edges, pins, keep)
 
 
+@pytest.mark.parametrize("entry, grid", [
+    (contract_exact, BIP), (bruteforce_exact, BIP),
+    (contract_float, BIP.float_matrix), (bruteforce_float, BIP.float_matrix),
+])
+@pytest.mark.parametrize("pins", [{0: 1}, [(0, 1)]])
+def test_each_call_checks_its_inputs_once(entry, grid, pins, monkeypatch):
+    # a pinned engine call once read the pins twice and checked the pinned
+    # and the kept vertices twice, and hom_density read the pins a third
+    # time; hom_density's own reading is counted apart
+    calls = []
+    for module, name in ((contraction, "_check_vertices"),
+                         (contraction, "_normalize_pins"),
+                         (homdensity, "_normalize_pins")):
+        def counted(*args, _fn=getattr(module, name),
+                    _key=f"{module.__name__}.{name}"):
+            calls.append(_key)
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    path = Graph(3, ((0, 1), (1, 2)))
+    entry(path.n, path.edges, grid, 2, pins=pins, keep=(2,))
+    assert sorted(calls) == ["sidlab.contraction._check_vertices",
+                             "sidlab.contraction._normalize_pins"]
+    if entry in (contract_exact, contract_float):
+        calls.clear()
+        mode = "exact" if entry is contract_exact else "float"
+        hom_density(path, BIP, mode=mode, pins=pins)
+        assert sorted(calls) == ["sidlab.contraction._check_vertices",
+                                 "sidlab.contraction._normalize_pins",
+                                 "sidlab.homdensity._normalize_pins"]
+
+
 @pytest.mark.parametrize("backend", [
     contract_exact, bruteforce_exact, contract_float, bruteforce_float,
 ])
-@pytest.mark.parametrize("bad", [np.eye(3), np.ones((2, 3))])
+@pytest.mark.parametrize("bad", [
+    (np.eye(3), StepGraphon(np.eye(3))),
+    (np.ones((2, 3)), constant_graphon(1, 1)),
+])
 def test_grid_shape_must_match_the_step_count(backend, bad):
     # with n_steps=2 the 3 x 3 identity once gave 3/4 from the engine and
-    # 1/4 from the oracle, and the 2 x 3 grid of ones gave 1.5
-    if backend in (contract_exact, bruteforce_exact):
-        bad = [[F(int(x)) for x in row] for row in bad]
+    # 1/4 from the oracle, and the 2 x 3 grid of ones gave 1.5; a graphon's
+    # grid is square, so the exact entry points get a 1-step one instead
+    float_grid, graphon = bad
+    bad = graphon if backend in (contract_exact, bruteforce_exact) \
+        else float_grid
     with pytest.raises(ValueError, match="not 2 x 2"):
         backend(2, ((0, 1),), bad, 2)
+
+
+@pytest.mark.parametrize("backend", [contract_exact, bruteforce_exact])
+@pytest.mark.parametrize("values, name", [
+    (BIP.values, "tuple"),
+    ([[F(0), F(1)], [F(1), F(0)]], "list"),
+    (BIP.integer_grid, "ndarray"),
+    (BIP.float_matrix, "ndarray"),
+])
+def test_exact_entry_points_take_a_graphon(backend, values, name):
+    # a raw rational grid was once scaled to integers by the engine, a
+    # second exact input format beside the graphon's own integer grid
+    with pytest.raises(ValueError, match=f"takes a StepGraphon, not {name}"):
+        backend(2, ((0, 1),), values, 2)
 
 
 def test_only_the_float_engine_takes_a_stack():
@@ -179,7 +229,7 @@ def test_only_the_float_engine_takes_a_stack():
 def test_bruteforce_rejects_three_kept_before_enumerating():
     # 4^30 assignments would trip the state guard; the keep check comes first
     with pytest.raises(ValueError, match="at most two"):
-        bruteforce_exact(30, (), constant_graphon(F(1, 2), 4).values, 4,
+        bruteforce_exact(30, (), constant_graphon(F(1, 2), 4), 4,
                          keep=(0, 1, 2))
 
 
@@ -234,11 +284,20 @@ def reference_bruteforce(n_vertices, edges, values, n_steps, pins, keep):
                  for i in range(0, len(sums), n_steps))
 
 
+def symmetrized(grid):
+    """The graphon of the symmetric part ``(A + Aᵀ) / 2`` of a rational
+    grid: the grid the exact entry points read in place of a non-symmetric
+    one."""
+    return StepGraphon([[(x + y) / 2 for x, y in zip(row, col)]
+                        for row, col in zip(grid, zip(*grid))])
+
+
 @st.composite
 def raw_contractions(draw):
     """A raw contraction: a non-symmetric grid, an edge list that may hold
     loops and leave vertices isolated (or be empty), pins and up to two
-    kept vertices, on 0 to 6 vertices."""
+    kept vertices, on 0 to 6 vertices.  The float entry points read the
+    grid, the exact ones its symmetrized graphon."""
     nv = draw(st.integers(0, 6))
     n = draw(st.integers(1, 4))
     grid = draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n),
@@ -258,17 +317,19 @@ def raw_contractions(draw):
 @given(raw_contractions())
 def test_oracle_and_engine_match_the_reference_loop(case):
     nv, edges, grid, n, pins, keep = case
-    ref = reference_bruteforce(nv, edges, grid, n, pins, keep)
-    ref_float = np.array(ref, dtype=float)
+    w = symmetrized(grid)
+    ref = reference_bruteforce(nv, edges, w.values, n, pins, keep)
+    ref_float = np.array(reference_bruteforce(nv, edges, grid, n, pins, keep),
+                         dtype=float)
     floats = np.array(grid, dtype=float)
     # a small prime chunk puts chunk boundaries inside every enumeration
     # of more than 7 assignments and leaves a short last chunk
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contraction, "_BRUTEFORCE_CHUNK", 7)
-        assert bruteforce_exact(nv, edges, grid, n, pins=pins, keep=keep) \
+        assert bruteforce_exact(nv, edges, w, n, pins=pins, keep=keep) \
             == ref
         brute = bruteforce_float(nv, edges, floats, n, pins=pins, keep=keep)
-    assert contract_exact(nv, edges, grid, n, pins=pins, keep=keep) == ref
+    assert contract_exact(nv, edges, w, n, pins=pins, keep=keep) == ref
     fl = contract_float(nv, edges, floats, n, pins=pins, keep=keep)
     for out in (brute, fl):
         assert np.shape(out) == ref_float.shape
@@ -279,8 +340,9 @@ def test_oracle_and_engine_match_the_reference_loop(case):
 def replaced_contractions(draw):
     """A host of 2 to 5 vertices with every edge replaced by one theta
     graph of lengths 1 to 4, so its copies repeat the same kernel steps,
-    with a non-symmetric grid, pins and up to two kept vertices.  At most
-    11 vertices, so that two or more steps stay within ~4,000 oracle
+    with a non-symmetric grid, pins and up to two kept vertices.  The float
+    entry points read the grid, the exact ones its symmetrized graphon.  At
+    most 11 vertices, so that two or more steps stay within ~4,000 oracle
     assignments."""
     lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
                    .filter(lambda ls: ls.count(1) <= 1))
@@ -317,12 +379,19 @@ def replaced_contractions(draw):
           [[F(1, 6), F(2, 6)], [F(3, 6), F(5, 6)]], 2, {3: 0, 4: 1}, (), 0))
 def test_replaced_graphs_match_the_oracle(case):
     # the copies of the gadget share their kernel steps: the engine
-    # evaluates each once and must still agree with the oracle, exactly,
-    # and give every grid of a stack the bits of its own call
+    # evaluates each once and must still agree with the oracle, exactly on
+    # a graphon and to rounding on the non-symmetric grid, and give every
+    # grid of a stack the bits of its own call
     graph, grid, n, pins, keep, seed = case
-    assert contract_exact(graph.n, graph.edges, grid, n, pins=pins,
+    w = symmetrized(grid)
+    assert contract_exact(graph.n, graph.edges, w, n, pins=pins,
                           keep=keep) == \
-        bruteforce_exact(graph.n, graph.edges, grid, n, pins=pins, keep=keep)
+        bruteforce_exact(graph.n, graph.edges, w, n, pins=pins, keep=keep)
+    a = np.array(grid, dtype=float)
+    np.testing.assert_allclose(
+        contract_float(graph.n, graph.edges, a, n, pins=pins, keep=keep),
+        bruteforce_float(graph.n, graph.edges, a, n, pins=pins, keep=keep),
+        rtol=1e-12, atol=0)
     stack = np.random.default_rng(seed).random((3, n, n))
     batched = contract_float(graph.n, graph.edges, stack, n, pins=pins,
                              keep=keep)
@@ -334,15 +403,11 @@ def test_replaced_graphs_match_the_oracle(case):
 SKEW = [[F(1), F(0)], [F(1), F(1, 2)]]
 
 
-@pytest.mark.parametrize("backend, grid", [
-    (contract_exact, SKEW),
-    (bruteforce_exact, SKEW),
-    (contract_float, np.array(SKEW, dtype=float)),
-    (bruteforce_float, np.array(SKEW, dtype=float)),
-])
-def test_pinned_endpoint_reads_its_own_grid_axis(backend, grid):
+@pytest.mark.parametrize("backend", [contract_float, bruteforce_float])
+def test_pinned_endpoint_reads_its_own_grid_axis(backend):
     # edge (0, 1) weighs A[phi(0)][phi(1)]: a pinned second endpoint reads
-    # a column of a non-symmetric grid, a pinned first endpoint a row
+    # a column of a non-symmetric float grid, a pinned first endpoint a row
+    grid = np.array(SKEW, dtype=float)
     edge = ((0, 1),)
     assert backend(2, edge, grid, 2, pins={1: 0}) == 1
     assert backend(2, edge, grid, 2, pins={1: 1}) == F(1, 4)
@@ -375,7 +440,7 @@ def test_high_degree_vertex_contracts():
     assert hom_density(star, w).value == expected
     assert abs(hom_density(star, w, mode="float").value
                - float(expected)) < 1e-12
-    assert contract_exact(star.n, star.edges, w.values, 3,
+    assert contract_exact(star.n, star.edges, w, 3,
                           keep=(0,)) == tuple(at_hub)
     # chunking leaves at most 32 operands in a bucket, which bounds the
     # pairwise products in it: with the hub kept the plan is 70 leaf steps
@@ -558,8 +623,7 @@ def test_eliminate_equals_bruteforce(seed):
     stack = random_float_stack(np.random.default_rng(seed),
                                rng.randint(1, 4), n)
     calls = [
-        lambda: contract_exact(g.n, g.edges, w.values, n, pins=pins,
-                               keep=keep),
+        lambda: contract_exact(g.n, g.edges, w, n, pins=pins, keep=keep),
         lambda: contract_float(g.n, g.edges, w.float_matrix, n, pins=pins,
                                keep=keep),
         lambda: contract_float(g.n, g.edges, stack, n, pins=pins, keep=keep),
@@ -575,7 +639,7 @@ def test_eliminate_equals_bruteforce(seed):
     assert same_bits(calls[1](), fl)
     assert same_bits(calls[2](), batched)
     assert contraction._elimination_order_cached.cache_info().hits == hits + 3
-    assert exact == bruteforce_exact(g.n, g.edges, w.values, n, pins=pins,
+    assert exact == bruteforce_exact(g.n, g.edges, w, n, pins=pins,
                                      keep=keep)
     ref = np.array(exact, dtype=float)
     assert ref.shape == (n,) * len(keep)
@@ -602,9 +666,9 @@ def test_one_plan_serves_every_pin_target():
         for targets in ((0, 1), (2, 2)):
             pins = dict(zip(pinned, targets))
             orders.append(elimination_order(g.n, g.edges, pins, keep))
-            exact = contract_exact(g.n, g.edges, w.values, 3, pins=pins,
+            exact = contract_exact(g.n, g.edges, w, 3, pins=pins,
                                    keep=keep)
-            assert exact == bruteforce_exact(g.n, g.edges, w.values, 3,
+            assert exact == bruteforce_exact(g.n, g.edges, w, 3,
                                              pins=pins, keep=keep)
             fl = contract_float(g.n, g.edges, w.float_matrix, 3, pins=pins,
                                 keep=keep)
@@ -833,7 +897,7 @@ def per_edge_gradient(graph, w):
     grid = [[F(0)] * n for _ in range(n)]
     for k, (u, v) in enumerate(graph.edges):
         cavity = graph.edges[:k] + graph.edges[k + 1:]
-        kernel = contract_exact(graph.n, cavity, w.values, n, keep=(u, v))
+        kernel = contract_exact(graph.n, cavity, w, n, keep=(u, v))
         for x in range(n):
             for y in range(n):
                 grid[x][y] += kernel[x][y] + kernel[y][x]

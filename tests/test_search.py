@@ -141,6 +141,25 @@ def test_search_rejects_bad_step_sizes(step):
                               iters=5, step=step)
 
 
+SEARCH_INTEGERS = {
+    "step count": lambda x: dict(n=x),
+    "start count": lambda x: dict(starts=x),
+    "iteration count": lambda x: dict(iters=x),
+    "seed": lambda x: dict(seed=x),
+}
+
+
+@pytest.mark.parametrize("what", SEARCH_INTEGERS)
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5])
+def test_search_rejects_non_integer_counts(what, bad):
+    # iters=True ran one iteration and starts=True one start, while n=2.0
+    # and starts=2.5 raised TypeError
+    kwargs = {"n": 2, "starts": 1, "iters": 1, "seed": 0,
+              **SEARCH_INTEGERS[what](bad)}
+    with pytest.raises(ValueError, match=f"{what} {bad} is not an integer"):
+        search_counterexample(cycle_graph(4), d=F(1, 2), **kwargs)
+
+
 # Reference outputs of a descent that ran its starts one at a time: a start
 # inside the stack must end exactly where it would alone.
 REGRESSION_CASES = {

@@ -438,11 +438,14 @@ def test_generate_regular_graph_deterministic():
     pytest.param("step count",
                  lambda x: pointwise_dense_graphon(x, F(1, 2), F(1, 2), 1),
                  id="pointwise-dense"),
+    pytest.param("kernel power", lambda x: kernel_power(BIP, x),
+                 id="kernel-power"),
 ])
 @pytest.mark.parametrize("bad", [True, 2.0, 2.5])
 def test_generators_reject_non_integer_sizes(what, build, bad):
-    # constant_graphon(1/2, True) was a 1-step graphon and
-    # regular_graph_graphon(4, True, 1) a 1-regular one
+    # constant_graphon(1/2, True) was a 1-step graphon,
+    # regular_graph_graphon(4, True, 1) a 1-regular one and
+    # kernel_power(w, True) w itself
     with pytest.raises(ValueError, match=f"{what} {bad} is not an integer"):
         build(bad)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from sidlab import verify
@@ -33,7 +34,9 @@ from sidlab.verify import (
 
 
 def strip_runtime(report):
-    return report.to_json_dict(include_runtime=False)
+    out = report.to_json_dict()
+    out.pop("runtime_ms")
+    return out
 
 
 def test_counting_identity_small_run_passes():
@@ -282,6 +285,30 @@ def test_suites_reject_fewer_than_one_trial(name, trials):
     # a suite of no trials would pass having checked nothing
     with pytest.raises(ValueError, match="at least one trial"):
         SUITES[name](trials=trials, seed=0)
+
+
+SUITE_INTEGERS = {
+    "trial count": lambda x: dict(trials=x, seed=0),
+    "seed": lambda x: dict(trials=1, seed=x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+@pytest.mark.parametrize("what", SUITE_INTEGERS)
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5])
+def test_suites_reject_non_integer_counts(name, what, bad):
+    # trials=True ran one trial, and seed=2.5 wrote a report that
+    # SuiteReport.from_json_dict refused
+    with pytest.raises(ValueError, match=f"{what} {bad} is not an integer"):
+        SUITES[name](**SUITE_INTEGERS[what](bad))
+
+
+def test_suite_report_seed_is_a_plain_int():
+    # an integer seed of another type reached the report as is, where json
+    # could not write it
+    rep = verify_flower_knrs(trials=1, seed=np.int64(3))
+    assert type(rep.seed) is int
+    assert json.loads(json.dumps(rep.to_json_dict()))["seed"] == 3
 
 
 def test_odd_theta_families_come_from_their_decompositions():
