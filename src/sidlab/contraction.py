@@ -15,16 +15,17 @@ of what is left.  The two arrays are:
 * exact: Python ints in an object array, the integer grid of a
   ``StepGraphon`` (the only exact input) over its denominator q.  No step
   divides; the result is an integer sum and the entry point divides once
-  by q^{#edges} * n^{#eliminated};
+  by q^{#edges} * n^{#vertices that a step sums out};
 * float: float64, or a stack of float64 grids, with one 1/n folded into
   each elimination step, which keeps every intermediate value inside [0, 1].
 
 Each contraction shape (vertex count, edge list, pinned-vertex set, kept
 vertices) is compiled once, in the elimination-order cache, into one
-``EliminationOrder``: the vertex sequence, and which grid rows feed which
-operand with one einsum subscript string per step, pairwise products
-included, in one pass that emits each min-fill vertex's bucket steps as it
-picks the vertex.  The engine runs it in either dtype; the pinned steps are
+``EliminationOrder``: the vertex sequence, one table of pinned reads (the
+grid row, column or entry that each edge with a pinned end reads) and one
+list of einsum steps, pairwise products included, emitted as each min-fill
+vertex is picked; with vertices kept, the last step multiplies what is
+left into them.  The engine runs it in either dtype; the pin targets are
 read per call, so one order serves every pin target.  Steps that repeat an
 earlier step of the same order (the same subscripts and kind, on operands
 that hold the same values, as each copy of a gadget in a replaced graph
@@ -55,6 +56,8 @@ from math import prod
 from typing import NamedTuple
 
 import numpy as np
+
+from .graphs import _integer
 
 __all__ = [
     "EliminationOrder",
@@ -90,31 +93,31 @@ class EliminationOrder(NamedTuple):
     with a loop counted twice), so the largest arity is ``width + 1``; a
     pairwise product inside a bucket spans fewer.
 
-    Operand slots are numbered in creation order: first one per edge with
-    an unpinned endpoint, then one per step whose result stays an operand
-    (every step but a ``_SCALAR`` one).  The first ``edge_slots`` slots hold
-    the grid, except that each ``(s, p, column)`` of ``rows`` puts in slot s
-    the row of the grid at pinned vertex p's step, or its column when p is
-    the edge's second endpoint.  ``steps`` are ``(subscripts, kind, source,
-    last, *slots)``, flat to keep a cached order small; a bucket's ``_FOLD``
-    steps, its chunks and then its pairwise products, come before the step
-    that sums its vertex out.  ``source`` is the index of the first step
-    with the same subscripts and kind on operands that hold the same values:
-    a step is evaluated only when it is its own source, and a later step of
-    its class takes its result.  ``last`` marks the last step of a class,
-    after which that result is released.  ``tail`` is None when nothing is
-    kept, else ``(subscripts, covered, *slots)``: the einsum of what is left
-    (None if nothing is) into the kept vertices that ``covered`` marks.
+    Operand slots are numbered in creation order: first one per edge, then
+    one per step whose result stays an operand (every step but a
+    ``_SCALAR`` one).  An edge's slot holds the grid, except that each
+    ``(s, row, column)`` of ``pinned`` names the pinned vertices at the ends
+    of edge s (None at a free end): slot s holds the grid row at ``row``'s
+    step or the column at ``column``'s, and with both ends pinned the grid
+    entry multiplies into the constant.  ``steps`` are ``(subscripts, kind,
+    source, last, *slots)``, flat to keep a cached order small; a bucket's
+    ``_FOLD`` steps, its chunks and then its pairwise products, come before
+    the step that sums its vertex out.  ``source`` is the index of the
+    first step with the same subscripts and kind on operands that hold the
+    same values: a step is evaluated only when it is its own source, and a
+    later step of its class takes its result.  ``last`` marks the last step
+    of a class, after which that result is released.  With vertices kept,
+    the last step multiplies the factors left, if any, into the kept
+    vertices that ``covered`` marks.  ``sums_out`` counts the vertices that
+    a step sums out: an eliminated vertex that no factor spans has none.
     """
 
     vertices: tuple
     arities: tuple
-    edge_slots: int
-    rows: tuple
-    pinned_edges: tuple
+    pinned: tuple
     steps: tuple
-    isolated: int
-    tail: tuple | None
+    sums_out: int
+    covered: tuple
 
     @property
     def width(self) -> int:
@@ -143,34 +146,27 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
     """The min-fill order of one contraction shape, compiled in the same
     pass that picks it: each picked vertex's bucket steps are emitted from
     the live factors, over the vertex's current neighbors, and each step
-    is matched, by integer operand signatures, against the steps before
-    it."""
+    is matched, by operand signatures, against the steps before it."""
+    _check_edges(n_vertices, edges)
     pinset = set(pins)
     adj = {v: set() for v in range(n_vertices) if v not in pinset}
-    # ``sigs`` gives each slot an integer that two slots share only when
-    # they hold equal values: -1 for the grid, -2 - 2p - column for pinned
-    # vertex p's row or column (whatever its pin target), and for a step's
-    # result the index of the first step with the same subscripts, kind and
-    # operand signatures.
-    rows, pinned_edges, scopes, sigs = [], [], [], []
-    for edge in edges:
-        u, v = edge
-        if u in pinset and v in pinset:
-            pinned_edges.append(edge)
-            continue
-        if u in pinset:
-            rows.append((len(scopes), u, False))
-            edge, sig = (v,), -2 - 2 * u
-        elif v in pinset:
-            rows.append((len(scopes), v, True))
-            edge, sig = (u,), -3 - 2 * v
+    # ``sigs`` gives each slot a signature that two slots share only when
+    # they hold equal values: -1 for the grid, a pinned read's (row,
+    # column) pinned vertices (whatever their pin targets), and for a
+    # step's result the index of the first step with the same subscripts,
+    # kind and operand signatures.
+    pinned, scopes, sigs = [], [], []
+    for u, v in edges:
+        scope = tuple(w for w in (u, v) if w not in pinset)
+        if len(scope) < 2:
+            read = (u if u in pinset else None, v if v in pinset else None)
+            pinned.append((len(scopes), *read))
+            sigs.append(read)
         else:
             adj[u].add(v)
             adj[v].add(u)
-            sig = -1
-        scopes.append(edge)
-        sigs.append(sig)
-    edge_slots = len(scopes)
+            sigs.append(-1)
+        scopes.append(scope)
     steps, first = [], {}
 
     def emit(group, out_vars, kind):
@@ -231,8 +227,8 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
     # ``live`` lists the slots not yet consumed, in the order the factors
     # were made; a bucket takes its factors in that order.  Their scopes
     # cover the current adjacency, so a bucket spans v and its neighbors.
-    vertices, arities, isolated = [], [], 0
-    live = list(range(edge_slots))
+    vertices, arities = [], []
+    live = [s for s, scope in enumerate(scopes) if scope]
     eliminable = set(adj) - set(keep)
     while eliminable:
         v = min(eliminable, key=lambda w: (fill(w), len(adj[w]), w))
@@ -246,7 +242,6 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
             adj[a].discard(v)
         group = [s for s in live if v in scopes[s]]
         if not group:
-            isolated += 1
             continue
         live = [s for s in live if v not in scopes[s]]
         out_vars = tuple(sorted(nbrs))
@@ -255,35 +250,33 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
         if out_vars:
             live.append(len(scopes) - 1)
 
-    tail = None
-    if keep:
-        # every factor left spans kept vertices only
-        covered = {w for s in live for w in scopes[s]}
-        kept_covered = tuple(k for k in keep if k in covered)
-        live = fold(live)
-        subscripts = (_subscripts([scopes[s] for s in live], kept_covered)
-                      if live else None)
-        tail = (subscripts, tuple(k in covered for k in keep), *live)
-    else:
-        assert not live
+    # every factor left spans kept vertices only: the last step multiplies
+    # them into the kept vertices they cover, in keep order
+    covered = {w for s in live for w in scopes[s]}
+    assert keep or not live
+    if live:
+        emit(fold(live), tuple(k for k in keep if k in covered), _FOLD)
     # the last step of each class releases the result its source saved
     last = {step[2]: k for k, step in enumerate(steps)}
     steps = tuple((subscripts, kind, source, last[source] == k, *group)
                   for k, (subscripts, kind, source, *group)
                   in enumerate(steps))
-    return EliminationOrder(tuple(vertices), tuple(arities), edge_slots,
-                            tuple(rows), tuple(pinned_edges), steps,
-                            isolated, tail)
+    return EliminationOrder(tuple(vertices), tuple(arities), tuple(pinned),
+                            steps, sum(step[1] != _FOLD for step in steps),
+                            tuple(k in covered for k in keep))
 
 
 def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
     """Greedy min-fill order, min-degree then min-index tie-break.
 
-    Pinned vertices are dropped up front (their edges become unary lookups);
+    Pinned vertices are dropped up front (their edges become pinned reads);
     kept vertices participate in the interaction graph but are never
     eliminated.  ``pins`` is read as the ``contract_*`` entry points read
     it, a dict or (vertex, step) pairs, and pins and kept vertices are
     checked as they check them; the pin targets do not shape the order.
+    An endpoint that is not an integer in ``range(n_vertices)`` is refused
+    when the edge list is compiled, so a list equal to one compiled before
+    (``1.0`` for ``1``) reuses its order.
     """
     keep = tuple(keep)
     pins = _check_vertices(n_vertices, pins, keep)
@@ -307,17 +300,31 @@ def _normalize_pins(pins) -> dict:
     return out
 
 
+def _check_index(x, what, bound):
+    """Refuse ``x`` unless ``graphs._integer`` reads it (a bool or a
+    non-integer is refused) as an index in ``range(bound)``."""
+    if type(x) is not int:
+        x = _integer(x, what)
+    if not 0 <= x < bound:
+        raise ValueError(f"{what} {x} out of range")
+
+
+def _check_edges(n_vertices, edges):
+    """Validate every endpoint of the edge list."""
+    for u, v in edges:
+        _check_index(u, "endpoint", n_vertices)
+        _check_index(v, "endpoint", n_vertices)
+
+
 def _check_vertices(n_vertices, pins, keep):
     """Validate the pinned and the kept vertices; returns the pin map."""
     pins = pins if isinstance(pins, dict) else _normalize_pins(pins)
     for v in pins:
-        if not (0 <= v < n_vertices):
-            raise ValueError(f"pinned vertex {v} out of range")
+        _check_index(v, "pinned vertex", n_vertices)
     if len(keep) > 2:
         raise ValueError("at most two kept vertices supported")
     for v in keep:
-        if not (0 <= v < n_vertices):
-            raise ValueError(f"kept vertex {v} out of range")
+        _check_index(v, "kept vertex", n_vertices)
     if len(set(keep)) != len(keep):
         raise ValueError(f"kept vertices {keep} repeat a vertex")
     if set(pins) & set(keep):
@@ -333,14 +340,20 @@ def _check_inputs(a, n_steps, pins, stack=False):
         raise ValueError(f"grid of shape {a.shape} is not "
                          f"{n_steps} x {n_steps}")
     for s in pins.values():
-        if not (0 <= s < n_steps):
-            raise ValueError(f"pin target step {s} out of range")
+        _check_index(s, "pin target step", n_steps)
+
+
+# ``stepgraphon.StepGraphon``, bound by the first exact call: that module
+# imports this one, so it cannot be imported here at load time.
+_StepGraphon = None
 
 
 def _integer_grid(w):
     """The integer grid and the denominator q of the ``StepGraphon`` w."""
-    from .stepgraphon import StepGraphon  # that module imports this one
-    if not isinstance(w, StepGraphon):
+    global _StepGraphon
+    if _StepGraphon is None:
+        from .stepgraphon import StepGraphon as _StepGraphon
+    if not isinstance(w, _StepGraphon):
         raise ValueError("exact contraction takes a StepGraphon, not "
                          f"{type(w).__name__}")
     return w.integer_grid, w.q
@@ -366,12 +379,12 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
     ``a`` is float64, or an object array of Python ints (a graphon's
     integer grid).  Float mode divides each step's sum by n; exact mode never
     divides, so its result is the unnormalized integer sum and the caller
-    divides once by n^{#eliminated}.  A float ``a`` may also be a stack of
-    grids, shape ``(..., n, n)``: every slice is contracted as the 2-D call
-    would, and the batch axes lead the result.  Returns the result (a
-    scalar, or one value per grid, when nothing is kept, else an array with
-    one length-n axis per kept vertex, in ``keep`` order) and the number of
-    eliminated vertices.  Raises ``ValueError`` when the largest step would
+    divides once by n to the order's ``sums_out``.  A float ``a`` may also
+    be a stack of grids, shape ``(..., n, n)``: every slice is contracted as
+    the 2-D call would, and the batch axes lead the result.  Returns the
+    result (a scalar, or one value per grid, when nothing is kept, else an
+    array with one length-n axis per kept vertex, in ``keep`` order) and the
+    order's ``sums_out``.  Raises ``ValueError`` when the largest step would
     enumerate more than ``STATE_LIMIT`` index tuples over the whole stack.
     """
     keep = tuple(keep)
@@ -389,19 +402,18 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
         )
 
     const = np.ones(batch) if batch else 1
-    for u, v in order.pinned_edges:
-        const = const * a[..., pins[u], pins[v]]
-    if exact and order.isolated:
-        # an isolated variable is a plain sum of n ones, which float mode
-        # divides by n like every other step
-        const = const * n_steps ** order.isolated
-    slots, at = [a] * order.edge_slots, None
-    for s, p, column in order.rows:
-        if column and at is None:
-            # the transpose laid out like ``a``: a column of ``a`` then
-            # feeds einsum exactly as a row does
-            at = np.ascontiguousarray(np.swapaxes(a, -1, -2))
-        slots[s] = (at if column else a)[..., pins[p], :]
+    slots, at = [a] * len(edges), None
+    for s, row, column in order.pinned:
+        if row is not None and column is not None:
+            const = const * a[..., pins[row], pins[column]]
+        elif row is not None:
+            slots[s] = a[..., pins[row], :]
+        else:
+            if at is None:
+                # the transpose laid out like ``a``: a column of ``a`` then
+                # feeds einsum exactly as a row does
+                at = np.ascontiguousarray(np.swapaxes(a, -1, -2))
+            slots[s] = at[..., pins[column], :]
     saved = {}
     for k, (subscripts, kind, source, last, *operands) in \
             enumerate(order.steps):
@@ -422,29 +434,28 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
             slots.append(result)
 
     if not keep:
-        return const, len(order.vertices)
+        return const, order.sums_out
 
-    # contract what is left straight into keep order, then broadcast over
-    # the kept vertices no factor covers
-    subscripts, covered, *operands = order.tail
-    partial = (np.einsum(subscripts, *[slots[i] for i in operands])
-               if operands else np.ones((), dtype=a.dtype))
+    # the last step's product spans the covered kept vertices: broadcast it
+    # over the others
+    covered = order.covered
+    partial = slots[-1] if any(covered) else np.ones((), dtype=a.dtype)
     if batch:
         const = np.reshape(const, batch + (1,) * sum(covered))
     partial = np.asarray(partial * const, dtype=a.dtype)
     shape = batch + tuple(n_steps if c else 1 for c in covered)
     full = np.ones(batch + (n_steps,) * len(keep), dtype=a.dtype)
-    return full * partial.reshape(shape), len(order.vertices)
+    return full * partial.reshape(shape), order.sums_out
 
 
 def _contract_integers(n_vertices, edges, values, n_steps, pins=None,
                        keep=()):
     """The exact engine run: the integer result of ``_eliminate`` on the
     integer grid of the ``StepGraphon`` ``values``, and its denominator
-    q^{#edges} * n^{#eliminated}."""
+    q^{#edges} * n^{#summed out}."""
     a, q = _integer_grid(values)
-    raw, eliminated = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
-    return raw, q ** len(edges) * n_steps ** eliminated
+    raw, summed = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
+    return raw, q ** len(edges) * n_steps ** summed
 
 
 def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
@@ -488,6 +499,7 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
     pins = _normalize_pins(pins)
     _check_inputs(a, n_steps, pins)
     _check_vertices(n_vertices, pins, keep)
+    _check_edges(n_vertices, edges)
     if n_steps ** n_vertices > STATE_LIMIT:
         raise ValueError(
             f"brute force refused: {n_steps}^{n_vertices} assignments exceed "

@@ -117,6 +117,8 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """Apply a vertex permutation given as a sequence (old index -> new)."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError("not a permutation of the vertices")
         return Graph(self.n, tuple((perm[u], perm[v]) for u, v in self.edges))
 
     def without_edge(self, u: int, v: int) -> "Graph":

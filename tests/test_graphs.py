@@ -78,6 +78,14 @@ def test_graph_stores_plain_ints():
     assert type(g.n) is int and all(type(x) is int for x in g.edges[0])
 
 
+@pytest.mark.parametrize("perm", [[0, 1, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
+def test_relabel_refuses_a_non_permutation(perm):
+    # [0, 1, 1] once merged two vertices and [0, 1] dropped one
+    with pytest.raises(ValueError, match="not a permutation"):
+        Graph(3, ((0, 1),)).relabel(perm)
+    assert Graph(3, ((0, 1),)).relabel([2, 0, 1]) == Graph(3, ((0, 2),))
+
+
 def test_graph_json_roundtrip():
     g = complete_multipartite([2, 3])
     assert Graph.from_json_dict(g.to_json_dict()) == g

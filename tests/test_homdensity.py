@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -41,6 +42,8 @@ from sidlab.stepgraphon import (
     circulant_graphon,
     constant_graphon,
     counting_kernel,
+    hadamard,
+    kernel_power,
     pointwise_dense_graphon,
 )
 
@@ -116,13 +119,14 @@ def order_of(n_vertices, edges, grid, n_steps, pins=(), keep=()):
     return elimination_order(n_vertices, edges, pins, keep)
 
 
-every_backend = pytest.mark.parametrize("backend, grid", [
+BACKENDS = [
     (contract_exact, BIP),
     (bruteforce_exact, BIP),
     (contract_float, BIP.float_matrix),
     (bruteforce_float, BIP.float_matrix),
     (order_of, None),
-])
+]
+every_backend = pytest.mark.parametrize("backend, grid", BACKENDS)
 
 
 @every_backend
@@ -141,6 +145,38 @@ def test_repeated_pin_rejected(backend, grid):
 def test_keep_validated(backend, grid, keep, match):
     with pytest.raises(ValueError, match=match):
         backend(3, ((0, 1), (1, 2)), grid, 2, keep=keep)
+
+
+# (edges, pins, keep, error) on 3 vertices
+MALFORMED = [
+    (((0, 1), (1, -1)), None, (), "endpoint -1 out of range"),
+    (((0, 1), (1, 3)), None, (), "endpoint 3 out of range"),
+    (((0, 1), (1, 0.5)), None, (), "endpoint 0.5 is not an integer"),
+    (((0, 1), (1, "2")), None, (), "endpoint '2' is not an integer"),
+    (((0, 1), (1, 2)), {True: 0}, (), "pinned vertex True is not an"),
+    (((0, 1), (1, 2)), {1.0: 0}, (), "pinned vertex 1.0 is not an"),
+    (((0, 1), (1, 2)), None, (0.0,), "kept vertex 0.0 is not an"),
+    (((0, 1), (1, 2)), None, (0, True), "kept vertex True is not an"),
+]
+# elimination_order reads no pin target
+MALFORMED_TARGETS = [
+    (((0, 1), (1, 2)), {0: True}, (), "pin target step True is not an"),
+    (((0, 1), (1, 2)), {0: 1.0}, (), "pin target step 1.0 is not an"),
+]
+
+
+@pytest.mark.parametrize("backend, grid, edges, pins, keep, error", [
+    (backend, grid, *case) for backend, grid in BACKENDS
+    for case in MALFORMED + (MALFORMED_TARGETS if backend is not order_of
+                             else [])])
+def test_malformed_inputs_are_refused_alike(backend, grid, edges, pins,
+                                            keep, error):
+    # endpoint -1 once read vertex 2 in brute force and was a KeyError in
+    # the engine; a bool or float pin target was a TypeError or IndexError
+    # in the engine and read as a step by brute force; a float kept vertex
+    # was contracted but refused by brute force with an IndexError
+    with pytest.raises(ValueError, match=re.escape(error)):
+        backend(3, edges, grid, 2, pins=pins, keep=keep)
 
 
 def test_elimination_order_reads_pins_as_the_entry_points_do():
@@ -400,6 +436,83 @@ def test_replaced_graphs_match_the_oracle(case):
                                              pins=pins, keep=keep))
 
 
+def replaced_density_oracle(spec, w, pins):
+    """The density of ``replace_edges_nonuniform(spec)`` in ``w``, pinned
+    at host vertices, by Lemma 3.1 edge by edge: t_H(K_e : e in H) on the
+    host, where K_e is the Hadamard product of ``kernel_power(w, k)`` taken
+    c times for each (k, c) of e's bundle (all ones for an empty bundle).
+    The sum over host assignments runs in integers; neither the engine nor
+    ``counting_kernel`` is called."""
+    n = w.n_steps
+    kernels, den = [], 1
+    for edge, bundle in spec.bundles:
+        kernel = constant_graphon(1, n)
+        for k, c in bundle:
+            for _ in range(c):
+                kernel = hadamard(kernel, kernel_power(w, k))
+        kernels.append((edge, kernel.num))
+        den *= kernel.q
+    free = [v for v in range(spec.host_n) if v not in pins]
+    phi = [pins.get(v) for v in range(spec.host_n)]
+    total = 0
+    for steps in itertools.product(range(n), repeat=len(free)):
+        for v, x in zip(free, steps):
+            phi[v] = x
+        term = 1
+        for (u, v), num in kernels:
+            term *= num[phi[u]][phi[v]]
+        total += term
+    return F(total, den * n ** len(free))
+
+
+@st.composite
+def replacement_cases(draw):
+    """A non-uniform replacement on the complete host of 2 to 5 vertices:
+    each host edge carries up to three path lengths from 1 to 6, each 1 to
+    3 times, within 110 inner vertices (an edge with none has an empty
+    bundle, and the replaced graph lacks it); three graphons of 2 to 5
+    steps, pins on up to two host vertices, and a random relabelling of the
+    replaced graph.  The sizes come from a drawn seed, so that hypothesis
+    does not shrink every draw to a handful of vertices."""
+    h = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 5))
+    pins = {v: draw(st.integers(0, n - 1))
+            for v in draw(st.lists(st.integers(0, h - 1), max_size=2,
+                                   unique=True))}
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    budget, bundles = 110, []
+    for edge in itertools.combinations(range(h), 2):
+        bundle = {}
+        for k in rng.sample(range(1, 7), rng.randint(0, 3)):
+            c = 1 if k == 1 else min(rng.randint(1, 3), budget // (k - 1))
+            budget -= (k - 1) * c
+            bundle[k] = c
+        bundles.append((edge, bundle))
+    spec = ReplacementSpec(h, bundles)
+    perm = list(range(replace_edges_nonuniform(spec).n))
+    rng.shuffle(perm)
+    return spec, [random_symmetric(rng, n) for _ in range(3)], pins, perm
+
+
+@settings(max_examples=50, deadline=None)
+@given(replacement_cases())
+def test_replaced_graphs_match_the_kernel_oracle(case):
+    # beyond brute-force reach (up to ~115 vertices): the engine, with its
+    # shared kernel steps, pinned reads and relabelled shapes, against the
+    # host sum over Hadamard products of kernel powers
+    spec, graphons, pins, perm = case
+    graph = replace_edges_nonuniform(spec).relabel(perm)
+    moved = {perm[v]: x for v, x in pins.items()}
+    refs = [replaced_density_oracle(spec, w, pins) for w in graphons]
+    for w, ref in zip(graphons, refs):
+        assert hom_density(graph, w, pins=moved).value == ref
+    stack = np.stack([w.float_matrix for w in graphons])
+    out = contract_float(graph.n, graph.edges, stack, graphons[0].n_steps,
+                         pins=moved)
+    for value, ref in zip(out, refs):
+        assert abs(value - float(ref)) <= 1e-12
+
+
 SKEW = [[F(1), F(0)], [F(1), F(1, 2)]]
 
 
@@ -430,8 +543,8 @@ def test_pinned_second_endpoint_on_a_stack():
 
 def test_high_degree_vertex_contracts():
     # the hub collects one factor per leaf: more than one einsum call accepts,
-    # so its bucket (or, with the hub kept, the kept-vertex tail) is folded
-    # in chunks first
+    # so its bucket (or, with the hub kept, the plan's last step, over the
+    # kept vertex) is folded in chunks first
     w = random_symmetric(random.Random(71), 3)
     leaves = 70
     star = Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
@@ -443,11 +556,12 @@ def test_high_degree_vertex_contracts():
     assert contract_exact(star.n, star.edges, w, 3,
                           keep=(0,)) == tuple(at_hub)
     # chunking leaves at most 32 operands in a bucket, which bounds the
-    # pairwise products in it: with the hub kept the plan is 70 leaf steps
-    # and the tail's two chunks; without it, 69 leaf steps, then the
-    # bucket of the hub and the last leaf: two chunks, 6 products of the 7
-    # unary leaf factors they leave, the hub's step, and the last leaf's
-    assert len(elimination_order(star.n, star.edges, keep=(0,)).steps) == 72
+    # pairwise products in it: with the hub kept the plan is 70 leaf steps,
+    # two chunks and the last step over the hub; without it, 69 leaf steps,
+    # then the bucket of the hub and the last leaf: two chunks, 6 products
+    # of the 7 unary leaf factors they leave, the hub's step, and the last
+    # leaf's
+    assert len(elimination_order(star.n, star.edges, keep=(0,)).steps) == 73
     assert len(elimination_order(star.n, star.edges).steps) == 69 + 2 + 6 + 2
     stack = random_float_stack(np.random.default_rng(71), 3, 3)
     for keep in ((), (0,)):
