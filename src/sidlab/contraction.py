@@ -7,10 +7,11 @@ Evaluates sums of the form
 
 where pinned vertices are fixed to given steps and kept vertices survive as
 output axes.  One bucket-elimination engine runs on either of two arrays.
-It eliminates the vertices in greedy min-fill order.  A vertex's bucket
-first multiplies pairs of its factors, without summing, while a pair spans
-fewer variables than the whole bucket; then one einsum sums the vertex out
-of what is left.  The two arrays are:
+It eliminates the vertices in greedy min-fill order, with each vertex's
+fill updated as vertices go rather than recounted at every pick.  A
+vertex's bucket first multiplies pairs of its factors, without summing,
+while a pair spans fewer variables than the whole bucket; then one einsum
+sums the vertex out of what is left.  The two arrays are:
 
 * exact: Python ints in an object array, the integer grid of a
   ``StepGraphon`` (the only exact input) over its denominator q.  No step
@@ -146,7 +147,13 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
     """The min-fill order of one contraction shape, compiled in the same
     pass that picks it: each picked vertex's bucket steps are emitted from
     the live factors, over the vertex's current neighbors, and each step
-    is matched, by operand signatures, against the steps before it."""
+    is matched, by operand signatures, against the steps before it.
+
+    The scores that pick the vertices are updated, not recounted: after a
+    pick only its neighbors are rescored in full.  Every other vertex was
+    not adjacent to the picked one, so its neighbor set stands and its fill
+    moves only by the new fill edges that join two of its neighbors, one
+    down for each."""
     _check_edges(n_vertices, edges)
     pinset = set(pins)
     adj = {v: set() for v in range(n_vertices) if v not in pinset}
@@ -224,34 +231,55 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
             del group[j]
         return group
 
-    # ``live`` lists the slots not yet consumed, in the order the factors
-    # were made; a bucket takes its factors in that order.  Their scopes
-    # cover the current adjacency, so a bucket spans v and its neighbors.
+    # ``score`` holds each eliminable vertex's (fill, degree, vertex), and
+    # the pick is its least value.  After v goes, a vertex w outside its
+    # neighbors N loses one fill for each new fill edge {a, b} (both in N)
+    # with w in adj[a] & adj[b]; N is rescored in full.
+    score = {w: (fill(w), len(adj[w]), w) for w in adj if w not in keep}
+    # ``factors[w]`` holds the slots not yet consumed whose scope spans w,
+    # in the order the factors were made; a bucket takes its factors in that
+    # order.  Their scopes cover the current adjacency, so a bucket spans v
+    # and its neighbors.
+    factors = {w: {} for w in adj}
+    for s, scope in enumerate(scopes):
+        for w in scope:
+            factors[w][s] = None
     vertices, arities = [], []
-    live = [s for s, scope in enumerate(scopes) if scope]
-    eliminable = set(adj) - set(keep)
-    while eliminable:
-        v = min(eliminable, key=lambda w: (fill(w), len(adj[w]), w))
-        eliminable.remove(v)
+    while score:
+        v = min(score.values())[2]
+        del score[v]
         vertices.append(v)
         # a loop leaves v among its own neighbors: the arity counts it
         arities.append(len(adj[v]) + 1)
         nbrs = adj.pop(v) - {v}
+        for a, b in itertools.combinations(nbrs, 2):
+            if b not in adj[a]:
+                for w in adj[a] & adj[b]:
+                    if w in score:
+                        f, degree, _ = score[w]
+                        score[w] = (f - 1, degree, w)
         for a in nbrs:
             adj[a] |= nbrs - {a}
             adj[a].discard(v)
-        group = [s for s in live if v in scopes[s]]
+        for a in nbrs:
+            if a in score:
+                score[a] = (fill(a), len(adj[a]), a)
+        group = list(factors.pop(v))
         if not group:
             continue
-        live = [s for s in live if v not in scopes[s]]
+        for s in group:
+            for w in scopes[s]:
+                if w != v:
+                    factors[w].pop(s, None)
         out_vars = tuple(sorted(nbrs))
         group = pair_up(fold(group), len(out_vars) + 1)
         emit(group, out_vars, _FACTOR if out_vars else _SCALAR)
-        if out_vars:
-            live.append(len(scopes) - 1)
+        for w in out_vars:
+            factors[w][len(scopes) - 1] = None
 
     # every factor left spans kept vertices only: the last step multiplies
     # them into the kept vertices they cover, in keep order
+    live = sorted({s for slots in factors.values() for s in slots})
     covered = {w for s in live for w in scopes[s]}
     assert keep or not live
     if live:
@@ -275,13 +303,22 @@ def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
     it, a dict or (vertex, step) pairs, and pins and kept vertices are
     checked as they check them; the pin targets do not shape the order.
     An endpoint that is not an integer in ``range(n_vertices)`` is refused
-    when the edge list is compiled, so a list equal to one compiled before
-    (``1.0`` for ``1``) reuses its order.
+    on every call: one that is not a plain int (``1.0``, ``True``, a numpy
+    integer) is checked before the cache is read, since it would find the
+    order of an equal list of ints, and the range of plain ints is checked
+    when the edge list is compiled.  An edge list that passes is compiled
+    as plain ints.
     """
     keep = tuple(keep)
     pins = _check_vertices(n_vertices, pins, keep)
+    edges = tuple(edges)
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            _check_edges(n_vertices, edges)
+            edges = tuple((int(u), int(v)) for u, v in edges)
+            break
     return _elimination_order_cached(
-        n_vertices, tuple(edges), tuple(sorted(pins)), keep
+        n_vertices, edges, tuple(sorted(pins)), keep
     )
 
 

@@ -293,29 +293,63 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     )
 
 
+def _rationalize(x: float, max_denominator: int) -> tuple:
+    """``Fraction(x).limit_denominator(max_denominator)`` as its (numerator,
+    denominator), in ints: the same convergent loop on the exact ratio of
+    the float x, and the same choice between the last convergent and the
+    semiconvergent past it, the last convergent winning a tie."""
+    num, den = x.as_integer_ratio()
+    if den <= max_denominator:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_denominator - q0) // q1
+    # the semiconvergent lies 1 / (q1 * (q0 + k*q1)) from the convergent,
+    # which lies d / (q1 * den) from x
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def certify_violation(graph: Graph, matrix, d=None,
                       max_denominator: int = 10 ** 6) -> dict | None:
     """Exact-arithmetic recheck of a float witness.
 
-    Rationalizes every distinct entry by continued fractions, symmetrizes,
-    re-projects the affine row-sum constraint exactly when a degree is
-    given, clamps to [0, 1], and recomputes both sides of the density
-    inequality over the rationals.  Every step between the rationalized
-    entries and the graphon runs on one integer grid over one denominator.
-    Returns a JSON-able certificate when the violation survives, else None.
-    Raises ValueError for an empty or non-square grid, or d outside [0, 1].
+    Rationalizes every distinct entry to the fraction that
+    ``Fraction.limit_denominator(max_denominator)`` gives (the closest one
+    of denominator at most ``max_denominator``, ties to the last
+    convergent), in integers, symmetrizes, re-projects the affine row-sum
+    constraint exactly when a degree is given, clamps to [0, 1], and
+    recomputes both sides of the density inequality over the rationals.
+    Every step between the rationalized entries and the graphon runs on one
+    integer grid over one denominator.  Returns a JSON-able certificate when
+    the violation survives, else None.  Raises ValueError, before any work,
+    for an empty or non-square grid, an entry that is NaN or infinite, d
+    outside [0, 1], or a ``max_denominator`` that is not an integer of at
+    least 1.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise ValueError(f"witness of shape {m.shape} is not a square grid")
+    if not np.isfinite(m).all():
+        raise ValueError("witness has an entry that is NaN or infinite")
     if d is not None and not 0 <= Fraction(d) <= 1:
         raise ValueError("degree must lie in [0, 1]")
+    max_denominator = _integer(max_denominator, "max_denominator")
+    if max_denominator < 1:
+        raise ValueError(f"max_denominator {max_denominator} is below 1")
     n = m.shape[0]
-    rational = {v: Fraction(v).limit_denominator(max_denominator)
+    rational = {v: _rationalize(v, max_denominator)
                 for v in set(m.ravel().tolist())}
-    lcd = lcm(*(x.denominator for x in rational.values()))
-    scaled = {v: x.numerator * (lcd // x.denominator)
-              for v, x in rational.items()}
+    lcd = lcm(*(q for _, q in rational.values()))
+    scaled = {v: p * (lcd // q) for v, (p, q) in rational.items()}
     x = np.array([[scaled[v] for v in row] for row in m.tolist()],
                  dtype=object)
     # the symmetrized grid (x + x^T) / 2 is s / q

@@ -179,6 +179,23 @@ def test_malformed_inputs_are_refused_alike(backend, grid, edges, pins,
         backend(3, edges, grid, 2, pins=pins, keep=keep)
 
 
+@every_backend
+@pytest.mark.parametrize("edges, error", [
+    (((0.0, 1), (1, 2)), "endpoint 0.0 is not an integer"),
+    (((0, True), (1, 2)), "endpoint True is not an integer"),
+])
+def test_a_compiled_edge_list_admits_no_equal_list_of_non_ints(
+        backend, grid, edges, error):
+    # the endpoints were once checked only on an order-cache miss, and the
+    # cache compares edge lists by equality: once ((0, 1), (1, 2)) was
+    # compiled, an equal list with 0.0 or True in it was answered
+    plain = backend(3, ((0, 1), (1, 2)), grid, 2)
+    with pytest.raises(ValueError, match=re.escape(error)):
+        backend(3, edges, grid, 2)
+    # a numpy integer is an integer
+    assert backend(3, ((np.int64(0), 1), (1, np.int8(2))), grid, 2) == plain
+
+
 def test_elimination_order_reads_pins_as_the_entry_points_do():
     # (vertex, step) pairs once went through sorted() as pairs: nothing was
     # pinned and vertex 0 was eliminated
@@ -668,8 +685,9 @@ def test_width_cap_enforced(monkeypatch):
 
 
 def min_fill_reference(n_vertices, edges, pins, keep):
-    """Greedy min-fill, min-degree, min-index order, fill counted pair by
-    pair: (vertices, arities)."""
+    """Greedy min-fill, min-degree, min-index order, every eliminable
+    vertex's fill recounted pair by pair at each pick: (vertices,
+    arities)."""
     adj = {v: set() for v in range(n_vertices) if v not in pins}
     for u, v in edges:
         if u not in pins and v not in pins:
@@ -707,6 +725,42 @@ def test_elimination_order_reports_width():
     order = elimination_order(6, edges)
     assert (order.vertices, order.arities) == \
         min_fill_reference(6, edges, (), ())
+
+
+@st.composite
+def raw_shapes(draw):
+    """A contraction shape: a raw edge list of 1 to 14 vertices and up to
+    40 edges, loops and both orientations included, or a relabelled
+    K3-K5 with its edges replaced by a theta graph, each edge in a random
+    orientation; up to two pinned vertices and up to two kept ones.  The
+    shape comes from a drawn seed, as in ``replacement_cases``."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        n = rng.randint(1, 14)
+        edges = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 40))]
+    else:
+        theta = generalized_theta(rng.choice([[2, 2], [1, 3], [2, 3],
+                                              [1, 2, 2]]))
+        g = replace_edges(complete_graph(rng.randint(3, 5)), theta)
+        g = g.relabel(rng.sample(range(g.n), g.n))
+        n = g.n
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in g.edges]
+    order = rng.sample(range(n), n)
+    n_pins = rng.randint(0, min(2, n))
+    keep = order[n_pins:n_pins + rng.randint(0, min(2, n - n_pins))]
+    return n, tuple(edges), order[:n_pins], tuple(keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_shapes())
+def test_orders_match_the_rescanning_min_fill(shape):
+    # the compile updates the fill scores after each pick instead of
+    # recounting every vertex's; the picks must be the very same
+    n, edges, pinned, keep = shape
+    order = elimination_order(n, edges, {v: 0 for v in pinned}, keep)
+    assert (order.vertices, order.arities) == \
+        min_fill_reference(n, edges, pinned, keep)
 
 
 def same_bits(x, y):

@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sidlab import search
 from sidlab.contraction import contract_exact
@@ -17,6 +18,7 @@ from sidlab.search import (
     PROJECTION_TOL,
     ProjectionError,
     _project_regular_array,
+    _rationalize,
     certify_violation,
     project_regular,
     search_counterexample,
@@ -341,6 +343,79 @@ def test_certify_rejects_a_witness_that_is_not_a_square_grid(shape):
 def test_certify_rejects_a_degree_outside_the_unit_interval(d):
     with pytest.raises(ValueError, match="degree"):
         certify_violation(cycle_graph(4), np.full((2, 2), 0.5), d=d)
+
+
+@pytest.mark.parametrize("max_denominator, error", [
+    (0, "max_denominator 0 is below 1"),
+    (-5, "max_denominator -5 is below 1"),
+    (1e6, "max_denominator 1000000.0 is not an integer"),
+    (True, "max_denominator True is not an integer"),
+])
+def test_certify_refuses_a_max_denominator_that_is_not_a_positive_integer(
+        monkeypatch, max_denominator, error):
+    # a float bound was a TypeError deep in the rationalization, and True
+    # was read as 1
+    monkeypatch.setattr(search, "_rationalize", None)  # refused before
+    with pytest.raises(ValueError, match=error):
+        certify_violation(cycle_graph(4), np.full((2, 2), 0.5),
+                          max_denominator=max_denominator)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_certify_refuses_a_witness_entry_that_is_not_finite(monkeypatch,
+                                                             entry):
+    # an infinite entry was an OverflowError in the rationalization
+    m = np.full((3, 3), 0.5)
+    m[1, 2] = entry
+    monkeypatch.setattr(search, "_rationalize", None)  # refused before
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        certify_violation(cycle_graph(4), m, d=F(1, 2))
+
+
+@st.composite
+def rationalization_cases(draw):
+    """(x, max_denominator) with the bound from 1 to 10^6 and x a float in
+    [0, 1], a fraction k/m with m up to the bound, the float nearest the
+    midpoint of two neighboring fractions of denominator at most the bound
+    (a near tie), an exact tie (a float holds only 1/(2M) and 1 - 1/(2M),
+    M a power of two), 0.0, 1.0 or a subnormal."""
+    bound = draw(st.integers(1, 10 ** 6))
+    kind = draw(st.sampled_from(["float", "fraction", "midpoint", "tie",
+                                 "edge"]))
+    if kind == "float":
+        x = draw(st.floats(0.0, 1.0))
+    elif kind == "fraction":
+        m = draw(st.integers(1, bound))
+        x = draw(st.integers(0, m)) / m
+    elif kind == "midpoint":
+        q = draw(st.integers(1, bound))
+        p = draw(st.integers(0, q))
+        p, q = p // gcd(p, q), q // gcd(p, q)
+        # p/q's right neighbor c/d among the fractions of denominator at
+        # most the bound: c*q - d*p = 1 with d as large as it allows
+        d0 = -pow(p, -1, q) % q
+        d = d0 + q * ((bound - d0) // q)
+        x = float((F(p, q) + F((1 + d * p) // q, d)) / 2)
+    elif kind == "tie":
+        i = draw(st.integers(0, 19))
+        bound = 2 ** i
+        x = draw(st.sampled_from([2.0 ** -(i + 1), 1 - 2.0 ** -(i + 1)]))
+    else:
+        x = draw(st.sampled_from([0.0, 1.0, 5e-324])
+                 | st.integers(1, 2 ** 52 - 1).map(lambda k: k * 5e-324))
+    return x, bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(rationalization_cases())
+@example((0.25, 2))  # the midpoint of 0 and 1/2: a tie, to 0
+@example((0.75, 2))  # the midpoint of 1/2 and 1: a tie, to 1
+@example((1 / 3, 10 ** 6))
+def test_rationalization_matches_limit_denominator(case):
+    x, bound = case
+    expected = F(x).limit_denominator(bound)
+    assert _rationalize(x, bound) == (expected.numerator,
+                                      expected.denominator)
 
 
 def reference_certify(graph, matrix, d=None, max_denominator=10 ** 6):
