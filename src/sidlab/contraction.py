@@ -25,9 +25,12 @@ vertices) is compiled once, in the elimination-order cache, into one
 ``EliminationOrder``: the vertex sequence, one table of pinned reads (the
 grid row, column or entry that each edge with a pinned end reads) and one
 list of einsum steps, pairwise products included, emitted as each min-fill
-vertex is picked; with vertices kept, the last step multiplies what is
-left into them.  The engine runs it in either dtype; the pin targets are
-read per call, so one order serves every pin target.  Steps that repeat an
+vertex is picked.  The steps read one list of operand slots: one per edge,
+one all-ones vector per kept vertex and one per step.  With vertices kept,
+the last step multiplies what is left, and the ones of each kept vertex
+that nothing left spans, into them, so its result spans every kept vertex.
+The engine runs it in either dtype; the pin targets are read per call, so
+one order serves every pin target.  Steps that repeat an
 earlier step of the same order (the same subscripts and kind, on operands
 that hold the same values, as each copy of a gadget in a replaced graph
 does) are evaluated once per call, and their result is handed to every
@@ -58,6 +61,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# ``sidlab/__init__.py`` imports ``stepgraphon`` first, which imports this
+# module: this binds it still initializing, so read its names at call time.
+from . import stepgraphon
 from .graphs import _integer
 
 __all__ = [
@@ -95,22 +101,24 @@ class EliminationOrder(NamedTuple):
     pairwise product inside a bucket spans fewer.
 
     Operand slots are numbered in creation order: first one per edge, then
-    one per step whose result stays an operand (every step but a
-    ``_SCALAR`` one).  An edge's slot holds the grid, except that each
-    ``(s, row, column)`` of ``pinned`` names the pinned vertices at the ends
-    of edge s (None at a free end): slot s holds the grid row at ``row``'s
-    step or the column at ``column``'s, and with both ends pinned the grid
-    entry multiplies into the constant.  ``steps`` are ``(subscripts, kind,
-    source, last, *slots)``, flat to keep a cached order small; a bucket's
-    ``_FOLD`` steps, its chunks and then its pairwise products, come before
-    the step that sums its vertex out.  ``source`` is the index of the
-    first step with the same subscripts and kind on operands that hold the
-    same values: a step is evaluated only when it is its own source, and a
-    later step of its class takes its result.  ``last`` marks the last step
-    of a class, after which that result is released.  With vertices kept,
-    the last step multiplies the factors left, if any, into the kept
-    vertices that ``covered`` marks.  ``sums_out`` counts the vertices that
-    a step sums out: an eliminated vertex that no factor spans has none.
+    one all-ones vector per kept vertex, then one per step.  An edge's slot
+    holds the grid, except that each ``(s, row, column)`` of ``pinned``
+    names the pinned vertices at the ends of edge s (None at a free end):
+    slot s holds the grid row at ``row``'s step or the column at
+    ``column``'s, and with both ends pinned the grid entry multiplies into
+    the constant, as a ``_SCALAR`` step's result does.  ``steps`` are
+    ``(subscripts, kind, source, last, *slots)``, flat to keep a cached
+    order small; a bucket's ``_FOLD`` steps, its chunks and then its
+    pairwise products, come before the step that sums its vertex out.
+    ``source`` is the index of the first step with the same subscripts and
+    kind on operands that hold the same values: a step is evaluated only
+    when it is its own source, and a later step of its class takes its
+    result.  ``last`` marks the last step of a class, after which that
+    result is released.  With vertices kept, the last step multiplies the
+    factors left, and the ones of each kept vertex that none of them spans,
+    into all the kept vertices, in keep order.  ``sums_out`` counts the
+    vertices that a step sums out: an eliminated vertex that no factor spans
+    has none.
     """
 
     vertices: tuple
@@ -118,7 +126,6 @@ class EliminationOrder(NamedTuple):
     pinned: tuple
     steps: tuple
     sums_out: int
-    covered: tuple
 
     @property
     def width(self) -> int:
@@ -159,9 +166,9 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
     adj = {v: set() for v in range(n_vertices) if v not in pinset}
     # ``sigs`` gives each slot a signature that two slots share only when
     # they hold equal values: -1 for the grid, a pinned read's (row,
-    # column) pinned vertices (whatever their pin targets), and for a
-    # step's result the index of the first step with the same subscripts,
-    # kind and operand signatures.
+    # column) pinned vertices (whatever their pin targets), None for a kept
+    # vertex's ones, and for a step's result the index of the first step
+    # with the same subscripts, kind and operand signatures.
     pinned, scopes, sigs = [], [], []
     for u, v in edges:
         scope = tuple(w for w in (u, v) if w not in pinset)
@@ -183,9 +190,8 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
         key = (subscripts, kind, *[sigs[s] for s in group])
         source = first.setdefault(key, len(steps))
         steps.append((subscripts, kind, source, *group))
-        if kind != _SCALAR:
-            scopes.append(out_vars)
-            sigs.append(source)
+        scopes.append(out_vars)
+        sigs.append(source)
 
     def fill(v):
         # pairs of distinct neighbors that are not adjacent; past two
@@ -244,6 +250,9 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
     for s, scope in enumerate(scopes):
         for w in scope:
             factors[w][s] = None
+    # one all-ones operand per kept vertex, for the last step only
+    scopes += [(k,) for k in keep]
+    sigs += [None] * len(keep)
     vertices, arities = [], []
     while score:
         v = min(score.values())[2]
@@ -278,20 +287,21 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
             factors[w][len(scopes) - 1] = None
 
     # every factor left spans kept vertices only: the last step multiplies
-    # them into the kept vertices they cover, in keep order
+    # them, and the ones of each kept vertex none spans, into ``keep``
     live = sorted({s for slots in factors.values() for s in slots})
-    covered = {w for s in live for w in scopes[s]}
     assert keep or not live
-    if live:
-        emit(fold(live), tuple(k for k in keep if k in covered), _FOLD)
+    if keep:
+        spanned = {w for s in live for w in scopes[s]}
+        live += [len(edges) + i for i, k in enumerate(keep)
+                 if k not in spanned]
+        emit(fold(live), keep, _FOLD)
     # the last step of each class releases the result its source saved
     last = {step[2]: k for k, step in enumerate(steps)}
     steps = tuple((subscripts, kind, source, last[source] == k, *group)
                   for k, (subscripts, kind, source, *group)
                   in enumerate(steps))
     return EliminationOrder(tuple(vertices), tuple(arities), tuple(pinned),
-                            steps, sum(step[1] != _FOLD for step in steps),
-                            tuple(k in covered for k in keep))
+                            steps, sum(step[1] != _FOLD for step in steps))
 
 
 def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
@@ -300,8 +310,9 @@ def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
     Pinned vertices are dropped up front (their edges become pinned reads);
     kept vertices participate in the interaction graph but are never
     eliminated.  ``pins`` is read as the ``contract_*`` entry points read
-    it, a dict or (vertex, step) pairs, and pins and kept vertices are
-    checked as they check them; the pin targets do not shape the order.
+    it, a dict or (vertex, step) pairs, and the vertex count, pins and kept
+    vertices are checked as they check them (the cache is keyed by the
+    count as a plain int); the pin targets do not shape the order.
     An endpoint that is not an integer in ``range(n_vertices)`` is refused
     on every call: one that is not a plain int (``1.0``, ``True``, a numpy
     integer) is checked before the cache is read, since it would find the
@@ -310,7 +321,7 @@ def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
     as plain ints.
     """
     keep = tuple(keep)
-    pins = _check_vertices(n_vertices, pins, keep)
+    n_vertices, pins = _check_vertices(n_vertices, pins, keep)
     edges = tuple(edges)
     for u, v in edges:
         if type(u) is not int or type(v) is not int:
@@ -354,7 +365,12 @@ def _check_edges(n_vertices, edges):
 
 
 def _check_vertices(n_vertices, pins, keep):
-    """Validate the pinned and the kept vertices; returns the pin map."""
+    """Validate the vertex count, the pinned and the kept vertices; returns
+    the count as a plain int and the pin map."""
+    if type(n_vertices) is not int:
+        n_vertices = _integer(n_vertices, "vertex count")
+    if n_vertices < 0:
+        raise ValueError(f"vertex count {n_vertices} is negative")
     pins = pins if isinstance(pins, dict) else _normalize_pins(pins)
     for v in pins:
         _check_index(v, "pinned vertex", n_vertices)
@@ -366,7 +382,7 @@ def _check_vertices(n_vertices, pins, keep):
         raise ValueError(f"kept vertices {keep} repeat a vertex")
     if set(pins) & set(keep):
         raise ValueError("a vertex cannot be both pinned and kept")
-    return pins
+    return n_vertices, pins
 
 
 def _check_inputs(a, n_steps, pins, stack=False):
@@ -380,17 +396,9 @@ def _check_inputs(a, n_steps, pins, stack=False):
         _check_index(s, "pin target step", n_steps)
 
 
-# ``stepgraphon.StepGraphon``, bound by the first exact call: that module
-# imports this one, so it cannot be imported here at load time.
-_StepGraphon = None
-
-
 def _integer_grid(w):
     """The integer grid and the denominator q of the ``StepGraphon`` w."""
-    global _StepGraphon
-    if _StepGraphon is None:
-        from .stepgraphon import StepGraphon as _StepGraphon
-    if not isinstance(w, _StepGraphon):
+    if not isinstance(w, stepgraphon.StepGraphon):
         raise ValueError("exact contraction takes a StepGraphon, not "
                          f"{type(w).__name__}")
     return w.integer_grid, w.q
@@ -440,6 +448,8 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
 
     const = np.ones(batch) if batch else 1
     slots, at = [a] * len(edges), None
+    if keep:
+        slots += [np.ones(n_steps, dtype=a.dtype)] * len(keep)
     for s, row, column in order.pinned:
         if row is not None and column is not None:
             const = const * a[..., pins[row], pins[column]]
@@ -465,24 +475,16 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
             result = saved.pop(source) if last else saved[source]
         for i in operands:
             slots[i] = None
+        slots.append(result)
         if kind == _SCALAR:
             const = const * result
-        else:
-            slots.append(result)
 
     if not keep:
         return const, order.sums_out
-
-    # the last step's product spans the covered kept vertices: broadcast it
-    # over the others
-    covered = order.covered
-    partial = slots[-1] if any(covered) else np.ones((), dtype=a.dtype)
+    # the last step spans every kept vertex
     if batch:
-        const = np.reshape(const, batch + (1,) * sum(covered))
-    partial = np.asarray(partial * const, dtype=a.dtype)
-    shape = batch + tuple(n_steps if c else 1 for c in covered)
-    full = np.ones(batch + (n_steps,) * len(keep), dtype=a.dtype)
-    return full * partial.reshape(shape), order.sums_out
+        const = np.reshape(const, batch + (1,) * len(keep))
+    return slots[-1] * const, order.sums_out
 
 
 def _contract_integers(n_vertices, edges, values, n_steps, pins=None,
@@ -535,7 +537,7 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
     keep = tuple(keep)
     pins = _normalize_pins(pins)
     _check_inputs(a, n_steps, pins)
-    _check_vertices(n_vertices, pins, keep)
+    n_vertices, _ = _check_vertices(n_vertices, pins, keep)
     _check_edges(n_vertices, edges)
     if n_steps ** n_vertices > STATE_LIMIT:
         raise ValueError(

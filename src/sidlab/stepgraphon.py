@@ -202,7 +202,7 @@ def hadamard(w1: StepGraphon, w2: StepGraphon) -> StepGraphon:
 def permute_steps(w: StepGraphon, perm) -> StepGraphon:
     """Relabel steps by a permutation (old index -> new index)."""
     n = w.n_steps
-    perm = list(perm)
+    perm = [_integer(x, "step") for x in perm]
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the steps")
     old = np.argsort(perm)
@@ -423,6 +423,7 @@ def _switch_repair(pairs, rng: random.Random, max_attempts=3000):
 def regular_graph_graphon(n: int, deg: int, seed: int) -> StepGraphon:
     """Random simple deg-regular graph as a 0/1 graphon; (deg/n)-regular."""
     n, deg = _integer(n, "step count"), _integer(deg, "degree")
+    seed = _integer(seed, "seed")
     if deg < 0 or deg >= n:
         raise ValueError(f"degree {deg} infeasible for {n} vertices")
     if (n * deg) % 2 != 0:
@@ -459,7 +460,7 @@ _NOISE_LEVELS = 64
 
 def pointwise_dense_graphon(n: int, d, noise, seed: int) -> StepGraphon:
     """Entries in [d, 1]: d plus rational noise; d-locally dense pointwise."""
-    n = _integer(n, "step count")
+    n, seed = _integer(n, "step count"), _integer(seed, "seed")
     d = Fraction(d)
     noise = Fraction(noise)
     if not 0 <= d <= 1 or not 0 <= noise <= 1:

@@ -196,6 +196,21 @@ def test_a_compiled_edge_list_admits_no_equal_list_of_non_ints(
     assert backend(3, ((np.int64(0), 1), (1, np.int8(2))), grid, 2) == plain
 
 
+@every_backend
+@pytest.mark.parametrize("count", [3.0, True, -1])
+@pytest.mark.parametrize("warm", [False, True])
+def test_vertex_count_is_read_as_an_integer(backend, grid, count, warm):
+    # the count was once used as given: 3.0 was a TypeError on a cold order
+    # cache but answered once 3 had compiled the same edge list, True was
+    # read as 1, and -1 contracted nothing
+    edges = ((0, 1), (1, 2)) if count == 3 else ()
+    contraction._elimination_order_cached.cache_clear()
+    if warm:
+        backend(max(int(count), 0), edges, grid, 2)
+    with pytest.raises(ValueError, match="vertex count"):
+        backend(count, edges, grid, 2)
+
+
 def test_elimination_order_reads_pins_as_the_entry_points_do():
     # (vertex, step) pairs once went through sorted() as pairs: nothing was
     # pinned and vertex 0 was eliminated
@@ -345,17 +360,24 @@ def symmetrized(grid):
                         for row, col in zip(grid, zip(*grid))])
 
 
+# a denominator whose integer grid entries and their products pass int64
+BIG_Q = 2 ** 61 - 1
+BIG_GRID = [[F(BIG_Q - 1, BIG_Q), F(BIG_Q - 2, BIG_Q)],
+            [F(BIG_Q - 3, BIG_Q), F(BIG_Q - 4, BIG_Q)]]
+
+
 @st.composite
 def raw_contractions(draw):
-    """A raw contraction: a non-symmetric grid, an edge list that may hold
-    loops and leave vertices isolated (or be empty), pins and up to two
-    kept vertices, on 0 to 6 vertices.  The float entry points read the
-    grid, the exact ones its symmetrized graphon."""
+    """A raw contraction: a non-symmetric grid over 6 or ``BIG_Q``, an edge
+    list that may hold loops and leave vertices isolated (or be empty),
+    pins and up to two kept vertices, on 0 to 6 vertices.  The float entry
+    points read the grid, the exact ones its symmetrized graphon."""
     nv = draw(st.integers(0, 6))
     n = draw(st.integers(1, 4))
-    grid = draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+    q = draw(st.sampled_from([6, BIG_Q]))
+    grid = draw(st.lists(st.lists(st.integers(0, q), min_size=n, max_size=n),
                          min_size=n, max_size=n))
-    grid = [[F(x, 6) for x in row] for row in grid]
+    grid = [[F(x, q) for x in row] for row in grid]
     vertex = st.integers(0, max(nv - 1, 0))
     edges = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=8))
                   if nv else ())
@@ -368,6 +390,10 @@ def raw_contractions(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(raw_contractions())
+# the exact constant of the edges pinned at both ends, times the kept
+# output, passes int64; in the second case no edge spans the kept vertex
+@example((3, ((0, 1), (1, 2), (0, 2)), BIG_GRID, 2, {0: 0, 1: 1}, (2,)))
+@example((3, ((0, 1), (1, 0)), BIG_GRID, 2, {0: 0, 1: 1}, (2,)))
 def test_oracle_and_engine_match_the_reference_loop(case):
     nv, edges, grid, n, pins, keep = case
     w = symmetrized(grid)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -440,14 +441,36 @@ def test_generate_regular_graph_deterministic():
                  id="pointwise-dense"),
     pytest.param("kernel power", lambda x: kernel_power(BIP, x),
                  id="kernel-power"),
+    pytest.param("seed", lambda x: regular_graph_graphon(4, 2, x),
+                 id="regular-seed"),
+    pytest.param("seed",
+                 lambda x: pointwise_dense_graphon(3, F(1, 2), F(1, 2), x),
+                 id="pointwise-dense-seed"),
+    pytest.param("step", lambda x: permute_steps(BIP, [x, 0]),
+                 id="permutation"),
 ])
 @pytest.mark.parametrize("bad", [True, 2.0, 2.5])
 def test_generators_reject_non_integer_sizes(what, build, bad):
     # constant_graphon(1/2, True) was a 1-step graphon,
-    # regular_graph_graphon(4, True, 1) a 1-regular one and
-    # kernel_power(w, True) w itself
+    # regular_graph_graphon(4, True, 1) a 1-regular one,
+    # kernel_power(w, True) w itself, regular_graph_graphon(6, 2, True) the
+    # graphon of seed 1 and permute_steps(w, [True, False]) a permutation
     with pytest.raises(ValueError, match=f"{what} {bad} is not an integer"):
         build(bad)
+
+
+def test_generators_read_seeds_and_steps_as_integers():
+    # a string seed was hashed into a draw, and a numpy integer seed was a
+    # TypeError from random.Random
+    with pytest.raises(ValueError, match="seed 'x' is not an integer"):
+        regular_graph_graphon(6, 2, "x")
+    assert (regular_graph_graphon(6, 2, np.int64(5))
+            == regular_graph_graphon(6, 2, 5))
+    assert (pointwise_dense_graphon(3, F(1, 2), F(1, 2), np.int32(2))
+            == pointwise_dense_graphon(3, F(1, 2), F(1, 2), 2))
+    assert permute_steps(BIP, [np.int64(1), 0]) == permute_steps(BIP, [1, 0])
+    with pytest.raises(ValueError, match="step 1.0 is not an integer"):
+        permute_steps(BIP, [1.0, 0.0])
 
 
 def test_generate_regular_graph_infeasible():
