@@ -386,14 +386,20 @@ def _check_vertices(n_vertices, pins, keep):
 
 
 def _check_inputs(a, n_steps, pins, stack=False):
-    """Validate the grid and the pin targets of the pin map ``pins``.  The
-    grid's last two axes must be ``n_steps`` x ``n_steps``, and only a
-    ``stack`` may lead with batch axes."""
+    """Validate the step count, the grid and the pin targets of the pin map
+    ``pins``; returns the step count as a plain int.  The count must be an
+    integer of at least 1, the grid's last two axes ``n_steps`` x
+    ``n_steps``, and only a ``stack`` may lead with batch axes."""
+    if type(n_steps) is not int:
+        n_steps = _integer(n_steps, "step count")
+    if n_steps < 1:
+        raise ValueError(f"step count {n_steps} is below 1")
     if a.shape[-2:] != (n_steps, n_steps) or a.ndim > 2 and not stack:
         raise ValueError(f"grid of shape {a.shape} is not "
                          f"{n_steps} x {n_steps}")
     for s in pins.values():
         _check_index(s, "pin target step", n_steps)
+    return n_steps
 
 
 def _integer_grid(w):
@@ -428,14 +434,15 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
     be a stack of grids, shape ``(..., n, n)``: every slice is contracted as
     the 2-D call would, and the batch axes lead the result.  Returns the
     result (a scalar, or one value per grid, when nothing is kept, else an
-    array with one length-n axis per kept vertex, in ``keep`` order) and the
-    order's ``sums_out``.  Raises ``ValueError`` when the largest step would
-    enumerate more than ``STATE_LIMIT`` index tuples over the whole stack.
+    array with one length-n axis per kept vertex, in ``keep`` order) and n
+    to the order's ``sums_out``.  Raises ``ValueError`` when the largest
+    step would enumerate more than ``STATE_LIMIT`` index tuples over the
+    whole stack.
     """
     keep = tuple(keep)
     exact = a.dtype == object
     pins = _normalize_pins(pins)
-    _check_inputs(a, n_steps, pins, stack=not exact)
+    n_steps = _check_inputs(a, n_steps, pins, stack=not exact)
     # checks the pinned and the kept vertices
     order = elimination_order(n_vertices, edges, pins, keep)
     batch = a.shape[:-2]
@@ -479,12 +486,13 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
         if kind == _SCALAR:
             const = const * result
 
+    scale = n_steps ** order.sums_out
     if not keep:
-        return const, order.sums_out
+        return const, scale
     # the last step spans every kept vertex
     if batch:
         const = np.reshape(const, batch + (1,) * len(keep))
-    return slots[-1] * const, order.sums_out
+    return slots[-1] * const, scale
 
 
 def _contract_integers(n_vertices, edges, values, n_steps, pins=None,
@@ -493,8 +501,8 @@ def _contract_integers(n_vertices, edges, values, n_steps, pins=None,
     integer grid of the ``StepGraphon`` ``values``, and its denominator
     q^{#edges} * n^{#summed out}."""
     a, q = _integer_grid(values)
-    raw, summed = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
-    return raw, q ** len(edges) * n_steps ** summed
+    raw, scale = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
+    return raw, q ** len(edges) * scale
 
 
 def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
@@ -526,7 +534,7 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
     """Unnormalized sums of edge products over every assignment of the free
     vertices, in either dtype of ``a``: one sum per assignment of the kept
     vertices, shaped like ``_eliminate``'s result.  Also returns the number
-    of free vertices.
+    of assignments of the free vertices, n to their count.
 
     The assignments are enumerated in chunks of at most
     ``_BRUTEFORCE_CHUNK`` indices: free vertex i takes digit i of an index
@@ -536,7 +544,7 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
     """
     keep = tuple(keep)
     pins = _normalize_pins(pins)
-    _check_inputs(a, n_steps, pins)
+    n_steps = _check_inputs(a, n_steps, pins)
     n_vertices, _ = _check_vertices(n_vertices, pins, keep)
     _check_edges(n_vertices, edges)
     if n_steps ** n_vertices > STATE_LIMIT:
@@ -570,17 +578,18 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
         for xs in itertools.product(range(n_steps), repeat=len(keep))
     ]
     raw = np.array(sums, dtype=a.dtype).reshape((n_steps,) * len(keep))
-    return raw, len(free)
+    return raw, states
 
 
 def bruteforce_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
     a, q = _integer_grid(values)
-    raw, free = _bruteforce(n_vertices, edges, a, n_steps, pins, keep)
-    return _as_fractions(raw, q ** len(edges) * n_steps ** free)
+    raw, states = _bruteforce(n_vertices, edges, a, n_steps, pins, keep)
+    return _as_fractions(raw, q ** len(edges) * states)
 
 
 def bruteforce_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):
-    raw, free = _bruteforce(n_vertices, edges, np.asarray(matrix, dtype=float),
-                            n_steps, pins, keep)
-    out = raw / float(n_steps) ** free
+    raw, states = _bruteforce(n_vertices, edges,
+                              np.asarray(matrix, dtype=float), n_steps, pins,
+                              keep)
+    out = raw / float(states)
     return out if keep else float(out)

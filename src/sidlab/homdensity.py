@@ -91,7 +91,17 @@ def hom_density(graph: Graph, w: StepGraphon, mode: str = "exact",
     return DensityValue(value, mode, graph.n - len(pins))
 
 
-def _gradient(graph: Graph, w, n_steps: int, contract) -> np.ndarray:
+def _cavity(graph: Graph, edge, w, n_steps: int, contract):
+    """The cavity kernel of ``edge``: ``graph`` without it, contracted by
+    ``contract`` with both its ends kept."""
+    edges = graph.edges
+    k = edges.index(edge)
+    return contract(graph.n, edges[:k] + edges[k + 1:], w, n_steps,
+                    keep=edge)
+
+
+def _gradient(graph: Graph, w, n_steps: int, contract,
+              first=None) -> np.ndarray:
     """Density gradient from one cavity kernel per edge orbit.
 
     An automorphism of ``graph`` that maps edge (u, v) onto (u', v') maps
@@ -102,15 +112,19 @@ def _gradient(graph: Graph, w, n_steps: int, contract) -> np.ndarray:
     ``contract`` is ``contraction.contract_float``, with ``w`` a float grid
     or a stack ``(..., n, n)`` of them (one gradient per grid), or
     ``contraction.contract_exact``, with ``w`` a ``StepGraphon``, giving an
-    object array of Fractions.
+    object array of Fractions.  ``first``, when given, is the first orbit's
+    cavity kernel as ``contract`` gives it for ``w`` (the descent in
+    ``search`` holds it from the slack); only the other orbits are then
+    contracted.
     """
-    edges = graph.edges
     # np.shape reads no batch axes off a StepGraphon
     grid = np.zeros(np.shape(w)[:-2] + (n_steps, n_steps), dtype=int)
-    for orbit in edge_orbits(graph):
-        k = edges.index(orbit[0])
-        kernel = np.asarray(contract(graph.n, edges[:k] + edges[k + 1:], w,
-                                     n_steps, keep=orbit[0]))
+    for i, orbit in enumerate(edge_orbits(graph)):
+        if i == 0 and first is not None:
+            kernel = first
+        else:
+            kernel = np.asarray(_cavity(graph, orbit[0], w, n_steps,
+                                        contract))
         grid = grid + len(orbit) * (kernel + np.swapaxes(kernel, -1, -2))
     grid = grid / n_steps ** 2
     # The two orientations double off-diagonal entries but must not double
@@ -120,9 +134,9 @@ def _gradient(graph: Graph, w, n_steps: int, contract) -> np.ndarray:
     return grid
 
 
-def _gradient_float(graph: Graph, a: np.ndarray):
+def _gradient_float(graph: Graph, a: np.ndarray, first=None):
     a = np.asarray(a, dtype=float)
-    return _gradient(graph, a, a.shape[-1], contraction.contract_float)
+    return _gradient(graph, a, a.shape[-1], contraction.contract_float, first)
 
 
 def density_gradient(graph: Graph, w: StepGraphon):

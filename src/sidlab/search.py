@@ -10,16 +10,20 @@ re-checked in exact arithmetic.
 
 All starts of a search advance together as one ``(B, n, n)`` stack: the
 contraction engine, the density gradient and the Dykstra projection each
-take the stack in one call.  Every start keeps its own path.  A start leaves
-the active set when its gradient vanishes or its line search finds no
-acceptable step; inside a line search each start shrinks its own step until
-it accepts one, and a trial whose projection does not settle counts as a
-rejected step, after which that start's line searches begin no higher than
-its clamped step; inside a projection each grid is frozen at the first sweep
-whose own residual reaches ``PROJECTION_TOL``.  Each start therefore ends
-where a search on it alone would.  The start of least final slack (ties to
-the lower index) wins, and that slack, as its descent computed it, is the
-reported ``best_deficit``.
+take the stack in one call.  The slack is read off one contraction, the
+cavity K of the first edge orbit's representative (t_H(W) = n⁻² Σ_ij W_ij
+K_ij), and each start keeps the cavity of its current grid: an accepted
+trial hands its cavity to the next gradient, which contracts only the other
+orbits, so a trial costs one engine call.  Every start keeps its own path.
+A start leaves the active set when its gradient vanishes or its line search
+finds no acceptable step; inside a line search each start shrinks its own
+step until it accepts one, and a trial whose projection does not settle
+counts as a rejected step, after which that start's line searches begin no
+higher than its clamped step; inside a projection each grid is frozen at
+the first sweep whose own residual reaches ``PROJECTION_TOL``.  Each start
+therefore ends where a search on it alone would.  The start of least final
+slack (ties to the lower index) wins, and that slack, as its descent
+computed it, is the reported ``best_deficit``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from math import lcm
 import numpy as np
 
 from . import contraction
-from .graphs import Graph, _integer
-from .homdensity import _gradient_float
+from .graphs import Graph, _integer, edge_orbits
+from .homdensity import _cavity, _gradient_float
 from .stepgraphon import StepGraphon, _frac_str, edge_density
 
 __all__ = [
@@ -77,37 +81,45 @@ def _project_regular_array(m: np.ndarray, d: float, max_iter: int = 5000):
     ``PROJECTION_TOL``, so every slice equals the call on that grid alone,
     and its reported residual is 0.  A grid that does not settle within
     ``max_iter`` sweeps keeps its last sweep and reports that sweep's
-    residual (above ``PROJECTION_TOL``, or nan).
+    residual (above ``PROJECTION_TOL``, or nan).  ``max_iter`` is read
+    through ``graphs._integer``, and a count below 1 is refused.
     """
+    if type(max_iter) is not int:
+        max_iter = _integer(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     shape = m.shape
     n = shape[-1]
     target = n * d
     x = np.reshape((m + np.swapaxes(m, -1, -2)) / 2.0, (-1, n, n))
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    out = np.empty_like(x)
-    out_residual = np.zeros(len(x))
-    live = np.arange(len(x))
+    p = q = 0.0
+    # the frozen grids, their residuals and the stack index of each grid
+    # still live, made once grids of the stack settle at different sweeps
+    out = out_residual = live = None
     for _ in range(max_iter):
-        y = _affine_project(x + p, target)
-        p = x + p - y
-        x_new = np.clip(y + q, 0.0, 1.0)
-        q = y + q - x_new
-        x = x_new
+        xp = x + p
+        y = _affine_project(xp, target)
+        p = xp - y
+        yq = y + q
+        x = np.clip(yq, 0.0, 1.0)
+        q = yq - x
         residual = np.max(np.abs(x.sum(axis=-1) - target), axis=-1)
         done = residual <= PROJECTION_TOL
+        if done.all():
+            residual = np.zeros(len(x))
+            break
         if done.any():
+            if live is None:
+                out, out_residual = np.empty_like(x), np.zeros(len(x))
+                live = np.arange(len(x))
             out[live[done]] = x[done]
             keep = ~done
             x, p, q, live = x[keep], p[keep], q[keep], live[keep]
             residual = residual[keep]
-            if not len(live):
-                break
-    else:
+    if live is not None:
         out[live], out_residual[live] = x, residual
-    return out.reshape(shape), out_residual.reshape(shape[:-2])
+        x, residual = out, out_residual
+    return x.reshape(shape), residual.reshape(shape[:-2])
 
 
 def _settled(x: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -124,7 +136,7 @@ def project_regular(grid, d, max_iter: int = 5000) -> StepGraphon:
 
     Accepts a StepGraphon, nested values, or an ndarray.  Raises
     ProjectionError with the final residual if the iteration cap is hit,
-    and ValueError if ``max_iter < 1``.
+    and ValueError if ``max_iter`` is not an integer of at least 1.
     """
     d = Fraction(d)
     if not 0 <= d <= 1:
@@ -181,16 +193,33 @@ def _edge_densities(a: np.ndarray, n: int) -> list:
     return (a.sum(axis=(-2, -1)) / n ** 2).tolist()
 
 
-def _sidorenko_slack(graph: Graph, a: np.ndarray, n: int) -> np.ndarray:
-    """The slack of each grid of the stack ``a``."""
-    t = contraction.contract_float(graph.n, graph.edges, a, n)
+def _sidorenko_slack(graph: Graph, a: np.ndarray, n: int):
+    """The slack of each grid of the stack ``a``, and the stack of cavity
+    kernels it was read off (None for an edgeless graph).
+
+    For any edge (u, v), t_H(W) = n⁻² Σ_ij W_ij K_ij, with K the cavity of
+    H minus (u, v) with u and v kept.  The cavity taken is the one of the
+    representative of the first edge orbit, which ``_gradient`` would
+    contract first, so the descent hands it on to the next gradient.  An
+    edgeless graph is contracted whole, to t = 1.
+    """
     e = graph.num_edges
-    return t - np.array([s ** e for s in _edge_densities(a, n)])
+    rho_e = np.array([s ** e for s in _edge_densities(a, n)])
+    if not e:
+        return contraction.contract_float(graph.n, (), a, n) - rho_e, None
+    cavity = _cavity(graph, edge_orbits(graph)[0][0], a, n,
+                     contraction.contract_float)
+    # summed along one contiguous axis, so that each grid of a stack sums in
+    # the order the grid alone does
+    t = (cavity * a).reshape(a.shape[:-2] + (n * n,)).sum(axis=-1) / n ** 2
+    return t - rho_e, cavity
 
 
-def _slack_gradient(graph: Graph, a: np.ndarray, n: int) -> np.ndarray:
-    """The slack gradient of each grid of the stack ``a``."""
-    g = _gradient_float(graph, a)
+def _slack_gradient(graph: Graph, a: np.ndarray, n: int,
+                    cavity) -> np.ndarray:
+    """The slack gradient of each grid of the stack ``a``; ``cavity``, the
+    stack that ``_sidorenko_slack`` gave for ``a``, spares its contraction."""
+    g = _gradient_float(graph, a, cavity)
     e = graph.num_edges
     coef = np.array([e * s ** (e - 1) for s in _edge_densities(a, n)])
     base = np.full((n, n), 2.0 / n ** 2)
@@ -230,7 +259,9 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     raw = np.stack([np.random.default_rng(child).random((n, n))
                     for child in np.random.SeedSequence(seed).spawn(starts)])
     x = _settled(*_project_regular_array(raw, df))
-    val = _sidorenko_slack(graph, x, n)
+    # each start's slack and the cavity it was read off, which its next
+    # gradient reuses
+    val, cav = _sidorenko_slack(graph, x, n)
     traces = [[v] for v in val.tolist()]
     # a start leaves the active set at a vanishing gradient or when its line
     # search finds no acceptable step; the others keep descending
@@ -241,7 +272,8 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     for _ in range(iters):
         if not len(active):
             break
-        grad = _slack_gradient(graph, x[active], n)
+        grad = _slack_gradient(graph, x[active], n,
+                               None if cav is None else cav[active])
         moving = ~(np.max(np.abs(grad), axis=(-2, -1)) < 1e-14)
         active, grad = active[moving], grad[moving]
         # Armijo backtracking for every active start at once; a start stays
@@ -267,11 +299,13 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
                     1.0 / np.max(np.abs(grad[u]), axis=(-2, -1)))
                 cap[active[u]] = eta[u]
                 j, xs, cand = j[settled], xs[settled], cand[settled]
-            cand_val = _sidorenko_slack(graph, cand, n)
+            cand_val, cand_cav = _sidorenko_slack(graph, cand, n)
             decrease = np.sum(grad[j] * (cand - xs), axis=(-2, -1))
             ok = cand_val <= val[active[j]] + 1e-4 * decrease
             won = active[j[ok]]
             x[won], val[won] = cand[ok], cand_val[ok]
+            if cav is not None:
+                cav[won] = cand_cav[ok]
             for k, v in zip(won.tolist(), cand_val[ok].tolist()):
                 traces[k].append(v)
             accepted[j[ok]] = True

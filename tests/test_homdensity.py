@@ -211,6 +211,32 @@ def test_vertex_count_is_read_as_an_integer(backend, grid, count, warm):
         backend(count, edges, grid, 2)
 
 
+ONE_STEP = StepGraphon([[1]])
+
+
+@pytest.mark.parametrize("backend, grid", BACKENDS[:4])
+@pytest.mark.parametrize("count, error", [
+    (2.0, "step count 2.0 is not an integer"),
+    ("2", "step count '2' is not an integer"),
+    (True, "step count True is not an integer"),
+    (0, "step count 0 is below 1"),
+])
+def test_step_count_is_read_as_an_integer(backend, grid, count, error):
+    # the count was once compared with the grid's shape as given: the engine
+    # answered 2.0 on a 2 x 2 grid (0.5) and True on a 1 x 1 grid (1.0),
+    # where brute force raised TypeError
+    if count in (True, 0):
+        grid = ONE_STEP if grid is BIP else ONE_STEP.float_matrix
+    with pytest.raises(ValueError, match=re.escape(error)):
+        backend(2, ((0, 1),), grid, count)
+
+
+@pytest.mark.parametrize("backend, grid", BACKENDS[:4])
+def test_a_numpy_step_count_is_an_integer(backend, grid):
+    assert backend(2, ((0, 1),), grid, np.int64(2)) == backend(
+        2, ((0, 1),), grid, 2)
+
+
 def test_elimination_order_reads_pins_as_the_entry_points_do():
     # (vertex, step) pairs once went through sorted() as pairs: nothing was
     # pinned and vertex 0 was eliminated

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sidlab import search
-from sidlab.contraction import contract_exact
+from sidlab import contraction, search
+from sidlab.contraction import contract_exact, contract_float
 from sidlab.graphs import (
+    Graph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    edge_orbits,
     generalized_theta,
+    path_graph,
 )
+from sidlab.homdensity import _gradient_float
 from sidlab.search import (
     PROJECTION_TOL,
     ProjectionError,
@@ -113,10 +117,56 @@ def test_projection_of_stack_reports_each_residual():
     assert np.all(out[1] == alone)
 
 
+def plain_dykstra(grid, d):
+    """Dykstra's loop on one grid, written out with both correction arrays
+    starting at zero and no freezing: the sweeps the projection runs."""
+    n = grid.shape[-1]
+    x = (grid + grid.T) / 2.0
+    p, q = np.zeros_like(x), np.zeros_like(x)
+    while True:
+        y = search._affine_project(x + p, n * d)
+        p = x + p - y
+        x_new = np.clip(y + q, 0.0, 1.0)
+        q = y + q - x_new
+        x = x_new
+        if np.max(np.abs(x.sum(axis=-1) - n * d)) <= PROJECTION_TOL:
+            return x
+
+
+def test_projection_runs_the_plain_dykstra_sweeps():
+    rng = np.random.default_rng(12)
+    grids = [np.full((4, 4), 0.4)] + [
+        rng.random((4, 4)) * scale - shift
+        for scale, shift in ((0.1, -0.35), (2, 0.5), (4, 1.5))]
+    # two grids settle in one sweep, the others after 31 and 89 sweeps
+    assert [sweeps_to_settle(g, 0.4) for g in grids] == [1, 1, 31, 89]
+    stacked, _ = _project_regular_array(np.stack(grids), 0.4)
+    for grid, out in zip(grids, stacked):
+        assert np.array_equal(out, plain_dykstra(grid, 0.4))
+        assert np.array_equal(_project_regular_array(grid, 0.4)[0], out)
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_projection_rejects_nonpositive_max_iter(max_iter):
     with pytest.raises(ValueError, match="max_iter"):
         project_regular(np.eye(2), F(1, 2), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [True, 2.0, 1.5, "3"])
+def test_projection_rejects_a_max_iter_that_is_not_an_integer(max_iter):
+    # True once ran one sweep, and the others were a TypeError from range
+    # or from <
+    for project in (project_regular, _project_regular_array):
+        with pytest.raises(ValueError,
+                           match=f"max_iter {max_iter!r} is not an integer"):
+            project(np.eye(2), 0.5, max_iter=max_iter)
+
+
+def test_projection_reads_a_numpy_max_iter():
+    stack = np.stack([np.full((3, 3), 0.5), np.eye(3) * 5.0])
+    out, residual = _project_regular_array(stack, 0.5, max_iter=np.int64(1))
+    alone, alone_residual = _project_regular_array(stack, 0.5, max_iter=1)
+    assert np.all(out == alone) and np.all(residual == alone_residual)
 
 
 def test_projection_rejects_bad_degree():
@@ -296,6 +346,107 @@ def test_search_recomputed_deficit_matches_reported():
                                 iters=80, seed=4)
     again = float(deficit(cycle_graph(6), res.best_w))
     assert abs(again - res.best_deficit) <= 1e-10
+
+
+# the bipartite Sidorenko graphs the benchmark's search workload runs
+def even_theta(*lengths):
+    return generalized_theta(lengths, "even").graph
+
+
+SEARCH_GRAPHS = {
+    "C4": cycle_graph(4), "K23": complete_multipartite([2, 3]),
+    "C6": cycle_graph(6), "theta24": even_theta(2, 4),
+    "K33": complete_multipartite([3, 3]), "theta224": even_theta(2, 2, 4),
+    "C8": cycle_graph(8), "theta244": even_theta(2, 4, 4),
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_GRAPHS)
+def test_slack_is_read_off_the_first_orbit_cavity(name):
+    graph = SEARCH_GRAPHS[name]
+    rng = np.random.default_rng(sorted(SEARCH_GRAPHS).index(name))
+    for n in (3, 5):
+        raw = rng.random((6, n, n))
+        a = (raw + np.swapaxes(raw, -1, -2)) / 2.0
+        slack, cavity = search._sidorenko_slack(graph, a, n)
+        whole = contract_float(graph.n, graph.edges, a, n) - np.array(
+            [(g.sum() / n ** 2) ** graph.num_edges for g in a])
+        assert np.max(np.abs(slack - whole)) <= 1e-15
+        # a one-start search runs a one-grid stack: each start's slack and
+        # cavity are the ones it would have alone
+        for k in range(len(a)):
+            alone, alone_cavity = search._sidorenko_slack(graph, a[k:k + 1],
+                                                          n)
+            assert alone[0] == slack[k]
+            assert np.array_equal(alone_cavity[0], cavity[k])
+        # handed to the gradient, the cavity stands in for the first orbit's
+        # contraction bit for bit, also on a sub-stack
+        assert np.array_equal(_gradient_float(graph, a, cavity),
+                              _gradient_float(graph, a))
+        assert np.array_equal(_gradient_float(graph, a[3:], cavity[3:]),
+                              _gradient_float(graph, a[3:]))
+
+
+@pytest.mark.parametrize("graph, orbits", [
+    (cycle_graph(6), 1), (even_theta(2, 2, 4), 3)])
+def test_search_runs_one_engine_call_per_trial(monkeypatch, graph, orbits):
+    # The slack of a trial is read off its first-orbit cavity, which the
+    # next gradient reuses: one float contraction for the starting points,
+    # one per settled trial projection, and one per gradient for each other
+    # orbit.
+    calls = {"contract": 0, "gradient": 0}
+    settled = []
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def projecting(m, d, **kwargs):
+        out, residual = _project_regular_array(m, d, **kwargs)
+        settled.append(bool(np.all(residual <= PROJECTION_TOL)))
+        return out, residual
+
+    monkeypatch.setattr(contraction, "contract_float",
+                        counted("contract", contraction.contract_float))
+    monkeypatch.setattr(search, "_project_regular_array", projecting)
+    monkeypatch.setattr(search, "_gradient_float",
+                        counted("gradient", search._gradient_float))
+    res = search_counterexample(graph, n=4, d=F(1, 2), starts=6, iters=25,
+                                seed=3)
+    assert len(edge_orbits(graph)) == orbits
+    # the starting points' projection, then one per trial
+    trials = len(settled) - 1
+    assert all(settled) and trials >= calls["gradient"] > 1
+    assert calls["contract"] == (1 + trials
+                                 + (orbits - 1) * calls["gradient"])
+    assert len(res.trace) > 1
+
+
+# best deficits before the slack was read off a cavity
+# (graph, d) -> best_deficit of a 4-start, 20-iteration search at n=3, seed 2
+DEGENERATE_SEARCHES = {
+    ("edgeless", F(0)): 0.0,
+    ("edgeless", F(1, 2)): 0.0,
+    ("edgeless", F(1)): 0.0,
+    ("K2", F(0)): -3.2311742677852644e-27,
+    ("K2", F(1, 2)): 0.0,
+    ("K2", F(1)): 0.0,
+    ("P3", F(0)): 7.607799438521845e-35,
+    ("P3", F(1, 2)): -2.7755575615628914e-17,
+    ("P3", F(1)): -1.1102230246251565e-16,
+}
+
+
+@pytest.mark.parametrize("name, d", DEGENERATE_SEARCHES)
+def test_search_on_graphs_with_few_edges(name, d):
+    # an edgeless graph is contracted whole and has no cavity to hand on
+    graph = {"edgeless": Graph(3), "K2": path_graph(1),
+             "P3": path_graph(2)}[name]
+    res = search_counterexample(graph, n=3, d=d, starts=4, iters=20, seed=2)
+    assert abs(res.best_deficit - DEGENERATE_SEARCHES[name, d]) <= 1e-15
+    assert not res.certified_violation
 
 
 # -- exact certification -----------------------------------------------------
