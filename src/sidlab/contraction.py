@@ -349,10 +349,9 @@ def _normalize_pins(pins) -> dict:
 
 
 def _check_index(x, what, bound):
-    """Refuse ``x`` unless ``graphs._integer`` reads it (a bool or a
-    non-integer is refused) as an index in ``range(bound)``."""
-    if type(x) is not int:
-        x = _integer(x, what)
+    """Refuse ``x`` unless ``graphs._integer`` reads it as an index in
+    ``range(bound)``."""
+    x = _integer(x, what)
     if not 0 <= x < bound:
         raise ValueError(f"{what} {x} out of range")
 
@@ -367,10 +366,7 @@ def _check_edges(n_vertices, edges):
 def _check_vertices(n_vertices, pins, keep):
     """Validate the vertex count, the pinned and the kept vertices; returns
     the count as a plain int and the pin map."""
-    if type(n_vertices) is not int:
-        n_vertices = _integer(n_vertices, "vertex count")
-    if n_vertices < 0:
-        raise ValueError(f"vertex count {n_vertices} is negative")
+    n_vertices = _integer(n_vertices, "vertex count", 0)
     pins = pins if isinstance(pins, dict) else _normalize_pins(pins)
     for v in pins:
         _check_index(v, "pinned vertex", n_vertices)
@@ -390,10 +386,7 @@ def _check_inputs(a, n_steps, pins, stack=False):
     ``pins``; returns the step count as a plain int.  The count must be an
     integer of at least 1, the grid's last two axes ``n_steps`` x
     ``n_steps``, and only a ``stack`` may lead with batch axes."""
-    if type(n_steps) is not int:
-        n_steps = _integer(n_steps, "step count")
-    if n_steps < 1:
-        raise ValueError(f"step count {n_steps} is below 1")
+    n_steps = _integer(n_steps, "step count", 1)
     if a.shape[-2:] != (n_steps, n_steps) or a.ndim > 2 and not stack:
         raise ValueError(f"grid of shape {a.shape} is not "
                          f"{n_steps} x {n_steps}")

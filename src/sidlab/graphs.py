@@ -57,18 +57,11 @@ class Graph:
     edges: tuple = ()
 
     def __post_init__(self):
-        # the exact-int test keeps the common case off ``_integer``
-        n = self.n if type(self.n) is int else _integer(self.n, "vertex count")
-        if n < 0:
-            raise ValueError("vertex count must be a nonnegative integer")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _integer(self.n, "vertex count", 0))
         seen = set()
         for edge in self.edges:
             u, v = edge
-            if type(u) is not int:
-                u = _integer(u, "endpoint")
-            if type(v) is not int:
-                v = _integer(v, "endpoint")
+            u, v = _integer(u, "endpoint"), _integer(v, "endpoint")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -144,9 +137,7 @@ def complete_graph(h: int) -> Graph:
 
 def complete_multipartite(sizes) -> Graph:
     """Complete multipartite graph with consecutive index blocks as parts."""
-    sizes = [_integer(s, "part size") for s in sizes]
-    if any(s <= 0 for s in sizes):
-        raise ValueError("part sizes must be positive")
+    sizes = [_integer(s, "part size", 1) for s in sizes]
     bounds = []
     start = 0
     for s in sizes:
@@ -160,16 +151,12 @@ def complete_multipartite(sizes) -> Graph:
 
 def path_graph(length: int) -> Graph:
     """Path with ``length`` edges on vertices 0..length."""
-    length = _integer(length, "path length")
-    if length < 0:
-        raise ValueError("path length must be nonnegative")
+    length = _integer(length, "path length", 0)
     return Graph(length + 1, tuple((i, i + 1) for i in range(length)))
 
 
 def cycle_graph(length: int) -> Graph:
-    length = _integer(length, "cycle length")
-    if length < 3:
-        raise ValueError("cycle length must be at least 3")
+    length = _integer(length, "cycle length", 3)
     edges = [(i, i + 1) for i in range(length - 1)] + [(length - 1, 0)]
     return Graph(length, tuple(edges))
 
@@ -314,12 +301,20 @@ class RootedGraph:
 # Gadget constructors.
 # ---------------------------------------------------------------------------
 
-def _integer(x, what) -> int:
-    """``x`` as an int; a bool or any value that is not an integer is a
-    ValueError naming it, never truncated."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise ValueError(f"{what} {x!r} is not an integer")
-    return int(x)
+def _integer(x, what, low=None) -> int:
+    """``x`` read as a plain int: the one reader of every integer argument.
+
+    A bool or any value that is not an integer is a ValueError naming it,
+    never truncated, and a NumPy integer is read as an int.  With ``low``
+    given, a value below it is a ValueError ``"{what} {x} is below {low}"``.
+    """
+    if type(x) is not int:
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise ValueError(f"{what} {x!r} is not an integer")
+        x = int(x)
+    if low is not None and x < low:
+        raise ValueError(f"{what} {x} is below {low}")
+    return x
 
 
 def _lay_path(edges, u, v, length, nxt) -> int:
@@ -342,11 +337,9 @@ def generalized_theta(lengths, parity: str = "any") -> RootedGraph:
     At most one length may equal 1 (two would create a multi-edge).  With
     parity "even" or "odd" every length must have that parity.
     """
-    lens = [_integer(x, "path length") for x in lengths]
+    lens = [_integer(x, "path length", 1) for x in lengths]
     if not lens:
         raise ValueError("at least one path length required")
-    if any(x < 1 for x in lens):
-        raise ValueError("path lengths must be at least 1")
     if sum(1 for x in lens if x == 1) > 1:
         raise ValueError("duplicate length-1 path would create a multi-edge")
     if parity == "even" and any(x % 2 for x in lens):
@@ -364,11 +357,9 @@ def generalized_theta(lengths, parity: str = "any") -> RootedGraph:
 
 def flower(cycle_lengths) -> Graph:
     """Cycles of the given lengths sharing exactly one hub vertex (vertex 0)."""
-    lens = [_integer(x, "cycle length") for x in cycle_lengths]
+    lens = [_integer(x, "cycle length", 3) for x in cycle_lengths]
     if not lens:
         raise ValueError("at least one cycle length required")
-    if any(x < 3 for x in lens):
-        raise ValueError("cycle lengths must be at least 3")
     edges = []
     nxt = 1
     for length in lens:
@@ -381,9 +372,7 @@ def subdivide(graph: Graph, times: int) -> Graph:
 
     New vertices are appended per edge in sorted edge order.
     """
-    times = _integer(times, "subdivision count")
-    if times < 0:
-        raise ValueError("subdivision count must be nonnegative")
+    times = _integer(times, "subdivision count", 0)
     edges = []
     nxt = graph.n
     for u, v in graph.edges:
@@ -442,7 +431,7 @@ def semidirect_product(h1: Graph, independent_set, a: int, h2: Graph,
     """
     shared = sorted(set(independent_set))
     a = _integer(a, "vertex")
-    subdivision_k = _integer(subdivision_k, "subdivision parameter")
+    subdivision_k = _integer(subdivision_k, "subdivision parameter", 1)
     if any(not (0 <= w < h1.n) for w in shared):
         raise ValueError("independent set contains invalid vertices")
     if not (0 <= a < h1.n):
@@ -453,8 +442,6 @@ def semidirect_product(h1: Graph, independent_set, a: int, h2: Graph,
     for u, v in h1.edges:
         if u in shared_set and v in shared_set:
             raise ValueError("independent set spans an edge of the first factor")
-    if subdivision_k < 1:
-        raise ValueError("subdivision parameter must be at least 1")
 
     shared_idx = {w: i for i, w in enumerate(shared)}
     others = [w for w in range(h1.n) if w not in shared_set]
@@ -516,11 +503,8 @@ class ReplacementSpec:
         for (u, v), bundle in pairs:
             counts = {}
             for k, c in _items(bundle):
-                k, c = _integer(k, "path length"), _integer(c, "path count")
-                if k < 1:
-                    raise ValueError("path lengths must be at least 1")
-                if c < 0:
-                    raise ValueError("path counts must be nonnegative")
+                k = _integer(k, "path length", 1)
+                c = _integer(c, "path count", 0)
                 counts[k] = counts.get(k, 0) + c
             if counts.get(1, 0) > 1:
                 raise ValueError("at most one length-1 path per edge")
@@ -704,13 +688,12 @@ def odd_theta_decomposition(lengths):
     (L + shortest) / 2 from t to those branch vertices.  Returns the graph
     and the validated decomposition.
     """
-    lens = sorted((_integer(x, "path length") for x in lengths), reverse=True)
+    lens = sorted((_integer(x, "path length", 1) for x in lengths),
+                  reverse=True)
     if len(lens) < 2:
         raise ValueError("at least two path lengths required")
     if any(x % 2 == 0 for x in lens):
         raise ValueError("all path lengths must be odd")
-    if any(x < 1 for x in lens):
-        raise ValueError("path lengths must be at least 1")
     if sum(1 for x in lens if x == 1) > 1:
         raise ValueError("duplicate length-1 path would create a multi-edge")
 

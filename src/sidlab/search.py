@@ -84,10 +84,7 @@ def _project_regular_array(m: np.ndarray, d: float, max_iter: int = 5000):
     residual (above ``PROJECTION_TOL``, or nan).  ``max_iter`` is read
     through ``graphs._integer``, and a count below 1 is refused.
     """
-    if type(max_iter) is not int:
-        max_iter = _integer(max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    max_iter = _integer(max_iter, "max_iter", 1)
     shape = m.shape
     n = shape[-1]
     target = n * d
@@ -245,10 +242,10 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     """
     if not graph.is_bipartite():
         raise ValueError("search targets bipartite graphs only")
-    n, starts = _integer(n, "step count"), _integer(starts, "start count")
-    iters, seed = _integer(iters, "iteration count"), _integer(seed, "seed")
-    if n < 1 or starts < 1 or iters < 1:
-        raise ValueError("parameters must be positive")
+    n = _integer(n, "step count", 1)
+    starts = _integer(starts, "start count", 1)
+    iters = _integer(iters, "iteration count", 1)
+    seed = _integer(seed, "seed")
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
     d = Fraction(d)
@@ -279,9 +276,8 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
         # Armijo backtracking for every active start at once; a start stays
         # pending until it accepts a step or its eta falls to 1e-12
         eta = np.minimum(float(step), cap[active])
-        pending = eta > 1e-12
         accepted = np.zeros(len(active), dtype=bool)
-        while pending.any():
+        while (pending := ~accepted & (eta > 1e-12)).any():
             j = np.flatnonzero(pending)
             xs = x[active[j]]
             cand, residual = _project_regular_array(
@@ -298,6 +294,9 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
                     eta[u] * ARMIJO,
                     1.0 / np.max(np.abs(grad[u]), axis=(-2, -1)))
                 cap[active[u]] = eta[u]
+                if not settled.any():
+                    # no trial settled, so this round has no slack to read
+                    continue
                 j, xs, cand = j[settled], xs[settled], cand[settled]
             cand_val, cand_cav = _sidorenko_slack(graph, cand, n)
             decrease = np.sum(grad[j] * (cand - xs), axis=(-2, -1))
@@ -310,7 +309,6 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
                 traces[k].append(v)
             accepted[j[ok]] = True
             eta[j[~ok]] *= ARMIJO
-            pending = ~accepted & (eta > 1e-12)
         active = active[accepted]
 
     best = int(np.argmin(val))
@@ -376,9 +374,7 @@ def certify_violation(graph: Graph, matrix, d=None,
         raise ValueError("witness has an entry that is NaN or infinite")
     if d is not None and not 0 <= Fraction(d) <= 1:
         raise ValueError("degree must lie in [0, 1]")
-    max_denominator = _integer(max_denominator, "max_denominator")
-    if max_denominator < 1:
-        raise ValueError(f"max_denominator {max_denominator} is below 1")
+    max_denominator = _integer(max_denominator, "max_denominator", 1)
     n = m.shape[0]
     rational = {v: _rationalize(v, max_denominator)
                 for v in set(m.ravel().tolist())}

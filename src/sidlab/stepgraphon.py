@@ -168,9 +168,7 @@ def regularity(w: StepGraphon):
 def kernel_power(w: StepGraphon, k: int) -> StepGraphon:
     """Path-counting kernel of length k: the scaled matrix power A^k / n^(k-1),
     an integer matrix power over the denominator q^k n^(k-1)."""
-    k = _integer(k, "kernel power")
-    if k < 1:
-        raise ValueError("kernel power needs k >= 1")
+    k = _integer(k, "kernel power", 1)
     power = np.linalg.matrix_power(w.integer_grid, k)
     return StepGraphon._from_integers(power.tolist(),
                                       w.q ** k * w.n_steps ** (k - 1))

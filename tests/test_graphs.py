@@ -398,6 +398,35 @@ def test_sized_constructors_reject_non_integers(what, bad):
         SIZED_CONSTRUCTORS[what](bad)
 
 
+# each one-sided read with its floor: one below it is refused, and a numpy
+# integer at it is read as the int
+FLOORS = [
+    *(pytest.param(what, low, SIZED_CONSTRUCTORS[what], id=what)
+      for what, low in [("vertex count", 0), ("part size", 1),
+                        ("path length", 0), ("cycle length", 3),
+                        ("subdivision count", 0),
+                        ("subdivision parameter", 1)]),
+    pytest.param("path length", 1, lambda x: generalized_theta([2, x]),
+                 id="theta"),
+    pytest.param("cycle length", 3, lambda x: flower([3, x]), id="flower"),
+    pytest.param("path length", 1,
+                 lambda x: ReplacementSpec(2, {(0, 1): {x: 1}}),
+                 id="spec-length"),
+    pytest.param("path count", 0,
+                 lambda x: ReplacementSpec(2, {(0, 1): {2: x}}),
+                 id="spec-count"),
+    pytest.param("path length", 1,
+                 lambda x: odd_theta_decomposition([3, x]), id="odd-theta"),
+]
+
+
+@pytest.mark.parametrize("what, low, build", FLOORS)
+def test_sized_constructors_refuse_values_below_their_floor(what, low, build):
+    with pytest.raises(ValueError, match=f"{what} {low - 1} is below {low}"):
+        build(low - 1)
+    assert build(np.int64(low)) == build(low)
+
+
 # -- semidirect product ------------------------------------------------------
 
 def test_semidirect_glued_edges_make_c4():

@@ -235,6 +235,16 @@ def test_step_count_is_read_as_an_integer(backend, grid, count, error):
 def test_a_numpy_step_count_is_an_integer(backend, grid):
     assert backend(2, ((0, 1),), grid, np.int64(2)) == backend(
         2, ((0, 1),), grid, 2)
+    one = ONE_STEP if grid is BIP else ONE_STEP.float_matrix
+    assert backend(2, ((0, 1),), one, np.int64(1)) == backend(
+        2, ((0, 1),), one, 1)
+
+
+@every_backend
+def test_a_vertex_count_below_0_is_refused(backend, grid):
+    with pytest.raises(ValueError, match="vertex count -1 is below 0"):
+        backend(-1, (), grid, 2)
+    assert backend(np.int64(0), (), grid, 2) == backend(0, (), grid, 2)
 
 
 def test_elimination_order_reads_pins_as_the_entry_points_do():

@@ -148,8 +148,10 @@ def test_projection_runs_the_plain_dykstra_sweeps():
 
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_projection_rejects_nonpositive_max_iter(max_iter):
-    with pytest.raises(ValueError, match="max_iter"):
-        project_regular(np.eye(2), F(1, 2), max_iter=max_iter)
+    for project in (project_regular, _project_regular_array):
+        with pytest.raises(ValueError,
+                           match=f"max_iter {max_iter} is below 1"):
+            project(np.eye(2), 0.5, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("max_iter", [True, 2.0, 1.5, "3"])
@@ -212,8 +214,38 @@ def test_search_rejects_non_integer_counts(what, bad):
         search_counterexample(cycle_graph(4), d=F(1, 2), **kwargs)
 
 
+@pytest.mark.parametrize("what", ["step count", "start count",
+                                  "iteration count"])
+def test_search_refuses_counts_below_1(what):
+    def run(x):
+        kwargs = {"n": 2, "starts": 1, "iters": 1, "seed": 0,
+                  **SEARCH_INTEGERS[what](x)}
+        return search_counterexample(cycle_graph(4), d=F(1, 2), **kwargs)
+
+    with pytest.raises(ValueError, match=f"{what} 0 is below 1"):
+        run(0)
+    res, again = run(1), run(np.int64(1))
+    assert again.trace == res.trace and again.best_w == res.best_w
+
+
+def triangle_subdivided_to_c8():
+    # the triangle with its edges replaced by paths of 2, 2 and 4 edges: a
+    # relabelled 8-cycle, with one edge orbit
+    from sidlab.graphs import ReplacementSpec, replace_edges_nonuniform
+
+    spec = ReplacementSpec(3, {(0, 1): {2: 1}, (0, 2): {2: 1}, (1, 2): {4: 1}})
+    return replace_edges_nonuniform(spec)
+
+
 # Reference outputs of a descent that ran its starts one at a time: a start
-# inside the stack must end exactly where it would alone.
+# inside the stack must end exactly where it would alone.  θ(2,2,4), with
+# three edge orbits, pins the multi-orbit gradient and the first orbit's
+# cavity handed from the slack to the next gradient.
+REGRESSION_GRAPHS = {
+    "C6": cycle_graph(6),
+    "C8": triangle_subdivided_to_c8(),
+    "theta224": generalized_theta([2, 2, 4], "even").graph,
+}
 REGRESSION_CASES = {
     "C6": (
         dict(n=4, d=F(1, 2), starts=8, iters=40, seed=5),
@@ -227,28 +259,32 @@ REGRESSION_CASES = {
          [0.44522038599485547, 0.3657044874572173, 0.43895867984420556,
           0.7501164467037217]],
     ),
-    "theta224": (
+    "C8": (
         dict(n=3, d=F(1, 3), starts=5, iters=20, seed=9),
         5.064841819058842e-10, 21, 5.064841819058842e-10,
         [[0.2868082530951753, 0.3452559957993418, 0.367935751105483],
          [0.3452559957993418, 0.43565621652549497, 0.2190877876751633],
          [0.367935751105483, 0.2190877876751633, 0.4129764612193538]],
     ),
+    "theta224": (
+        dict(n=4, d=F(1, 2), starts=6, iters=30, seed=3),
+        1.3716016489121255e-05, 31, 1.3716016489121255e-05,
+        [[0.25959426684420284, 0.439939025681225, 0.7087981162603251,
+          0.5916685912142471],
+         [0.439939025681225, 0.6191984038787341, 0.4084068971710135,
+          0.5324556732690271],
+         [0.7087981162603251, 0.4084068971710135, 0.27038079320442776,
+          0.6124141933642335],
+         [0.5916685912142471, 0.5324556732690271, 0.6124141933642335,
+          0.263461542152492]],
+    ),
 }
-
-
-def theta224():
-    from sidlab.graphs import ReplacementSpec, replace_edges_nonuniform
-
-    spec = ReplacementSpec(3, {(0, 1): {2: 1}, (0, 2): {2: 1}, (1, 2): {4: 1}})
-    return replace_edges_nonuniform(spec)
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSION_CASES))
 def test_search_reproduces_recorded_results(name):
     kwargs, deficit, length, last, matrix = REGRESSION_CASES[name]
-    graph = cycle_graph(6) if name == "C6" else theta224()
-    res = search_counterexample(graph, **kwargs)
+    res = search_counterexample(REGRESSION_GRAPHS[name], **kwargs)
     assert len(res.trace) == length
     assert abs(res.best_deficit - deficit) <= 1e-12
     assert abs(res.trace[-1] - last) <= 1e-12
@@ -256,12 +292,21 @@ def test_search_reproduces_recorded_results(name):
     assert not res.certified_violation
 
 
-def test_search_rejects_unsettled_trial_steps():
+def test_search_rejects_unsettled_trial_steps(monkeypatch):
     # A first trial step of 1e300 sends every trial grid so far out of the
     # box that its projection does not settle; each such trial is a rejected
-    # step, and the search goes on with smaller ones.
+    # step, and the search goes on with smaller ones.  A round in which no
+    # trial settles has no slack to read: it once contracted an empty stack.
+    stacks = []
+
+    def spy(n_vertices, edges, a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return contract_float(n_vertices, edges, a, *args, **kwargs)
+
+    monkeypatch.setattr(contraction, "contract_float", spy)
     res = search_counterexample(cycle_graph(4), n=3, d=F(1, 2), starts=2,
                                 iters=5, step=1e300)
+    assert stacks and all(shape[0] for shape in stacks)
     assert res.certificate is None
     assert res.best_deficit >= -1e-12
     assert len(res.trace) > 1
@@ -324,15 +369,16 @@ def test_search_result_json_and_trace_csv():
 
 def test_search_instance_outside_proved_families():
     # non-uniform subdivision of a triangle by even paths 2, 2, 4: the
-    # classifier rejects it, so only empirical search applies here; no
-    # violation is expected
+    # classifier rejects the spec, but the graph it builds is the 8-cycle,
+    # an even cycle and so a Sidorenko graph; the search is a negative
+    # control and finds no violation
     from sidlab.graphs import ReplacementSpec, Theorem12Case, \
-        classify_theorem12, replace_edges_nonuniform
+        classify_theorem12, find_isomorphism, replace_edges_nonuniform
 
     spec = ReplacementSpec(3, {(0, 1): {2: 1}, (0, 2): {2: 1}, (1, 2): {4: 1}})
     assert classify_theorem12(spec).case is Theorem12Case.NOT_COVERED
     target = replace_edges_nonuniform(spec)
-    assert target.is_bipartite()
+    assert find_isomorphism(target, cycle_graph(8)) is not None
     res = search_counterexample(target, n=3, d=F(1, 2), starts=8, iters=200,
                                 seed=11)
     assert res.best_deficit >= 0
@@ -510,6 +556,13 @@ def test_certify_refuses_a_max_denominator_that_is_not_a_positive_integer(
     with pytest.raises(ValueError, match=error):
         certify_violation(cycle_graph(4), np.full((2, 2), 0.5),
                           max_denominator=max_denominator)
+
+
+def test_certify_reads_a_numpy_max_denominator():
+    m = np.array([[0.3, 0.7], [0.7, 0.3]])
+    read = [certify_violation(cycle_graph(4), m, max_denominator=bound)
+            for bound in (1, np.int64(1))]
+    assert read[0] == read[1]
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])

@@ -459,6 +459,12 @@ def test_generators_reject_non_integer_sizes(what, build, bad):
         build(bad)
 
 
+def test_kernel_power_below_1_is_refused():
+    with pytest.raises(ValueError, match="kernel power 0 is below 1"):
+        kernel_power(BIP, 0)
+    assert kernel_power(BIP, np.int64(1)) == kernel_power(BIP, 1) == BIP
+
+
 def test_generators_read_seeds_and_steps_as_integers():
     # a string seed was hashed into a draw, and a numpy integer seed was a
     # TypeError from random.Random
