@@ -41,7 +41,10 @@ gradient too.
 The brute-force oracle enumerates every assignment over the same two grids,
 in numpy chunks of assignment indices, and forms each assignment's product
 over every edge before it sums; it shares the input checks with the engine,
-not the elimination.
+not the elimination.  On an integer grid whose largest entry M, edge count E
+and free-assignment count S bound every sum by S * M^E < 2^63, it gathers
+and multiplies in int64 and adds each chunk's sum to a Python int; otherwise
+it multiplies the Python ints themselves.
 
 One size guard bounds both: a call is refused with ``ValueError`` before any
 work when the engine's largest step (n to its largest arity, times the
@@ -533,7 +536,12 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
     ``_BRUTEFORCE_CHUNK`` indices: free vertex i takes digit i of an index
     written in base n, every edge's weight is gathered for every assignment
     of the chunk, and each assignment's product over all edges is formed
-    before the chunk is summed.
+    before the chunk is summed.  An object grid holds nonnegative Python
+    ints, so with M its largest entry, E the edge count and S the number of
+    free assignments, no product exceeds M^E and no chunk's sum S * M^E:
+    when S * M^E < 2^63 the weights are gathered as int64 and each chunk's
+    sum is added to the Python-int total as an ``int``.  A larger bound, or
+    a float grid, keeps the grid's own dtype.
     """
     keep = tuple(keep)
     pins = _normalize_pins(pins)
@@ -548,6 +556,10 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
     free = [v for v in range(n_vertices) if v not in pins and v not in keep]
     states = n_steps ** len(free)
     weights = a.reshape(-1)
+    small = (a.dtype == object
+             and states * max(weights) ** len(edges) < 1 << 63)
+    if small:
+        weights = weights.astype(np.int64)
     us, vs = np.array(edges, dtype=np.intp).reshape(-1, 2).T
 
     def total(fixed):
@@ -563,7 +575,8 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
                 phi[v] = flat // n_steps ** i % n_steps
             products = np.multiply.reduce(
                 weights[phi[us] * n_steps + phi[vs]], axis=0)
-            acc += products.sum()
+            chunk = products.sum()
+            acc += int(chunk) if small else chunk
         return acc
 
     sums = [
@@ -575,12 +588,23 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
 
 
 def bruteforce_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
+    """The independent oracle for ``contract_exact``: the same value, with
+    the same arguments and result shapes, summed over every assignment of
+    the free vertices on the ``StepGraphon``'s integer grid, in int64 when
+    the bound S * M^E < 2^63 of ``_bruteforce`` holds, else in Python ints.
+    Refused with ``ValueError`` when n to the vertex count exceeds
+    ``STATE_LIMIT``.
+    """
     a, q = _integer_grid(values)
     raw, states = _bruteforce(n_vertices, edges, a, n_steps, pins, keep)
     return _as_fractions(raw, q ** len(edges) * states)
 
 
 def bruteforce_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):
+    """The independent oracle for ``contract_float`` on one float64 grid:
+    every assignment's product summed, then divided once by the assignment
+    count.  Refused like ``bruteforce_exact``.
+    """
     raw, states = _bruteforce(n_vertices, edges,
                               np.asarray(matrix, dtype=float), n_steps, pins,
                               keep)

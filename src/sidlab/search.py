@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, isfinite, lcm
+from numbers import Real
 
 import numpy as np
 
@@ -49,6 +50,9 @@ __all__ = [
 
 
 PROJECTION_TOL = 1e-10
+# ``certify_violation`` first contracts its witness rounded down to
+# multiples of 2^-_FLOOR_BITS, on integers small enough to be cheap.
+_FLOOR_BITS = 48
 # The line search's step shrink factor.
 ARMIJO = 0.5
 
@@ -246,7 +250,8 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     starts = _integer(starts, "start count", 1)
     iters = _integer(iters, "iteration count", 1)
     seed = _integer(seed, "seed")
-    if not (np.isfinite(step) and step > 0):
+    if isinstance(step, bool) or not isinstance(step, Real) \
+            or not (isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
     d = Fraction(d)
     if not 0 <= d <= 1:
@@ -361,8 +366,14 @@ def certify_violation(graph: Graph, matrix, d=None,
     constraint exactly when a degree is given, clamps to [0, 1], and
     recomputes both sides of the density inequality over the rationals.
     Every step between the rationalized entries and the graphon runs on one
-    integer grid over one denominator.  Returns a JSON-able certificate when
-    the violation survives, else None.  Raises ValueError, before any work,
+    integer grid over one denominator.  The graphon w is first rounded down
+    to the grid ``low`` of multiples of 2^-48, and its edge density rho up
+    on the same grid: t_H has nonnegative coefficients, so t_H(low) >=
+    (ceil(rho * 2^48) / 2^48)^e proves t_H(w) >= rho^e, and None is returned
+    after that one small-integer contraction.  Otherwise w itself is
+    contracted and compared, so every certificate is the one the full
+    comparison gives.  Returns a JSON-able certificate when the violation
+    survives, else None.  Raises ValueError, before any work,
     for an empty or non-square grid, an entry that is NaN or infinite, d
     outside [0, 1], or a ``max_denominator`` that is not an integer of at
     least 1.
@@ -395,8 +406,16 @@ def certify_violation(graph: Graph, matrix, d=None,
         q *= 2 * n * n * b
     w = StepGraphon._from_integers(np.minimum(np.maximum(s, 0), q).tolist(),
                                    q)
+    rho, e = edge_density(w), graph.num_edges
+    # low <= w entrywise, so t_H(low) <= t_H(w), and rho rounds up
+    unit = 1 << _FLOOR_BITS
+    low = StepGraphon._from_integers(
+        (w.integer_grid * unit // w.q).tolist(), unit)
+    if contraction.contract_exact(graph.n, graph.edges, low, n) >= \
+            Fraction(ceil(rho * unit), unit) ** e:
+        return None
     lhs = contraction.contract_exact(graph.n, graph.edges, w, n)
-    rhs = edge_density(w) ** graph.num_edges
+    rhs = rho ** e
     if lhs >= rhs:
         return None
     return {

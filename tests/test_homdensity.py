@@ -871,6 +871,11 @@ def test_eliminate_equals_bruteforce(seed):
     assert contraction._elimination_order_cached.cache_info().hits == hits + 3
     assert exact == bruteforce_exact(g.n, g.edges, w, n, pins=pins,
                                      keep=keep)
+    # a denominator this large keeps the oracle on Python ints whenever the
+    # graph has two edges or more
+    big = random_symmetric(rng, n, den=BIG_PRIME)
+    assert bruteforce_exact(g.n, g.edges, big, n, pins=pins, keep=keep) == \
+        contract_exact(g.n, g.edges, big, n, pins=pins, keep=keep)
     ref = np.array(exact, dtype=float)
     assert ref.shape == (n,) * len(keep)
     brute = bruteforce_float(g.n, g.edges, w.float_matrix, n, pins=pins,
@@ -883,6 +888,50 @@ def test_eliminate_equals_bruteforce(seed):
     for grid, out in zip(stack, batched):
         assert np.all(out == contract_float(g.n, g.edges, grid, n, pins=pins,
                                             keep=keep))
+
+
+# the least prime above 2^40: a random grid over it keeps that denominator
+BIG_PRIME = 2 ** 40 + 15
+
+
+def int64_bound_edge(edges, n, free):
+    """The largest integer M with S * M^E below 2^63, for S = n^free
+    assignments and E = len(edges)."""
+    states, e = n ** free, len(edges)
+    m = round((2 ** 63 / states) ** (1 / e))
+    while states * m ** e >= 2 ** 63:
+        m -= 1
+    while states * (m + 1) ** e < 2 ** 63:
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("nv, edges, n, pins, keep", [
+    (4, ((0, 1), (1, 2), (2, 3)), 2, {}, ()),
+    (4, ((0, 1), (1, 2), (2, 3)), 3, {0: 2}, (3,)),
+    (4, ((0, 1), (1, 2), (2, 3), (3, 0)), 2, {}, (0, 2)),
+    (5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)), 2, {1: 1}, (4,)),
+    (3, ((0, 1), (1, 2), (2, 0), (0, 0)), 3, {}, ()),
+])
+def test_bruteforce_at_the_int64_bound(nv, edges, n, pins, keep, above):
+    # The oracle multiplies in int64 when S * M^E < 2^63 (M the largest
+    # integer-grid entry, E the edges, S the free assignments) and in Python
+    # ints otherwise.  A grid of M's fills every sum up to S * M^E: just
+    # below 2^63 with the largest M the bound admits, and past it, where
+    # int64 would wrap, with M + 1.  One smaller pair of entries makes the
+    # pins and the kept vertices read rows that differ.
+    m = int64_bound_edge(edges, n, nv - len(pins) - len(keep)) + above
+    assert (n ** (nv - len(pins) - len(keep)) * m ** len(edges)
+            >= 2 ** 63) == above
+    full = [[m] * n for _ in range(n)]
+    mixed = [row[:] for row in full]
+    mixed[0][n - 1] = mixed[n - 1][0] = m - 1
+    for grid in (full, mixed):
+        w = StepGraphon._from_integers(grid, m + 1)
+        assert (w.q, max(map(max, w.num))) == (m + 1, m)
+        assert bruteforce_exact(nv, edges, w, n, pins=pins, keep=keep) == \
+            contract_exact(nv, edges, w, n, pins=pins, keep=keep)
 
 
 def test_one_plan_serves_every_pin_target():

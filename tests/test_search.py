@@ -188,11 +188,22 @@ def test_search_rejects_nonbipartite():
     0.0,  # no descent at all
     -0.05,
     float("nan"),
+    True,  # was run as a step of 1.0
+    "0.05",  # this and None were a TypeError from np.isfinite
+    None,
 ])
 def test_search_rejects_bad_step_sizes(step):
     with pytest.raises(ValueError, match="step"):
         search_counterexample(cycle_graph(4), n=3, d=F(1, 2), starts=2,
                               iters=5, step=step)
+
+
+@pytest.mark.parametrize("plain, step", [(0.05, np.float64(0.05)),
+                                         (1, np.int64(1))])
+def test_search_reads_a_numpy_step(plain, step):
+    runs = [search_counterexample(cycle_graph(4), n=3, d=F(1, 2), starts=2,
+                                  iters=5, step=x) for x in (plain, step)]
+    assert runs[0].trace == runs[1].trace
 
 
 SEARCH_INTEGERS = {
@@ -574,6 +585,52 @@ def test_certify_refuses_a_witness_entry_that_is_not_finite(monkeypatch,
     monkeypatch.setattr(search, "_rationalize", None)  # refused before
     with pytest.raises(ValueError, match="NaN or infinite"):
         certify_violation(cycle_graph(4), m, d=F(1, 2))
+
+
+def spy_contract_exact(monkeypatch):
+    """The graphons that ``certify_violation`` contracts, in call order."""
+    seen, contract = [], contraction.contract_exact
+
+    def spy(n_vertices, edges, w, n_steps, *args, **kwargs):
+        seen.append(w)
+        return contract(n_vertices, edges, w, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(contraction, "contract_exact", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", SEARCH_GRAPHS)
+def test_certify_decides_search_witnesses_on_the_floor_grid(monkeypatch,
+                                                            name):
+    # a short search's winner satisfies the bound by far more than 2^-48
+    # moves either side, so one contraction on the floor grid settles it
+    graph = SEARCH_GRAPHS[name]
+    index = list(SEARCH_GRAPHS).index(name)
+    n, d = 4 + index % 3, (F(1, 3), F(1, 2), F(2, 3))[index % 3]
+    m = search_counterexample(graph, n=n, d=d, starts=2, iters=3,
+                              seed=index).best_w.float_matrix
+    seen = spy_contract_exact(monkeypatch)
+    assert certify_violation(graph, m, d) is None
+    assert len(seen) == 1 and 2 ** 48 % seen[0].q == 0
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(4), complete_graph(3),
+                                   SEARCH_GRAPHS["theta24"]])
+def test_certify_falls_back_on_an_exact_tie(monkeypatch, graph):
+    # on d*J, t_H = rho^e exactly: rounding 1/3 down for t_H and up for rho
+    # proves nothing, and the full contraction finds no violation
+    seen = spy_contract_exact(monkeypatch)
+    assert certify_violation(graph, np.full((3, 3), 1 / 3), F(1, 3)) is None
+    assert len(seen) == 2
+    assert seen[1] == constant_graphon(F(1, 3), 3)
+
+
+def test_certify_falls_back_to_certify_a_violation(monkeypatch):
+    seen = spy_contract_exact(monkeypatch)
+    cert = certify_violation(complete_graph(3),
+                             np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert cert is not None and cert["gap"] == -0.125
+    assert len(seen) == 2
 
 
 @st.composite
