@@ -13,10 +13,15 @@ vertex's bucket first multiplies pairs of its factors, without summing,
 while a pair spans fewer variables than the whole bucket; then one einsum
 sums the vertex out of what is left.  The two arrays are:
 
-* exact: Python ints in an object array, the integer grid of a
-  ``StepGraphon`` (the only exact input) over its denominator q.  No step
-  divides; the result is an integer sum and the entry point divides once
-  by q^{#edges} * n^{#vertices that a step sums out};
+* exact: the integer grid of a ``StepGraphon`` (the only exact input)
+  over its denominator q.  No step divides; the result is an integer sum
+  and the entry point divides once by q^{#edges} * n^{#vertices that a
+  step sums out}.  Each step picks its own dtype from a bound on its
+  entries, n^{#vertices it sums out} times its operands' bounds (M, the
+  largest grid entry, for the grid and its pinned reads): int64 below
+  2^63, else Python ints in an object array.  The grid's entries are
+  nonnegative, so no product or partial sum passes the bound, and the
+  int64 steps are exact.  Results leave as Python ints;
 * float: float64, or a stack of float64 grids, with one 1/n folded into
   each elimination step, which keeps every intermediate value inside [0, 1].
 
@@ -29,7 +34,7 @@ vertex is picked.  The steps read one list of operand slots: one per edge,
 one all-ones vector per kept vertex and one per step.  With vertices kept,
 the last step multiplies what is left, and the ones of each kept vertex
 that nothing left spans, into them, so its result spans every kept vertex.
-The engine runs it in either dtype; the pin targets are read per call, so
+The engine runs it in either mode; the pin targets are read per call, so
 one order serves every pin target.  Steps that repeat an
 earlier step of the same order (the same subscripts and kind, on operands
 that hold the same values, as each copy of a gadget in a replaced graph
@@ -119,9 +124,13 @@ class EliminationOrder(NamedTuple):
     result.  ``last`` marks the last step of a class, after which that
     result is released.  With vertices kept, the last step multiplies the
     factors left, and the ones of each kept vertex that none of them spans,
-    into all the kept vertices, in keep order.  ``sums_out`` counts the
-    vertices that a step sums out: an eliminated vertex that no factor spans
-    has none.
+    into all the kept vertices, in keep order.  A step's kind gives the
+    number of vertices it sums out: none for a ``_FOLD`` step, which keeps
+    every variable, and one for any other, which sums out the vertex of its
+    bucket (a bucket spans only the vertex and its neighbors).  The exact
+    engine bounds a step's entries by n to that number times its operands'
+    bounds.  ``sums_out`` is the total: an eliminated vertex that no factor
+    spans has none.
     """
 
     vertices: tuple
@@ -398,12 +407,13 @@ def _check_inputs(a, n_steps, pins, stack=False):
     return n_steps
 
 
-def _integer_grid(w):
-    """The integer grid and the denominator q of the ``StepGraphon`` w."""
+def _graphon(w):
+    """``w``, refused unless it is a ``StepGraphon``, the only exact
+    input."""
     if not isinstance(w, stepgraphon.StepGraphon):
         raise ValueError("exact contraction takes a StepGraphon, not "
                          f"{type(w).__name__}")
-    return w.integer_grid, w.q
+    return w
 
 
 def _as_fractions(raw, denominator):
@@ -420,23 +430,37 @@ def _as_fractions(raw, denominator):
 # Elimination engine.
 # ---------------------------------------------------------------------------
 
-def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
-    """Bucket elimination over the weight matrix ``a``, in either dtype.
+def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(), top=None):
+    """Bucket elimination over the weight matrix ``a``, exact or float.
 
-    ``a`` is float64, or an object array of Python ints (a graphon's
-    integer grid).  Float mode divides each step's sum by n; exact mode never
-    divides, so its result is the unnormalized integer sum and the caller
-    divides once by n to the order's ``sums_out``.  A float ``a`` may also
-    be a stack of grids, shape ``(..., n, n)``: every slice is contracted as
-    the 2-D call would, and the batch axes lead the result.  Returns the
-    result (a scalar, or one value per grid, when nothing is kept, else an
-    array with one length-n axis per kept vertex, in ``keep`` order) and n
-    to the order's ``sums_out``.  Raises ``ValueError`` when the largest
-    step would enumerate more than ``STATE_LIMIT`` index tuples over the
-    whole stack.
+    Float mode (``top`` None): ``a`` is float64, or a stack of grids, shape
+    ``(..., n, n)``, whose every slice is contracted as the 2-D call would,
+    with the batch axes leading the result; each step's sum is divided by
+    n.  Exact mode: ``a`` is a graphon's integer grid with ``top`` its
+    largest entry M, as int64 when M < 2^63, else as Python ints; no step
+    divides, so the result is the unnormalized integer sum and the caller
+    divides once by n to the order's ``sums_out``.
+
+    Exact mode picks each step's dtype.  Every operand slot carries a bound
+    on its entries: M for the grid and its pinned reads, 1 for the ones of
+    a kept vertex, and for a step's result its operands' bounds times n if
+    it sums a vertex out (any kind but ``_FOLD``).  The entries are
+    nonnegative, so no product or partial sum of the step exceeds that
+    bound: below 2^63 the step runs on int64 operands, else on Python ints,
+    each int64 operand cast with ``astype(object)``.  With M >= 1 a bound
+    is at least each operand's, and with M = 0 none reaches 2^63, so an
+    object slot only ever feeds object steps.  Constants (an entry pinned
+    at both ends, a ``_SCALAR`` result) are Python ints, and a kept result
+    leaves as an object array.
+
+    Returns the result (a scalar, or one value per grid, when nothing is
+    kept, else an array with one length-n axis per kept vertex, in ``keep``
+    order) and n to the order's ``sums_out``.  Raises ``ValueError`` when
+    the largest step would enumerate more than ``STATE_LIMIT`` index tuples
+    over the whole stack.
     """
     keep = tuple(keep)
-    exact = a.dtype == object
+    exact = top is not None
     pins = _normalize_pins(pins)
     n_steps = _check_inputs(a, n_steps, pins, stack=not exact)
     # checks the pinned and the kept vertices
@@ -451,11 +475,14 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
 
     const = np.ones(batch) if batch else 1
     slots, at = [a] * len(edges), None
+    bounds = [top] * len(edges) + [1] * len(keep)
     if keep:
-        slots += [np.ones(n_steps, dtype=a.dtype)] * len(keep)
+        ones = np.ones(n_steps, dtype=np.int64 if exact else a.dtype)
+        slots += [ones] * len(keep)
     for s, row, column in order.pinned:
         if row is not None and column is not None:
-            const = const * a[..., pins[row], pins[column]]
+            entry = a[..., pins[row], pins[column]]
+            const = const * (int(entry) if exact else entry)
         elif row is not None:
             slots[s] = a[..., pins[row], :]
         else:
@@ -467,8 +494,16 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
     saved = {}
     for k, (subscripts, kind, source, last, *operands) in \
             enumerate(order.steps):
+        if exact:
+            bound = 1 if kind == _FOLD else n_steps
+            for i in operands:
+                bound *= bounds[i]
+            bounds.append(bound)
         if source == k:
-            result = np.einsum(subscripts, *[slots[i] for i in operands])
+            args = [slots[i] for i in operands]
+            if exact and bound >= 1 << 63:
+                args = [x.astype(object, copy=False) for x in args]
+            result = np.einsum(subscripts, *args)
             if kind != _FOLD and not exact:
                 result = result / n_steps
             if not last:
@@ -480,12 +515,14 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
             slots[i] = None
         slots.append(result)
         if kind == _SCALAR:
-            const = const * result
+            const = const * (int(result) if exact else result)
 
     scale = n_steps ** order.sums_out
     if not keep:
         return const, scale
     # the last step spans every kept vertex
+    if exact:
+        return slots[-1].astype(object) * const, scale
     if batch:
         const = np.reshape(const, batch + (1,) * len(keep))
     return slots[-1] * const, scale
@@ -494,11 +531,12 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=()):
 def _contract_integers(n_vertices, edges, values, n_steps, pins=None,
                        keep=()):
     """The exact engine run: the integer result of ``_eliminate`` on the
-    integer grid of the ``StepGraphon`` ``values``, and its denominator
+    engine grid of the ``StepGraphon`` ``values``, and its denominator
     q^{#edges} * n^{#summed out}."""
-    a, q = _integer_grid(values)
-    raw, scale = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
-    return raw, q ** len(edges) * scale
+    w = _graphon(values)
+    a, top = w._engine_grid
+    raw, scale = _eliminate(n_vertices, edges, a, n_steps, pins, keep, top)
+    return raw, w.q ** len(edges) * scale
 
 
 def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
@@ -595,9 +633,10 @@ def bruteforce_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
     Refused with ``ValueError`` when n to the vertex count exceeds
     ``STATE_LIMIT``.
     """
-    a, q = _integer_grid(values)
-    raw, states = _bruteforce(n_vertices, edges, a, n_steps, pins, keep)
-    return _as_fractions(raw, q ** len(edges) * states)
+    w = _graphon(values)
+    raw, states = _bruteforce(n_vertices, edges, w.integer_grid, n_steps,
+                              pins, keep)
+    return _as_fractions(raw, w.q ** len(edges) * states)
 
 
 def bruteforce_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -47,6 +48,16 @@ __all__ = [
 ]
 
 
+def _fraction(x) -> Fraction:
+    """``Fraction(x)`` over plain ints: ``Fraction`` keeps NumPy integers
+    as its numerator and denominator, whose products wrap at 2^63."""
+    x = Fraction(x)
+    if type(x.numerator) is int and type(x.denominator) is int:
+        return x
+    return Fraction(operator.index(x.numerator),
+                    operator.index(x.denominator))
+
+
 def _frac_str(x) -> str:
     """A rational as the ``"p/q"`` string that every JSON artifact writes."""
     return f"{x.numerator}/{x.denominator}"
@@ -57,16 +68,19 @@ class StepGraphon:
 
     Entry (i, j) is ``num[i][j] / q``, with q the lcm of the denominators,
     checked once in integers and reduced to ``gcd(q, all a) = 1``, so equal
-    graphons compare and hash equal.  ``integer_grid`` holds ``num`` as the
-    read-only object array that the exact entry points read off the
+    graphons compare and hash equal.  ``num`` and q are plain Python ints,
+    whatever integer type built them.  ``integer_grid`` holds ``num`` as
+    the read-only object array that the exact entry points read off the
     graphon.  The views ``values`` (Fractions) and ``float_matrix`` (``a /
-    q``, rounded like ``float(Fraction)``) are built on first read.
+    q``, rounded like ``float(Fraction)``) are built on first read, and so
+    is the exact engine's grid.
     """
 
-    __slots__ = ("n_steps", "q", "num", "integer_grid", "_values", "_float")
+    __slots__ = ("n_steps", "q", "num", "integer_grid", "_values", "_float",
+                 "_engine")
 
     def __init__(self, values):
-        rows = [[Fraction(x) for x in row] for row in values]
+        rows = [[_fraction(x) for x in row] for row in values]
         q = math.lcm(*(x.denominator for row in rows for x in row))
         self._set([[x.numerator * (q // x.denominator) for x in row]
                    for row in rows], q)
@@ -79,7 +93,9 @@ class StepGraphon:
         return w
 
     def _set(self, num, q):
-        num = tuple(map(tuple, num))
+        # a NumPy integer entry would run the exact engine in int64
+        num = tuple(tuple(map(operator.index, row)) for row in num)
+        q = operator.index(q)
         n = len(num)
         if n == 0:
             raise ValueError("a step graphon needs at least one step")
@@ -96,7 +112,7 @@ class StepGraphon:
         self.n_steps, self.q, self.num = n, q, num
         self.integer_grid = np.array(num, dtype=object)
         self.integer_grid.flags.writeable = False
-        self._values = self._float = None
+        self._values = self._float = self._engine = None
 
     @property
     def values(self) -> tuple:
@@ -111,6 +127,19 @@ class StepGraphon:
             self._float = np.array([[a / self.q for a in row]
                                     for row in self.num])
         return self._float.copy()
+
+    @property
+    def _engine_grid(self):
+        """The integer grid that the exact engine reads and its largest
+        entry M: the grid as int64 when M < 2^63, else ``integer_grid``."""
+        if self._engine is None:
+            top = max(map(max, self.num))
+            grid = self.integer_grid
+            if top < 1 << 63:
+                grid = np.array(self.num, dtype=np.int64)
+                grid.flags.writeable = False
+            self._engine = grid, top
+        return self._engine
 
     def __eq__(self, other):
         return (
@@ -328,7 +357,7 @@ def local_density_deficit(w: StepGraphon, d) -> LocalDensityReport:
     Raises ``ValueError`` for a grid above ``EXACT_STEP_CAP`` steps, before
     any enumeration.
     """
-    d = Fraction(d)
+    d = _fraction(d)
     if not 0 <= d <= 1:
         raise ValueError("target density must lie in [0, 1]")
     if w.n_steps > EXACT_STEP_CAP:
@@ -351,13 +380,13 @@ def local_density_deficit(w: StepGraphon, d) -> LocalDensityReport:
 
 def constant_graphon(d, n: int) -> StepGraphon:
     n = _integer(n, "step count")
-    d = Fraction(d)
+    d = _fraction(d)
     return StepGraphon._from_integers([[d.numerator] * n] * n, d.denominator)
 
 
 def circulant_graphon(profile) -> StepGraphon:
     """values[i][j] = profile[(i - j) mod n]; regular by construction."""
-    prof = [Fraction(x) for x in profile]
+    prof = [_fraction(x) for x in profile]
     n = len(prof)
     if n == 0:
         raise ValueError("profile must be nonempty")
@@ -438,7 +467,7 @@ def regular_graph_graphon(n: int, deg: int, seed: int) -> StepGraphon:
 
 def mixture_graphon(graphons, weights) -> StepGraphon:
     """Convex combination; mixing equal-degree regular inputs stays regular."""
-    ws = [Fraction(x) for x in weights]
+    ws = [_fraction(x) for x in weights]
     if len(ws) != len(graphons) or not graphons:
         raise ValueError("need one weight per graphon")
     if any(x < 0 for x in ws) or sum(ws) != 1:
@@ -459,8 +488,8 @@ _NOISE_LEVELS = 64
 def pointwise_dense_graphon(n: int, d, noise, seed: int) -> StepGraphon:
     """Entries in [d, 1]: d plus rational noise; d-locally dense pointwise."""
     n, seed = _integer(n, "step count"), _integer(seed, "seed")
-    d = Fraction(d)
-    noise = Fraction(noise)
+    d = _fraction(d)
+    noise = _fraction(noise)
     if not 0 <= d <= 1 or not 0 <= noise <= 1:
         raise ValueError("density and noise must lie in [0, 1]")
     rng = random.Random(seed)

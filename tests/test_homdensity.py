@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -825,6 +826,20 @@ def test_orders_match_the_rescanning_min_fill(shape):
         min_fill_reference(n, edges, pinned, keep)
 
 
+@settings(max_examples=200, deadline=None)
+@given(raw_shapes())
+def test_a_step_sums_out_one_vertex_unless_it_folds(shape):
+    # the exact engine's bound multiplies n in once per step that is not a
+    # _FOLD: each such step must drop exactly one of its operands' labels,
+    # and a _FOLD step none
+    n, edges, pinned, keep = shape
+    order = elimination_order(n, edges, {v: 0 for v in pinned}, keep)
+    for subscripts, kind, *_ in order.steps:
+        operands, out = subscripts.replace("...", "").split("->")
+        summed = set(operands.replace(",", "")) - set(out)
+        assert len(summed) == (kind != contraction._FOLD)
+
+
 def same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
     return x.dtype == y.dtype and x.shape == y.shape and \
@@ -932,6 +947,169 @@ def test_bruteforce_at_the_int64_bound(nv, edges, n, pins, keep, above):
         assert (w.q, max(map(max, w.num))) == (m + 1, m)
         assert bruteforce_exact(nv, edges, w, n, pins=pins, keep=keep) == \
             contract_exact(nv, edges, w, n, pins=pins, keep=keep)
+
+
+def engine_step_bounds(order, n_edges, n_keep, n, m):
+    """The exact engine's bound on every step of ``order``, on a grid whose
+    largest entry is ``m``: M for an edge slot, 1 for the ones of a kept
+    vertex, and for a step its operands' bounds times n for the vertex it
+    sums out, if it is not a ``_FOLD`` step."""
+    bounds = [m] * n_edges + [1] * n_keep
+    for _, kind, _, _, *operands in order.steps:
+        summed = 1 if kind == contraction._FOLD else n
+        bounds.append(summed * math.prod(bounds[i] for i in operands))
+    return bounds[n_edges + n_keep:]
+
+
+def engine_bound_edge(order, n_edges, n_keep, n):
+    """The largest integer M under which every engine step's bound stays
+    below 2^63."""
+    lo, hi = 1, 2 ** 63
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        bounds = engine_step_bounds(order, n_edges, n_keep, n, mid)
+        if max(bounds) < 2 ** 63:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+K3_THETA22 = replace_edges(complete_graph(3), generalized_theta([2, 2]))
+
+
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("nv, edges, n, pins, keep", [
+    # a pinned read and a kept vertex
+    (4, ((0, 1), (1, 2), (2, 3)), 3, {0: 2}, (3,)),
+    # two kept vertices
+    (4, ((0, 1), (1, 2), (2, 3), (3, 0)), 2, {}, (0, 2)),
+    # a loop, and a _SCALAR step that sums out the last vertex
+    (3, ((0, 1), (1, 2), (2, 0), (0, 0)), 3, {}, ()),
+    # an edge pinned at both ends, whose entry enters the constant
+    (5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)), 2, {0: 1, 1: 0},
+     ()),
+    # the gadget copies share their kernel steps
+    (K3_THETA22.n, K3_THETA22.edges, 2, {}, ()),
+    (K3_THETA22.n, K3_THETA22.edges, 2, {0: 1}, (1,)),
+])
+def test_engine_at_the_int64_bound(nv, edges, n, pins, keep, above):
+    # Each exact engine step runs in int64 when its bound, its operands'
+    # bounds (M for the grid) times n if it sums a vertex out, is below
+    # 2^63, and on Python ints otherwise.  A grid of M's fills every
+    # step's entries up to its bound: with the largest M that keeps every
+    # step in int64, the largest step's entries sit just below 2^63; with
+    # M + 1 they reach it, where int64 would wrap, and that step must run
+    # on Python ints.  One smaller pair of entries makes the pins and the
+    # kept vertices read rows that differ.
+    order = elimination_order(nv, edges, pins, keep)
+    m = engine_bound_edge(order, len(edges), len(keep), n) + above
+    bounds = engine_step_bounds(order, len(edges), len(keep), n, m)
+    assert (max(bounds) >= 2 ** 63) == above
+    calls, einsum = [], np.einsum
+
+    def recorded(subscripts, *operands):
+        calls.append({x.dtype for x in operands})
+        return einsum(subscripts, *operands)
+
+    full = [[m] * n for _ in range(n)]
+    mixed = [row[:] for row in full]
+    mixed[0][n - 1] = mixed[n - 1][0] = m - 1
+    for grid in (full, mixed):
+        w = StepGraphon._from_integers(grid, m + 1)
+        assert (w.q, max(map(max, w.num))) == (m + 1, m)
+        calls.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "einsum", recorded)
+            exact = contract_exact(nv, edges, w, n, pins=pins, keep=keep)
+        assert exact == bruteforce_exact(nv, edges, w, n, pins=pins,
+                                         keep=keep)
+        # below the bound every step runs in int64; past it, the steps
+        # past 2^63 run on Python ints and the others stay in int64
+        assert calls and all(len(dtypes) == 1 for dtypes in calls)
+        wide = sum(dtypes == {np.dtype(object)} for dtypes in calls)
+        assert (wide > 0) == above
+        assert wide < len(calls) or all(b >= 2 ** 63 for b in bounds)
+
+
+# a prime near 2^20: steps over one or two grid entries stay in int64 and
+# steps over four or more pass 2^63, so most plans switch dtype midway
+MID_PRIME = 2 ** 20 + 7
+
+
+@st.composite
+def switching_contractions(draw):
+    """A raw contraction on a grid over ``MID_PRIME``: 3 to 6 vertices, 3
+    to 9 edges (loops and both orientations allowed), pins and up to two
+    kept vertices, on 2 or 3 steps.  The grid is non-symmetric; the engine
+    reads its symmetrized graphon."""
+    nv = draw(st.integers(3, 6))
+    n = draw(st.integers(2, 3))
+    vertex = st.integers(0, nv - 1)
+    edges = tuple(draw(st.lists(st.tuples(vertex, vertex), min_size=3,
+                                max_size=9)))
+    order = draw(st.permutations(range(nv)))
+    n_pins = draw(st.integers(0, 2))
+    pins = {v: draw(st.integers(0, n - 1)) for v in order[:n_pins]}
+    keep = tuple(order[n_pins:n_pins + draw(st.integers(0, 2))])
+    entry = st.integers(0, MID_PRIME)
+    grid = [[F(draw(entry), MID_PRIME) for _ in range(n)] for _ in range(n)]
+    return nv, edges, grid, n, pins, keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(switching_contractions())
+# K4 on two steps: its pairwise products stay in int64, the steps after
+# them do not
+@example((4, complete_graph(4).edges,
+          [[F(MID_PRIME - 1, MID_PRIME), F(3, MID_PRIME)],
+           [F(5, MID_PRIME), F(MID_PRIME, MID_PRIME)]], 2, {}, ()))
+def test_engine_switching_dtype_matches_the_reference_loop(case):
+    nv, edges, grid, n, pins, keep = case
+    w = symmetrized(grid)
+    assert contract_exact(nv, edges, w, n, pins=pins, keep=keep) == \
+        reference_bruteforce(nv, edges, w.values, n, pins, keep)
+
+
+def plain(x):
+    """Whether ``x`` holds Python ints only, down to every Fraction's terms
+    and every graphon's grid and denominator: no NumPy integer."""
+    if isinstance(x, (tuple, list)):
+        return all(map(plain, x))
+    if isinstance(x, DensityValue):
+        return plain(x.value)
+    if isinstance(x, StepGraphon):
+        return type(x.q) is int and plain(x.num) and plain(x.values)
+    if isinstance(x, F):
+        return type(x.numerator) is int and type(x.denominator) is int
+    return type(x) is int
+
+
+@pytest.mark.parametrize("w", [
+    # built from NumPy integers, every step in int64
+    StepGraphon(np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]])),
+    StepGraphon([[F(np.int64(a), 6) for a in row]
+                 for row in ((1, 5, 2), (5, 0, 6), (2, 6, 3))]),
+    # over a large prime, the later steps on Python ints
+    random_symmetric(random.Random(3), 3, den=BIG_PRIME),
+])
+def test_exact_results_hold_no_numpy_integers(w):
+    n = w.n_steps
+    k4 = complete_graph(4)
+    c4 = cycle_graph(4)
+    results = [
+        contract_exact(k4.n, k4.edges, w, n),
+        contract_exact(k4.n, k4.edges, w, n, keep=(0,)),
+        contract_exact(k4.n, k4.edges, w, n, pins={0: 1, 1: 2},
+                       keep=(2, 3)),
+        counting_kernel(w, generalized_theta([2, 2])),
+        kernel_power(w, 3),
+        density_gradient(c4, w),
+        hom_density(k4, w),
+        hom_density(c4, w, pins={0: 2}),
+    ]
+    for result in results:
+        assert plain(result), result
 
 
 def test_one_plan_serves_every_pin_target():

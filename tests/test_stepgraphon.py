@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sidlab.graphs import generalized_theta
+from sidlab.graphs import generalized_theta, path_graph
+from sidlab.homdensity import hom_density
 from sidlab.stepgraphon import (
     EXACT_STEP_CAP,
     StepGraphon,
@@ -549,6 +550,38 @@ def test_mixture_preserves_regularity():
 def test_mixture_weight_validation():
     with pytest.raises(ValueError):
         mixture_graphon([BIP, BIP], [F(1, 2), F(1, 4)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StepGraphon(np.ones((5, 5), dtype=int)),
+    lambda: constant_graphon(np.int64(1), 5),
+    lambda: mixture_graphon([constant_graphon(1, 5),
+                             StepGraphon(np.zeros((5, 5), dtype=int))],
+                            [np.int64(1), np.int64(0)]),
+    lambda: circulant_graphon([np.int64(1)] * 5),
+])
+def test_numpy_integers_build_graphons_of_python_ints(build):
+    # Fraction(np.int64(1)).numerator is an np.int64; kept in the grid, it
+    # would multiply in int64 and wrap: t(P30) sums 5^31 > 2^63 products
+    w = build()
+    assert type(w.q) is int
+    assert all(type(a) is int for row in w.num for a in row)
+    assert hom_density(path_graph(30), w).value == 1
+
+
+def test_local_density_reads_a_numpy_target():
+    # the target's numerator and denominator scale the grid over 2^61 - 1:
+    # as np.int64 their products would wrap
+    q = 2 ** 61 - 1
+    rng = random.Random(1)
+    num = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            num[i][j] = num[j][i] = rng.randrange(q + 1)
+    w = StepGraphon._from_integers(num, q)
+    for d, plain in ((np.int64(1), 1),
+                     (F(np.int64(1), np.int64(2)), F(1, 2))):
+        assert local_density_deficit(w, d) == local_density_deficit(w, plain)
 
 
 def test_pointwise_dense_floor():
