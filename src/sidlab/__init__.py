@@ -7,7 +7,6 @@ from .graphs import (
     Graph,
     RootedGraph,
     ReplacementSpec,
-    TreeDecomposition,
     Theorem12Case,
     Theorem12Classification,
     classify_theorem12,
@@ -17,7 +16,6 @@ from .graphs import (
     disjoint_union,
     flower,
     generalized_theta,
-    odd_theta_decomposition,
     path_graph,
     replace_edges,
     replace_edges_nonuniform,

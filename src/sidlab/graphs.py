@@ -22,7 +22,6 @@ __all__ = [
     "Graph",
     "RootedGraph",
     "ReplacementSpec",
-    "TreeDecomposition",
     "Theorem12Case",
     "Theorem12Classification",
     "complete_graph",
@@ -37,7 +36,6 @@ __all__ = [
     "semidirect_product",
     "disjoint_union",
     "classify_theorem12",
-    "odd_theta_decomposition",
     "find_isomorphism",
     "edge_orbits",
 ]
@@ -609,120 +607,3 @@ def classify_theorem12(spec: ReplacementSpec) -> Theorem12Classification:
         Theorem12Case.NOT_COVERED,
         {"reason": "per-length total not divisible", "length": bad, "k": bad // 2},
     )
-
-
-# ---------------------------------------------------------------------------
-# Tree decompositions and the star-shaped decomposition of odd theta graphs.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """Bags on a tree; validity against a graph is checked by ``validate``."""
-
-    bags: tuple
-    tree_edges: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "bags", tuple(frozenset(b) for b in self.bags))
-        object.__setattr__(
-            self, "tree_edges",
-            tuple((min(e), max(e)) for e in self.tree_edges),
-        )
-        m = len(self.bags)
-        for i, j in self.tree_edges:
-            if not (0 <= i < m and 0 <= j < m) or i == j:
-                raise ValueError("tree edge refers to invalid bag indices")
-        if len(set(self.tree_edges)) != len(self.tree_edges):
-            raise ValueError("duplicate tree edge")
-        if len(self.tree_edges) != m - 1 or not self._connected(range(m)):
-            raise ValueError("bag indices must form a tree")
-
-    def _adj(self):
-        adj = {i: set() for i in range(len(self.bags))}
-        for i, j in self.tree_edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-    def _connected(self, nodes) -> bool:
-        nodes = set(nodes)
-        if not nodes:
-            return True
-        adj = self._adj()
-        seen = set()
-        stack = [next(iter(nodes))]
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            stack.extend(adj[i] & nodes - seen)
-        return seen == nodes
-
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=1) - 1
-
-    def validate(self, graph: Graph) -> None:
-        """Raise ValueError unless all three decomposition axioms hold."""
-        covered = set().union(*self.bags) if self.bags else set()
-        missing = set(range(graph.n)) - covered
-        if missing:
-            raise ValueError(f"vertices not covered by any bag: {sorted(missing)}")
-        for u, v in graph.edges:
-            if not any(u in b and v in b for b in self.bags):
-                raise ValueError(f"edge ({u}, {v}) not inside any bag")
-        for v in range(graph.n):
-            holding = {i for i, b in enumerate(self.bags) if v in b}
-            if holding and not self._connected(holding):
-                raise ValueError(f"bags containing vertex {v} are not connected")
-
-
-def odd_theta_decomposition(lengths):
-    """Odd generalized theta graph plus its star-shaped tree decomposition.
-
-    Paths of the given odd lengths join roots s (vertex 0) and t.  The center
-    bag holds a spider: an arm of the shortest length toward t and, for each
-    other path of length L, an arm of length (L - shortest) / 2 toward a
-    branch vertex; leaf bags hold the return paths of length
-    (L + shortest) / 2 from t to those branch vertices.  Returns the graph
-    and the validated decomposition.
-    """
-    lens = sorted((_integer(x, "path length", 1) for x in lengths),
-                  reverse=True)
-    if len(lens) < 2:
-        raise ValueError("at least two path lengths required")
-    if any(x % 2 == 0 for x in lens):
-        raise ValueError("all path lengths must be odd")
-    if sum(1 for x in lens if x == 1) > 1:
-        raise ValueError("duplicate length-1 path would create a multi-edge")
-
-    shortest = lens[-1]
-    edges = []
-    # the spider's arms end at fresh vertices, each the last one its arm
-    # lays; an arm of length 0 branches at s itself
-    t = shortest
-    nxt = _lay_path(edges, 0, t, shortest, 1) + 1
-    branch = []
-    for length in lens[:-1]:
-        arm = (length - shortest) // 2
-        if arm:
-            x = nxt + arm - 1
-            nxt = _lay_path(edges, 0, x, arm, nxt) + 1
-        else:
-            x = 0
-        branch.append(x)
-    # the center bag holds s and every vertex the spider laid
-    bags = [set(range(nxt))]
-    tree_edges = []
-    for i, length in enumerate(lens[:-1]):
-        x = branch[i]
-        start = nxt
-        nxt = _lay_path(edges, t, x, (length + shortest) // 2, nxt)
-        bags.append({t, x, *range(start, nxt)})
-        tree_edges.append((0, i + 1))
-
-    graph = Graph(nxt, tuple(edges))
-    decomposition = TreeDecomposition(tuple(bags), tuple(tree_edges))
-    decomposition.validate(graph)
-    return graph, decomposition

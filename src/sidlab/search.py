@@ -38,7 +38,7 @@ import numpy as np
 from . import contraction
 from .graphs import Graph, _integer, edge_orbits
 from .homdensity import _cavity, _gradient_float
-from .stepgraphon import StepGraphon, _frac_str, edge_density
+from .stepgraphon import StepGraphon, _frac_str, _fraction, edge_density
 
 __all__ = [
     "ProjectionError",
@@ -131,6 +131,13 @@ def _settled(x: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return x
 
 
+def _degree(d) -> Fraction:
+    """The target degree d over plain ints, refused outside [0, 1]."""
+    if not 0 <= (d := _fraction(d)) <= 1:
+        raise ValueError("degree must lie in [0, 1]")
+    return d
+
+
 def project_regular(grid, d, max_iter: int = 5000) -> StepGraphon:
     """Nearest d-regular step graphon in Frobenius distance, to the row-sum
     residual ``PROJECTION_TOL``.
@@ -139,9 +146,7 @@ def project_regular(grid, d, max_iter: int = 5000) -> StepGraphon:
     ProjectionError with the final residual if the iteration cap is hit,
     and ValueError if ``max_iter`` is not an integer of at least 1.
     """
-    d = Fraction(d)
-    if not 0 <= d <= 1:
-        raise ValueError("degree must lie in [0, 1]")
+    d = _degree(d)
     if isinstance(grid, StepGraphon):
         m = grid.float_matrix
     else:
@@ -253,9 +258,7 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     if isinstance(step, bool) or not isinstance(step, Real) \
             or not (isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
-    d = Fraction(d)
-    if not 0 <= d <= 1:
-        raise ValueError("degree must lie in [0, 1]")
+    d = _degree(d)
     df = float(d)
 
     raw = np.stack([np.random.default_rng(child).random((n, n))
@@ -383,8 +386,7 @@ def certify_violation(graph: Graph, matrix, d=None,
         raise ValueError(f"witness of shape {m.shape} is not a square grid")
     if not np.isfinite(m).all():
         raise ValueError("witness has an entry that is NaN or infinite")
-    if d is not None and not 0 <= Fraction(d) <= 1:
-        raise ValueError("degree must lie in [0, 1]")
+    d = None if d is None else _degree(d)
     max_denominator = _integer(max_denominator, "max_denominator", 1)
     n = m.shape[0]
     rational = {v: _rationalize(v, max_denominator)
@@ -399,7 +401,7 @@ def certify_violation(graph: Graph, matrix, d=None,
         # ``_affine_project`` onto row sums n*d, d = a/b, in closed form:
         # with r_i = q*n*a - b*sum_j s_ij and t_i = 2n*r_i - sum r, its
         # bump mu_i + mu_j is (t_i + t_j) / (2 n^2 b q)
-        a, b = Fraction(d).as_integer_ratio()
+        a, b = d.as_integer_ratio()
         r = q * n * a - b * s.sum(axis=1)
         t = 2 * n * r - r.sum()
         s = 2 * n * n * b * s + (t[:, None] + t[None, :])

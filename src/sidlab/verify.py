@@ -42,7 +42,6 @@ from .graphs import (
     cycle_graph,
     flower,
     generalized_theta,
-    odd_theta_decomposition,
     path_graph,
     replace_edges,
     replace_edges_nonuniform,
@@ -404,11 +403,9 @@ def sidorenko_family_instances():
             cycle_graph(4), {0, 2}, 1, complete_graph(3), 1)),
         ("glued_P2_K22", semidirect_product(
             path_graph(2), {0}, 2, complete_multipartite([2, 2]), 1)),
-        # built through odd_theta_decomposition, which validates their
-        # star-shaped tree decomposition
-        ("odd_theta_31", odd_theta_decomposition([3, 1])[0]),
-        ("odd_theta_53", odd_theta_decomposition([5, 3])[0]),
-        ("odd_theta_331", odd_theta_decomposition([3, 3, 1])[0]),
+        ("odd_theta_31", generalized_theta([3, 1], "odd").graph),
+        ("odd_theta_53", generalized_theta([5, 3], "odd").graph),
+        ("odd_theta_331", generalized_theta([3, 3, 1], "odd").graph),
         ("subdiv_C4_l2", subdivide(cycle_graph(4), 2)),
         ("subdiv_K3_l3", subdivide(complete_graph(3), 3)),
         ("subdiv_K4_l1", subdivide(complete_graph(4), 1)),

@@ -11,7 +11,6 @@ from sidlab.graphs import (
     ReplacementSpec,
     RootedGraph,
     Theorem12Case,
-    TreeDecomposition,
     classify_theorem12,
     complete_graph,
     complete_multipartite,
@@ -20,7 +19,6 @@ from sidlab.graphs import (
     find_isomorphism,
     flower,
     generalized_theta,
-    odd_theta_decomposition,
     path_graph,
     replace_edges,
     replace_edges_nonuniform,
@@ -116,6 +114,9 @@ def test_theta_13_explicit_edges():
     t = generalized_theta([1, 3], "odd")
     assert t.graph.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
     assert find_isomorphism(t.graph, cycle_graph(4)) is not None
+    # two length-3 paths close a 6-cycle
+    t = generalized_theta([3, 3], "odd")
+    assert find_isomorphism(t.graph, cycle_graph(6)) is not None
 
 
 def test_theta_duplicate_unit_length_rejected():
@@ -366,10 +367,9 @@ def test_spec_rejects_non_integer_lengths_and_counts(bundle):
     (generalized_theta, [2.5, 2.9]),
     (generalized_theta, [2, True]),
     (flower, [3.7]),
-    (odd_theta_decomposition, [3.9, 1]),
 ])
 def test_gadget_constructors_reject_non_integer_lengths(build, lengths):
-    # each used to truncate through int(), to C4, K3 or C4, or read True as 1
+    # each used to truncate through int(), to C4 or K3, or read True as 1
     bad = next(x for x in lengths if type(x) is not int)
     with pytest.raises(ValueError, match=f"{bad} is not an integer"):
         build(lengths)
@@ -415,8 +415,6 @@ FLOORS = [
     pytest.param("path count", 0,
                  lambda x: ReplacementSpec(2, {(0, 1): {2: x}}),
                  id="spec-count"),
-    pytest.param("path length", 1,
-                 lambda x: odd_theta_decomposition([3, x]), id="odd-theta"),
 ]
 
 
@@ -532,80 +530,6 @@ def test_classifier_uniform_even_on_cliques_is_divisible(h, lengths):
         return
     spec = ReplacementSpec.uniform(complete_graph(h), lengths)
     assert classify_theorem12(spec).case is Theorem12Case.DIVISIBLE
-
-
-# -- tree decompositions -----------------------------------------------------
-
-def test_tree_decomposition_rejects_cycles():
-    with pytest.raises(ValueError):
-        TreeDecomposition(
-            (frozenset({0}), frozenset({1}), frozenset({2})),
-            ((0, 1), (1, 2), (0, 2)),
-        )
-
-
-def test_tree_decomposition_validate_catches_missing_edge():
-    g = cycle_graph(3)
-    td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
-    with pytest.raises(ValueError, match="edge"):
-        td.validate(g)
-
-
-def test_tree_decomposition_validate_catches_disconnected_vertex():
-    g = path_graph(2)
-    td = TreeDecomposition(
-        (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})),
-        ((0, 1), (1, 2)),
-    )
-    with pytest.raises(ValueError, match="connected"):
-        td.validate(g)
-
-
-def test_odd_theta_31_matches_frozen_construction():
-    g, td = odd_theta_decomposition([3, 1])
-    assert find_isomorphism(g, cycle_graph(4)) is not None
-    assert td.bags == (frozenset({0, 1, 2}), frozenset({1, 2, 3}))
-    assert td.tree_edges == ((0, 1),)
-
-
-def test_odd_theta_33_is_c6():
-    g, td = odd_theta_decomposition([3, 3])
-    assert find_isomorphism(g, cycle_graph(6)) is not None
-    td.validate(g)
-
-
-def test_odd_theta_531_arm_structure():
-    g, td = odd_theta_decomposition([5, 3, 1])
-    theta = generalized_theta([5, 3, 1], "odd").graph
-    assert find_isomorphism(g, theta) is not None
-    # star decomposition: center plus one leaf bag per longer path
-    assert td.tree_edges == ((0, 1), (0, 2))
-    # center spider arms 1, 2, 1 -> bag of size 1 + 1 + 2 + 1
-    assert len(td.bags[0]) == 5
-    assert len(td.bags[1]) == 4  # return path of length 3
-    assert len(td.bags[2]) == 3  # return path of length 2
-
-
-def test_odd_theta_rejects_even_lengths():
-    with pytest.raises(ValueError):
-        odd_theta_decomposition([4, 3])
-
-
-def test_odd_theta_needs_two_paths():
-    with pytest.raises(ValueError):
-        odd_theta_decomposition([3])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from([1, 3, 5, 7]), min_size=2, max_size=4))
-def test_odd_theta_decomposition_always_valid(lengths):
-    if lengths.count(1) > 1:
-        lengths = [x if x != 1 else 3 for x in lengths]
-    g, td = odd_theta_decomposition(lengths)
-    td.validate(g)
-    assert g.num_edges == sum(lengths)
-    theta = generalized_theta(sorted(lengths, reverse=True), "odd").graph
-    assert find_isomorphism(g, theta) is not None
 
 
 # -- isomorphism utilities ---------------------------------------------------

@@ -17,7 +17,7 @@ from sidlab.graphs import (
     generalized_theta,
     path_graph,
 )
-from sidlab.homdensity import _gradient_float
+from sidlab.homdensity import _gradient_float, deficit
 from sidlab.search import (
     PROJECTION_TOL,
     ProjectionError,
@@ -504,6 +504,32 @@ def test_search_on_graphs_with_few_edges(name, d):
     res = search_counterexample(graph, n=3, d=d, starts=4, iters=20, seed=2)
     assert abs(res.best_deficit - DEGENERATE_SEARCHES[name, d]) <= 1e-15
     assert not res.certified_violation
+
+
+def c4_witness():
+    return search_counterexample(cycle_graph(4), n=3, d=F(1, 3), starts=2,
+                                 iters=3).best_w.float_matrix
+
+
+# each entry point that takes a rational target d
+TARGET_READERS = {
+    "deficit": lambda d: deficit(cycle_graph(50), constant_graphon(F(1, 2), 3),
+                                 d),
+    "project_regular": lambda d: project_regular(
+        np.random.default_rng(5).random((3, 3)), d),
+    "search_counterexample": lambda d: search_counterexample(
+        cycle_graph(4), n=3, d=d, starts=2, iters=3),
+    "certify_violation": lambda d: certify_violation(cycle_graph(4),
+                                                     c4_witness(), d),
+}
+
+
+@pytest.mark.parametrize("reader", TARGET_READERS)
+def test_a_target_with_numpy_terms_is_read_as_plain_ints(reader):
+    # Fraction keeps NumPy integer terms, which wrap at 2^63: deficit read
+    # 3^50 wrapped, and certify_violation raised OverflowError
+    plain = TARGET_READERS[reader](F(1, 3))
+    assert TARGET_READERS[reader](F(np.int64(1), np.int64(3))) == plain
 
 
 # -- exact certification -----------------------------------------------------

@@ -12,9 +12,6 @@ from sidlab.graphs import (
     ReplacementSpec,
     Theorem12Case,
     classify_theorem12,
-    find_isomorphism,
-    generalized_theta,
-    odd_theta_decomposition,
 )
 from sidlab.homdensity import deficit, holder_lower_bound
 from sidlab.stepgraphon import StepGraphon, local_density_deficit
@@ -309,16 +306,6 @@ def test_suite_report_seed_is_a_plain_int():
     rep = verify_flower_knrs(trials=1, seed=np.int64(3))
     assert type(rep.seed) is int
     assert json.loads(json.dumps(rep.to_json_dict()))["seed"] == 3
-
-
-def test_odd_theta_families_come_from_their_decompositions():
-    families = dict(sidorenko_family_instances())
-    for name, lengths in (("odd_theta_31", [3, 1]), ("odd_theta_53", [5, 3]),
-                          ("odd_theta_331", [3, 3, 1])):
-        graph = odd_theta_decomposition(lengths)[0]
-        assert families[name] == graph
-        theta = generalized_theta(lengths, "odd").graph
-        assert find_isomorphism(graph, theta) is not None
 
 
 def test_suite_registry_complete():
