@@ -114,9 +114,6 @@ def test_theta_13_explicit_edges():
     t = generalized_theta([1, 3], "odd")
     assert t.graph.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
     assert find_isomorphism(t.graph, cycle_graph(4)) is not None
-    # two length-3 paths close a 6-cycle
-    t = generalized_theta([3, 3], "odd")
-    assert find_isomorphism(t.graph, cycle_graph(6)) is not None
 
 
 def test_theta_duplicate_unit_length_rejected():
@@ -415,6 +412,9 @@ FLOORS = [
     pytest.param("path count", 0,
                  lambda x: ReplacementSpec(2, {(0, 1): {2: x}}),
                  id="spec-count"),
+    # the floor is read before the parity, which 0 would also fail
+    pytest.param("path length", 1, lambda x: generalized_theta([3, x], "odd"),
+                 id="odd-theta"),
 ]
 
 
@@ -530,6 +530,61 @@ def test_classifier_uniform_even_on_cliques_is_divisible(h, lengths):
         return
     spec = ReplacementSpec.uniform(complete_graph(h), lengths)
     assert classify_theorem12(spec).case is Theorem12Case.DIVISIBLE
+
+
+# -- odd thetas --------------------------------------------------------------
+
+def test_odd_theta_31_matches_frozen_construction():
+    # the graph sidorenko_family_instances names odd_theta_31
+    g = generalized_theta([3, 1], "odd").graph
+    assert g.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+    assert find_isomorphism(g, cycle_graph(4)) is not None
+
+
+def test_odd_theta_33_is_c6():
+    g = generalized_theta([3, 3], "odd").graph
+    assert find_isomorphism(g, cycle_graph(6)) is not None
+
+
+def test_odd_theta_531_arm_structure():
+    t = generalized_theta([5, 3, 1], "odd")
+    g = t.graph
+    assert (g.n, g.num_edges) == (8, 9)
+    degs = g.degrees()
+    assert [degs[r] for r in t.roots] == [3, 3]
+    # without the roots the internal vertices fall into the arms in input
+    # order: a path of 4 vertices, a path of 2, and nothing for the edge
+    assert degs[2:] == (2,) * 6
+    internal = [e for e in g.edges if not set(e) & set(t.roots)]
+    assert internal == [(2, 3), (3, 4), (4, 5), (6, 7)]
+
+
+def test_odd_theta_rejects_even_lengths():
+    with pytest.raises(ValueError, match="even length in an odd theta"):
+        generalized_theta([4, 3], "odd")
+    with pytest.raises(ValueError, match="even length in an odd theta"):
+        generalized_theta([3, 5, 2], "odd")
+
+
+def test_odd_theta_needs_a_path():
+    with pytest.raises(ValueError, match="at least one path length"):
+        generalized_theta([], "odd")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([1, 3, 5, 7]), min_size=2, max_size=4))
+def test_odd_theta_always_valid(lengths):
+    if lengths.count(1) > 1:
+        lengths = [x if x != 1 else 3 for x in lengths]
+    t = generalized_theta(lengths, "odd")
+    g = t.graph
+    assert g.num_edges == sum(lengths)
+    assert g.n == 2 + sum(x - 1 for x in lengths)
+    # every cycle joins two odd paths, so the roots sit on opposite sides
+    assert g.is_bipartite()
+    # the order of the paths only relabels the graph
+    theta = generalized_theta(sorted(lengths, reverse=True), "odd").graph
+    assert find_isomorphism(g, theta) is not None
 
 
 # -- isomorphism utilities ---------------------------------------------------

@@ -12,6 +12,7 @@ from sidlab.graphs import (
     ReplacementSpec,
     Theorem12Case,
     classify_theorem12,
+    generalized_theta,
 )
 from sidlab.homdensity import deficit, holder_lower_bound
 from sidlab.stepgraphon import StepGraphon, local_density_deficit
@@ -306,6 +307,13 @@ def test_suite_report_seed_is_a_plain_int():
     rep = verify_flower_knrs(trials=1, seed=np.int64(3))
     assert type(rep.seed) is int
     assert json.loads(json.dumps(rep.to_json_dict()))["seed"] == 3
+
+
+def test_odd_theta_families_come_from_generalized_theta():
+    families = dict(sidorenko_family_instances())
+    for name, lengths in (("odd_theta_31", [3, 1]), ("odd_theta_53", [5, 3]),
+                          ("odd_theta_331", [3, 3, 1])):
+        assert families[name] == generalized_theta(lengths, "odd").graph
 
 
 def test_suite_registry_complete():
