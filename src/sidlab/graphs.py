@@ -333,7 +333,9 @@ def generalized_theta(lengths, parity: str = "any") -> RootedGraph:
 
     Roots are vertices 0 and 1; internal path vertices follow in input order.
     At most one length may equal 1 (two would create a multi-edge).  With
-    parity "even" or "odd" every length must have that parity.
+    parity "even" or "odd" every length must have that parity.  The lengths
+    are checked on every call; each distinct tuple is built (and its root
+    swap searched for) once, and the one frozen result is shared.
     """
     lens = [_integer(x, "path length", 1) for x in lengths]
     if not lens:
@@ -346,6 +348,12 @@ def generalized_theta(lengths, parity: str = "any") -> RootedGraph:
         raise ValueError("parity violation: even length in an odd theta")
     if parity not in ("even", "odd", "any"):
         raise ValueError(f"unknown parity {parity!r}")
+    return _theta(tuple(lens))
+
+
+@lru_cache(maxsize=256)
+def _theta(lens: tuple) -> RootedGraph:
+    """The theta of validated plain-int ``lens``, one per distinct tuple."""
     edges = []
     nxt = 2
     for length in lens:

@@ -50,12 +50,27 @@ __all__ = [
 
 def _fraction(x) -> Fraction:
     """``Fraction(x)`` over plain ints: ``Fraction`` keeps NumPy integers
-    as its numerator and denominator, whose products wrap at 2^63."""
-    x = Fraction(x)
+    as its numerator and denominator, whose products wrap at 2^63.  A
+    ``Fraction`` over plain ints is returned as is."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if type(x.numerator) is int and type(x.denominator) is int:
         return x
     return Fraction(operator.index(x.numerator),
                     operator.index(x.denominator))
+
+
+def _ratio(x) -> tuple:
+    """A grid value as its reduced (numerator, denominator) plain ints; a
+    bool, Python or NumPy, is refused rather than read as 0 or 1."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, float):
+        return x.as_integer_ratio()
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError("a graphon value is a boolean, not a number")
+    x = _fraction(x)
+    return x.numerator, x.denominator
 
 
 def _frac_str(x) -> str:
@@ -74,16 +89,24 @@ class StepGraphon:
     graphon.  The views ``values`` (Fractions) and ``float_matrix`` (``a /
     q``, rounded like ``float(Fraction)``) are built on first read, and so
     is the exact engine's grid.
+
+    ``values`` is a square grid (rows of values, or an ndarray, read
+    through one ``tolist()``) of ints, floats, ``Fraction``s, NumPy
+    numbers or anything else ``Fraction`` reads; a float is its exact
+    binary value, and a bool is a ValueError.  Symmetry and the range are
+    checked over whole rows; only a failing grid is walked entry by entry,
+    to name its first bad ``(i, j)``.
     """
 
     __slots__ = ("n_steps", "q", "num", "integer_grid", "_values", "_float",
                  "_engine")
 
     def __init__(self, values):
-        rows = [[_fraction(x) for x in row] for row in values]
-        q = math.lcm(*(x.denominator for row in rows for x in row))
-        self._set([[x.numerator * (q // x.denominator) for x in row]
-                   for row in rows], q)
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        rows = [[_ratio(x) for x in row] for row in values]
+        q = math.lcm(*(b for row in rows for _, b in row))
+        self._set([[a * (q // b) for a, b in row] for row in rows], q)
 
     @classmethod
     def _from_integers(cls, num, q):
@@ -101,11 +124,13 @@ class StepGraphon:
             raise ValueError("a step graphon needs at least one step")
         if any(len(row) != n for row in num):
             raise ValueError("value grid must be square")
-        for i, j in itertools.product(range(n), repeat=2):
-            if num[i][j] != num[j][i]:
-                raise ValueError(f"values not symmetric at ({i}, {j})")
-            if not 0 <= num[i][j] <= q:
-                raise ValueError(f"value at ({i}, {j}) outside [0, 1]")
+        if (num != tuple(zip(*num)) or min(map(min, num)) < 0
+                or max(map(max, num)) > q):
+            for i, j in itertools.product(range(n), repeat=2):
+                if num[i][j] != num[j][i]:
+                    raise ValueError(f"values not symmetric at ({i}, {j})")
+                if not 0 <= num[i][j] <= q:
+                    raise ValueError(f"value at ({i}, {j}) outside [0, 1]")
         g = math.gcd(q, *itertools.chain.from_iterable(num))
         if g > 1:
             q, num = q // g, tuple(tuple(a // g for a in row) for row in num)
@@ -172,9 +197,7 @@ class StepGraphon:
         n, rows = data["n"], data["values"]
         if type(n) is not int or len(rows) != n:
             raise ValueError("graphon value grid does not match declared size")
-        if any(isinstance(x, bool) for row in rows for x in row):
-            raise ValueError("a graphon value is a boolean, not a number")
-        return cls([[Fraction(repr(x) if isinstance(x, float) else x)
+        return cls([[Fraction(repr(x)) if isinstance(x, float) else x
                      for x in row] for row in rows])
 
 
@@ -232,9 +255,9 @@ def permute_steps(w: StepGraphon, perm) -> StepGraphon:
     perm = [_integer(x, "step") for x in perm]
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the steps")
-    old = np.argsort(perm)
+    old = sorted(range(n), key=perm.__getitem__)
     return StepGraphon._from_integers(
-        w.integer_grid[np.ix_(old, old)].tolist(), w.q)
+        [[w.num[i][j] for j in old] for i in old], w.q)
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +471,21 @@ def _switch_repair(pairs, rng: random.Random, max_attempts=3000):
 
 
 def regular_graph_graphon(n: int, deg: int, seed: int) -> StepGraphon:
-    """Random simple deg-regular graph as a 0/1 graphon; (deg/n)-regular."""
+    """Random simple deg-regular graph as a 0/1 graphon; (deg/n)-regular.
+    Degree n - 1 gives K_n, the only such graph, without drawing."""
     n, deg = _integer(n, "step count"), _integer(deg, "degree")
     seed = _integer(seed, "seed")
     if deg < 0 or deg >= n:
         raise ValueError(f"degree {deg} infeasible for {n} vertices")
     if (n * deg) % 2 != 0:
         raise ValueError("n * deg must be even")
-    rng = random.Random(seed)
     if deg == 0:
         return constant_graphon(0, n)
-    edges = _pairing_regular_edges(n, deg, rng)
+    if deg == n - 1:
+        # K_n is the only simple (n - 1)-regular graph on n vertices
+        return StepGraphon._from_integers(
+            [[int(i != j) for j in range(n)] for i in range(n)], 1)
+    edges = _pairing_regular_edges(n, deg, random.Random(seed))
     grid = [[0] * n for _ in range(n)]
     for u, v in edges:
         grid[u][v] = grid[v][u] = 1

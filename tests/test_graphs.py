@@ -6,6 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from sidlab import graphs
 from sidlab.graphs import (
     Graph,
     ReplacementSpec,
@@ -127,6 +128,42 @@ def test_theta_parity_enforced():
     with pytest.raises(ValueError, match="parity"):
         generalized_theta([2, 3], "odd")
     generalized_theta([2, 3], "any")
+
+
+THETA_REFUSALS = [
+    ([True, 4], "any"), ([2.0, 4], "any"), ([0, 4], "any"),
+    ([1, 1], "any"), ([2, 4], "odd"), ([2, 4], "parity?"),
+]
+
+
+def theta_refusal(lengths, parity):
+    with pytest.raises(ValueError) as err:
+        generalized_theta(lengths, parity)
+    return str(err.value)
+
+
+def test_theta_memo_refuses_as_on_a_cold_cache():
+    # the memo is read only after the lengths are checked, so True, 2.0 or
+    # a parity mismatch never reaches the entry that [2, 4] made
+    graphs._theta.cache_clear()
+    cold = [theta_refusal(*case) for case in THETA_REFUSALS]
+    assert cold[0] == "path length True is not an integer"
+    generalized_theta([2, 4])
+    generalized_theta([1])
+    assert [theta_refusal(*case) for case in THETA_REFUSALS] == cold
+
+
+def test_theta_memo_shares_one_graph_per_length_tuple():
+    graphs._theta.cache_clear()
+    t = generalized_theta([2, 4])
+    assert generalized_theta((2, 4)) is t
+    assert generalized_theta([np.int64(2), 4], "even") is t
+    assert all(type(v) is int for e in t.graph.edges for v in e)
+    edges = []
+    nxt = graphs._lay_path(edges, 0, 1, 2, 2)
+    nxt = graphs._lay_path(edges, 0, 1, 4, nxt)
+    assert t == RootedGraph(Graph(nxt, tuple(edges)), (0, 1))
+    assert generalized_theta([4, 2]) != t
 
 
 @settings(max_examples=100, deadline=None)

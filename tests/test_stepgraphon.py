@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -444,6 +445,9 @@ def test_generate_regular_graph_deterministic():
                  id="kernel-power"),
     pytest.param("seed", lambda x: regular_graph_graphon(4, 2, x),
                  id="regular-seed"),
+    # the complete degree draws nothing, but its seed is still read
+    pytest.param("seed", lambda x: regular_graph_graphon(4, 3, x),
+                 id="complete-seed"),
     pytest.param("seed",
                  lambda x: pointwise_dense_graphon(3, F(1, 2), F(1, 2), x),
                  id="pointwise-dense-seed"),
@@ -485,6 +489,19 @@ def test_generate_regular_graph_infeasible():
         regular_graph_graphon(5, 3, seed=0)  # odd n*deg
     with pytest.raises(ValueError):
         regular_graph_graphon(4, 4, seed=0)  # deg >= n
+
+
+def test_complete_degree_equals_the_pairing_draw():
+    # K_n is the only simple (n - 1)-regular graph, so the shortcut returns
+    # what the stub pairing with switch repair would have drawn
+    for n in range(2, 10):
+        for seed in range(20):
+            edges = stepgraphon._pairing_regular_edges(n, n - 1,
+                                                       random.Random(seed))
+            grid = [[int((min(i, j), max(i, j)) in edges) for j in range(n)]
+                    for i in range(n)]
+            w = regular_graph_graphon(n, n - 1, seed)
+            assert (w.q, w.num) == (1, tuple(map(tuple, grid)))
 
 
 def reference_switch_repair(pairs, rng, max_attempts=3000):
@@ -751,3 +768,95 @@ def test_integer_grids_are_checked_like_fraction_grids(num, q, match):
         StepGraphon._from_integers(num, q)
     with pytest.raises(ValueError, match=match):
         StepGraphon([[F(a, q) for a in row] for row in num])
+
+
+# -- the value reader against the per-entry Fraction route -------------------
+
+def reference_read(values):
+    # the constructor's former route: every entry through Fraction, its
+    # terms read as plain ints, over the lcm of the denominators, reduced
+    def fraction(x):
+        x = F(x)
+        return F(operator.index(x.numerator), operator.index(x.denominator))
+
+    rows = [[fraction(x) for x in row] for row in values]
+    q = math.lcm(*(x.denominator for row in rows for x in row))
+    num = [[x.numerator * (q // x.denominator) for x in row] for row in rows]
+    g = math.gcd(q, *itertools.chain.from_iterable(num))
+    return q // g, tuple(tuple(a // g for a in row) for row in num)
+
+
+def unit_values():
+    """Values in [0, 1] in every type the constructor reads."""
+    den = st.sampled_from([1, 2, 3, 7, 12, 2 ** 61 - 1])
+    ratio = st.tuples(den, st.data()).map(
+        lambda t: (t[1].draw(st.integers(0, t[0])), t[0]))
+    unit = st.floats(0, 1)
+    return st.one_of(
+        st.integers(0, 1),
+        ratio.map(lambda t: F(*t)),
+        ratio.map(lambda t: F(np.int64(t[0]), np.int64(t[1]))),
+        unit,
+        st.integers(0, 1).map(np.int64),
+        unit.map(np.float64),
+    )
+
+
+def symmetric(draw, n, elements):
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = draw(elements)
+    return grid
+
+
+@st.composite
+def value_grids(draw):
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["mixed", "object", "int", "float"]))
+    if kind == "int":
+        return np.array(symmetric(draw, n, st.integers(0, 1)), dtype=np.int64)
+    if kind == "float":
+        return np.array(symmetric(draw, n, st.floats(0, 1)))
+    grid = symmetric(draw, n, unit_values())
+    return np.array(grid, dtype=object) if kind == "object" else grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_grids())
+def test_value_reader_equals_the_fraction_route(values):
+    w = StepGraphon(values)
+    assert (w.q, w.num) == reference_read(values)
+    assert type(w.q) is int
+    assert all(type(a) is int for row in w.num for a in row)
+
+
+@pytest.mark.parametrize("values, error, match", [
+    ([[0, 1], [1]], ValueError, "value grid must be square"),
+    ([[0, 1, 0], [1, 0, 1], [1, 0, 0]], ValueError,
+     r"values not symmetric at \(0, 2\)"),
+    ([[0, F(1, 2)], [F(1, 3), F(3, 2)]], ValueError,
+     r"values not symmetric at \(0, 1\)"),
+    ([[F(3, 2), 1], [0, 0]], ValueError, r"value at \(0, 0\) outside \[0, 1\]"),
+    ([[0, -0.5], [-0.5, 0]], ValueError, r"value at \(0, 1\) outside \[0, 1\]"),
+    ([[0.5, float("nan")], [0.0, 0.5]], ValueError,
+     "cannot convert NaN to integer ratio"),
+    (np.array([[0.5, np.inf], [np.inf, 0.5]]), OverflowError,
+     "cannot convert Infinity to integer ratio"),
+])
+def test_value_reader_keeps_its_errors(values, error, match):
+    # each error type and message is the one the per-entry Fraction route
+    # gave; a failing grid is walked to name its first bad (i, j)
+    with pytest.raises(error, match=match):
+        StepGraphon(values)
+
+
+@pytest.mark.parametrize("values", [
+    [[True]], [[np.True_]], [[0, False], [False, 1]], np.ones((2, 2), bool),
+    np.array([[F(1, 2), True], [True, 0]], dtype=object),
+])
+def test_boolean_values_are_refused(values):
+    # [[True]] was the all-ones graphon and [[np.True_]] a TypeError
+    with pytest.raises(ValueError,
+                       match="a graphon value is a boolean, not a number"):
+        StepGraphon(values)
