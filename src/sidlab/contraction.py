@@ -46,10 +46,11 @@ gradient too.
 The brute-force oracle enumerates every assignment over the same two grids,
 in numpy chunks of assignment indices, and forms each assignment's product
 over every edge before it sums; it shares the input checks with the engine,
-not the elimination.  On an integer grid whose largest entry M, edge count E
-and free-assignment count S bound every sum by S * M^E < 2^63, it gathers
-and multiplies in int64 and adds each chunk's sum to a Python int; otherwise
-it multiplies the Python ints themselves.
+not the elimination.  In exact mode it reads the graphon's one integer grid
+and M, as the engine does.  When M, the edge count E and the
+free-assignment count S bound every sum by S * M^E < 2^63, it gathers and
+multiplies in int64 and adds each chunk's sum to a Python int; otherwise
+it casts the grid to Python ints and multiplies those.
 
 One size guard bounds both: a call is refused with ``ValueError`` before any
 work when the engine's largest step (n to its largest arity, times the
@@ -564,22 +565,24 @@ def contract_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):
 # Brute force (the independent oracle for the elimination engine).
 # ---------------------------------------------------------------------------
 
-def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
+def _bruteforce(n_vertices, edges, a, n_steps, pins, keep, top=None):
     """Unnormalized sums of edge products over every assignment of the free
-    vertices, in either dtype of ``a``: one sum per assignment of the kept
-    vertices, shaped like ``_eliminate``'s result.  Also returns the number
-    of assignments of the free vertices, n to their count.
+    vertices, exact or float: one sum per assignment of the kept vertices,
+    shaped like ``_eliminate``'s result.  Also returns the number of
+    assignments of the free vertices, n to their count.
 
     The assignments are enumerated in chunks of at most
     ``_BRUTEFORCE_CHUNK`` indices: free vertex i takes digit i of an index
     written in base n, every edge's weight is gathered for every assignment
     of the chunk, and each assignment's product over all edges is formed
-    before the chunk is summed.  An object grid holds nonnegative Python
-    ints, so with M its largest entry, E the edge count and S the number of
-    free assignments, no product exceeds M^E and no chunk's sum S * M^E:
-    when S * M^E < 2^63 the weights are gathered as int64 and each chunk's
-    sum is added to the Python-int total as an ``int``.  A larger bound, or
-    a float grid, keeps the grid's own dtype.
+    before the chunk is summed.  Float mode (``top`` None) reads a float64
+    grid.  Exact mode reads a graphon's engine grid with ``top`` its largest
+    entry M, as ``_eliminate`` does.  The entries are nonnegative, so with
+    E the edge count and S the number of free assignments no product
+    exceeds M^E and no chunk's sum S * M^E: when S * M^E < 2^63 the int64
+    grid is gathered as is, else it is cast to Python ints.  Each chunk's
+    sum is then added to a Python-int total, and the result is an object
+    array of Python ints.
     """
     keep = tuple(keep)
     pins = _normalize_pins(pins)
@@ -593,11 +596,10 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
         )
     free = [v for v in range(n_vertices) if v not in pins and v not in keep]
     states = n_steps ** len(free)
+    exact = top is not None
     weights = a.reshape(-1)
-    small = (a.dtype == object
-             and states * max(weights) ** len(edges) < 1 << 63)
-    if small:
-        weights = weights.astype(np.int64)
+    if exact and states * top ** len(edges) >= 1 << 63:
+        weights = weights.astype(object, copy=False)
     us, vs = np.array(edges, dtype=np.intp).reshape(-1, 2).T
 
     def total(fixed):
@@ -614,28 +616,29 @@ def _bruteforce(n_vertices, edges, a, n_steps, pins, keep):
             products = np.multiply.reduce(
                 weights[phi[us] * n_steps + phi[vs]], axis=0)
             chunk = products.sum()
-            acc += int(chunk) if small else chunk
+            acc += int(chunk) if exact else chunk
         return acc
 
     sums = [
         total({**pins, **dict(zip(keep, xs))})
         for xs in itertools.product(range(n_steps), repeat=len(keep))
     ]
-    raw = np.array(sums, dtype=a.dtype).reshape((n_steps,) * len(keep))
+    raw = np.array(sums, dtype=object if exact else float)
+    raw = raw.reshape((n_steps,) * len(keep))
     return raw, states
 
 
 def bruteforce_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
     """The independent oracle for ``contract_exact``: the same value, with
     the same arguments and result shapes, summed over every assignment of
-    the free vertices on the ``StepGraphon``'s integer grid, in int64 when
-    the bound S * M^E < 2^63 of ``_bruteforce`` holds, else in Python ints.
-    Refused with ``ValueError`` when n to the vertex count exceeds
-    ``STATE_LIMIT``.
+    the free vertices on the ``StepGraphon``'s one integer grid and its
+    largest entry M, the pair the engine reads, in int64 when the bound
+    S * M^E < 2^63 of ``_bruteforce`` holds, else in Python ints.  Refused
+    with ``ValueError`` when n to the vertex count exceeds ``STATE_LIMIT``.
     """
     w = _graphon(values)
-    raw, states = _bruteforce(n_vertices, edges, w.integer_grid, n_steps,
-                              pins, keep)
+    a, top = w._engine_grid
+    raw, states = _bruteforce(n_vertices, edges, a, n_steps, pins, keep, top)
     return _as_fractions(raw, w.q ** len(edges) * states)
 
 

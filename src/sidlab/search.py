@@ -412,7 +412,7 @@ def certify_violation(graph: Graph, matrix, d=None,
     # low <= w entrywise, so t_H(low) <= t_H(w), and rho rounds up
     unit = 1 << _FLOOR_BITS
     low = StepGraphon._from_integers(
-        (w.integer_grid * unit // w.q).tolist(), unit)
+        [[a * unit // w.q for a in row] for row in w.num], unit)
     if contraction.contract_exact(graph.n, graph.edges, low, n) >= \
             Fraction(ceil(rho * unit), unit) ** e:
         return None

@@ -84,11 +84,10 @@ class StepGraphon:
     Entry (i, j) is ``num[i][j] / q``, with q the lcm of the denominators,
     checked once in integers and reduced to ``gcd(q, all a) = 1``, so equal
     graphons compare and hash equal.  ``num`` and q are plain Python ints,
-    whatever integer type built them.  ``integer_grid`` holds ``num`` as
-    the read-only object array that the exact entry points read off the
-    graphon.  The views ``values`` (Fractions) and ``float_matrix`` (``a /
-    q``, rounded like ``float(Fraction)``) are built on first read, and so
-    is the exact engine's grid.
+    whatever integer type built them.  The views ``values`` (Fractions)
+    and ``float_matrix`` (``a / q``, rounded like ``float(Fraction)``) are
+    built on first read, and so is the one integer grid that the exact
+    engine and the brute-force oracle read off the graphon.
 
     ``values`` is a square grid (rows of values, or an ndarray, read
     through one ``tolist()``) of ints, floats, ``Fraction``s, NumPy
@@ -98,8 +97,7 @@ class StepGraphon:
     to name its first bad ``(i, j)``.
     """
 
-    __slots__ = ("n_steps", "q", "num", "integer_grid", "_values", "_float",
-                 "_engine")
+    __slots__ = ("n_steps", "q", "num", "_values", "_float", "_engine")
 
     def __init__(self, values):
         if isinstance(values, np.ndarray):
@@ -135,8 +133,6 @@ class StepGraphon:
         if g > 1:
             q, num = q // g, tuple(tuple(a // g for a in row) for row in num)
         self.n_steps, self.q, self.num = n, q, num
-        self.integer_grid = np.array(num, dtype=object)
-        self.integer_grid.flags.writeable = False
         self._values = self._float = self._engine = None
 
     @property
@@ -155,14 +151,14 @@ class StepGraphon:
 
     @property
     def _engine_grid(self):
-        """The integer grid that the exact engine reads and its largest
-        entry M: the grid as int64 when M < 2^63, else ``integer_grid``."""
+        """The read-only integer grid that the exact engine and the
+        brute-force oracle read, and its largest entry M: ``num`` as int64
+        when M < 2^63, else as Python ints in an object array."""
         if self._engine is None:
             top = max(map(max, self.num))
-            grid = self.integer_grid
-            if top < 1 << 63:
-                grid = np.array(self.num, dtype=np.int64)
-                grid.flags.writeable = False
+            grid = np.array(self.num,
+                            dtype=np.int64 if top < 1 << 63 else object)
+            grid.flags.writeable = False
             self._engine = grid, top
         return self._engine
 
@@ -221,7 +217,7 @@ def kernel_power(w: StepGraphon, k: int) -> StepGraphon:
     """Path-counting kernel of length k: the scaled matrix power A^k / n^(k-1),
     an integer matrix power over the denominator q^k n^(k-1)."""
     k = _integer(k, "kernel power", 1)
-    power = np.linalg.matrix_power(w.integer_grid, k)
+    power = np.linalg.matrix_power(np.array(w.num, dtype=object), k)
     return StepGraphon._from_integers(power.tolist(),
                                       w.q ** k * w.n_steps ** (k - 1))
 
@@ -246,7 +242,8 @@ def hadamard(w1: StepGraphon, w2: StepGraphon) -> StepGraphon:
     if w1.n_steps != w2.n_steps:
         raise ValueError("step counts differ")
     return StepGraphon._from_integers(
-        (w1.integer_grid * w2.integer_grid).tolist(), w1.q * w2.q)
+        [[a * b for a, b in zip(r1, r2)] for r1, r2 in zip(w1.num, w2.num)],
+        w1.q * w2.q)
 
 
 def permute_steps(w: StepGraphon, perm) -> StepGraphon:
@@ -290,14 +287,12 @@ class LocalDensityReport:
     ``deficit_exact`` is the exact global minimum and ``deficit`` its float;
     ``witness`` is an occupancy vector of exact rationals in [0, 1]^n where
     the quadratic takes that value.  A nonnegative deficit proves local
-    denseness and a negative one is a certified violation.  ``method`` names
-    the decision procedure, always ``"exact"`` (the face enumeration).
+    denseness and a negative one is a certified violation.
     """
 
     deficit: float
     deficit_exact: Fraction
     witness: tuple
-    method: str
 
 
 def _dot(u, v):
@@ -393,7 +388,6 @@ def local_density_deficit(w: StepGraphon, d) -> LocalDensityReport:
         deficit=float(exact),
         deficit_exact=exact,
         witness=witness,
-        method="exact",
     )
 
 
@@ -503,9 +497,11 @@ def mixture_graphon(graphons, weights) -> StepGraphon:
     if any(g.n_steps != n for g in graphons):
         raise ValueError("step counts differ")
     q = math.lcm(*(wt.denominator * g.q for wt, g in zip(ws, graphons)))
-    grid = sum(wt.numerator * (q // (wt.denominator * g.q)) * g.integer_grid
-               for wt, g in zip(ws, graphons))
-    return StepGraphon._from_integers(grid.tolist(), q)
+    scales = [wt.numerator * (q // (wt.denominator * g.q))
+              for wt, g in zip(ws, graphons)]
+    return StepGraphon._from_integers(
+        [[sum(map(operator.mul, scales, xs)) for xs in zip(*rows)]
+         for rows in zip(*(g.num for g in graphons))], q)
 
 
 # A pointwise-dense entry is d plus 0 to _NOISE_LEVELS units of noise.

@@ -27,7 +27,7 @@ import heapq
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 
@@ -99,14 +99,7 @@ class SuiteReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": self.failures,
-            "seed": self.seed,
-            "max_gap": self.max_gap,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SuiteReport":

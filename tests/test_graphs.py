@@ -221,6 +221,13 @@ def test_subdivide_counts():
     assert s.num_edges == 4 * g.num_edges
 
 
+def test_subdivide_long_path():
+    # laid edge by edge, with no isomorphism search, so the count has no
+    # recursion limit
+    s = subdivide(complete_graph(2), 2000)
+    assert (s.n, s.num_edges) == (2002, 2001)
+
+
 # -- replace_edges -----------------------------------------------------------
 
 def test_replace_single_edge_with_theta22_is_c4():
@@ -254,11 +261,12 @@ def test_replace_edges_count_invariants(nv, lengths):
     assert out.n == host.n + host.num_edges * (gadget.n - 2)
 
 
-@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
 @pytest.mark.parametrize("nv", [2, 3, 4])
 def test_replace_single_even_path_matches_subdivide(nv, length):
     host = complete_graph(nv)
-    a = replace_edges(host, generalized_theta([length], "even"))
+    parity = "any" if length % 2 else "even"
+    a = replace_edges(host, generalized_theta([length], parity))
     b = subdivide(host, length - 1)
     assert a == b
     if a.n <= 12:

@@ -314,7 +314,7 @@ def test_grid_shape_must_match_the_step_count(backend, bad):
 @pytest.mark.parametrize("values, name", [
     (BIP.values, "tuple"),
     ([[F(0), F(1)], [F(1), F(0)]], "list"),
-    (BIP.integer_grid, "ndarray"),
+    (np.array(BIP.num, dtype=object), "ndarray"),
     (BIP.float_matrix, "ndarray"),
 ])
 def test_exact_entry_points_take_a_graphon(backend, values, name):

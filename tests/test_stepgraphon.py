@@ -236,7 +236,6 @@ def test_local_density_corner_insufficiency_instance():
     corners = [(0, 0), (1, 0), (0, 1), (1, 1)]
     assert all(quadratic_exact(w, d, s) >= 0 for s in corners)
     rep = local_density_deficit(w, d)
-    assert rep.method == "exact"
     assert rep.deficit_exact == F(-3, 160)
     assert rep.witness == (F(1, 2), F(1))
     assert quadratic_exact(w, d, rep.witness) == rep.deficit_exact
@@ -278,7 +277,6 @@ def test_refined_corner_insufficiency_instance_is_exact():
         w = refine(base, k)
         assert w.n_steps <= EXACT_STEP_CAP
         rep = local_density_deficit(w, F(3, 10))
-        assert rep.method == "exact"
         assert rep.deficit_exact == F(-3, 160)
         assert all(0 <= x <= 1 for x in rep.witness)
         assert quadratic_exact(w, F(3, 10), rep.witness) == rep.deficit_exact
@@ -370,7 +368,6 @@ THREE_FREE = StepGraphon([
 @settings(max_examples=100, deadline=None)
 def test_exact_local_density_equals_face_oracle(w, d):
     rep = local_density_deficit(w, d)
-    assert rep.method == "exact"
     assert rep.deficit_exact == face_oracle(w, d)
     assert all(0 <= x <= 1 for x in rep.witness)
     assert quadratic_exact(w, d, rep.witness) == rep.deficit_exact
