@@ -160,80 +160,59 @@ def cycle_graph(length: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism machinery (backtracking with degree-profile prefilter).
-# Adequate for the desk-scale gadgets built here; not a general-purpose solver.
+# Isomorphism machinery: colour refinement with individualization.
 # ---------------------------------------------------------------------------
 
-def _signatures(g: Graph):
-    adj = g.adjacency()
-    degs = g.degrees()
-    return [
-        (degs[v], tuple(sorted(degs[w] for w in adj[v])))
-        for v in range(g.n)
-    ]
-
-
 def find_isomorphism(g1: Graph, g2: Graph, fixed: dict | None = None):
-    """Search for an isomorphism g1 -> g2 extending ``fixed``; None if absent."""
-    if g1.n != g2.n or g1.num_edges != g2.num_edges:
+    """Search for an isomorphism g1 -> g2 extending ``fixed``; None if absent.
+
+    Every key of ``fixed`` must be a vertex of g1 and every value a vertex
+    of g2, or a ValueError names the pair; a ``fixed`` that maps two
+    vertices to one gives None.
+    """
+    n = g1.n
+    pairs = []
+    for v, w in (fixed or {}).items():
+        pair = f"fixed pair {v!r}: {w!r}"
+        v, w = _integer(v, pair + ", vertex"), _integer(w, pair + ", vertex")
+        if not (0 <= v < n and 0 <= w < g2.n):
+            raise ValueError(f"{pair} is not a vertex of g1 and one of g2")
+        pairs.append((v, n + w))
+    if n != g2.n or g1.num_edges != g2.num_edges:
         return None
-    sig1, sig2 = _signatures(g1), _signatures(g2)
-    if sorted(sig1) != sorted(sig2):
-        return None
-    fixed = dict(fixed or {})
-    for v, w in fixed.items():
-        if sig1[v] != sig2[w]:
-            return None
-    candidates = {
-        v: [w for w in range(g2.n) if sig2[w] == sig1[v]] for v in range(g1.n)
-    }
-    adj1 = g1.adjacency()
-    adj2 = g2.adjacency()
-
-    # Static order: fixed vertices first, then always a vertex with the most
-    # neighbours already ordered (most constrained among those), so every
-    # choice meets its placed neighbours at once; an order blind to
-    # adjacency backtracked for minutes on relabelled asymmetric graphs.
-    order, rest = list(fixed), set(range(g1.n)) - set(fixed)
-    placed = {v: 0 for v in range(g1.n)}
-    for v in order:
-        for w in adj1[v]:
-            placed[w] += 1
-    while rest:
-        v = min(rest, key=lambda v: (-placed[v], len(candidates[v]),
-                                     -len(adj1[v]), v))
-        order.append(v)
-        rest.remove(v)
-        for w in adj1[v]:
-            placed[w] += 1
-
-    mapping = {}
-    used = set()
-
-    def consistent(v, w):
-        for u, x in mapping.items():
-            if (u in adj1[v]) != (x in adj2[w]):
-                return False
-        return True
-
-    def extend(pos):
-        if pos == len(order):
-            return True
-        v = order[pos]
-        choices = [fixed[v]] if v in fixed else candidates[v]
-        for w in choices:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(pos + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    if extend(0):
-        return dict(mapping)
+    # g2's vertices are n..2n-1, so one colour means the same in both graphs
+    adj = ([list(nbrs) for nbrs in g1.adjacency().values()]
+           + [[n + x for x in nbrs] for nbrs in g2.adjacency().values()])
+    # (colouring, pairs to individualize, each in a new colour)
+    stack = [([0] * (2 * n), pairs)]
+    while stack:
+        colour, pairs = stack.pop()
+        colour = colour.copy()
+        for v, w in pairs:
+            colour[v] = colour[w] = max(colour) + 1
+        # equitable refinement: signatures (colour, sorted neighbour colours)
+        # numbered in sorted order, which a stable 0..k-1 colouring keeps
+        old, balanced = None, True
+        while balanced and colour != old:
+            sigs = [(c, tuple(sorted([colour[x] for x in nbrs])))
+                    for c, nbrs in zip(colour, adj)]
+            number = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            old, colour = colour, [number[s] for s in sigs]
+            balanced = sorted(colour[:n]) == sorted(colour[n:])
+        if not balanced:
+            continue
+        sizes = Counter(colour[:n])
+        if len(sizes) == n:
+            image = {c: w for w, c in enumerate(colour[n:])}
+            perm = [image[c] for c in colour[:n]]
+            if g1.relabel(perm) == g2:
+                return dict(enumerate(perm))
+            continue
+        # the smallest cell left: its first g1 vertex meets each g2 vertex
+        _, c = min((size, c) for c, size in sizes.items() if size > 1)
+        v = colour.index(c)
+        stack.extend((colour, [(v, w)])
+                     for w in range(2 * n - 1, n - 1, -1) if colour[w] == c)
     return None
 
 
@@ -245,18 +224,33 @@ def edge_orbits(graph: Graph) -> tuple:
     edge is its representative.  An edge joins the first representative
     that some automorphism maps onto it, in either orientation.
     """
-    orbits = []
-    for u, v in graph.edges:
-        for orbit in orbits:
-            a, b = orbit[0]
-            if (find_isomorphism(graph, graph, {a: u, b: v}) is not None
-                    or find_isomorphism(graph, graph, {a: v, b: u})
-                    is not None):
-                orbit.append((u, v))
+    index = {}
+    for i, (u, v) in enumerate(graph.edges):
+        index[u, v] = index[v, u] = i
+    root = list(range(graph.num_edges))  # union-find, a class's root its min
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    reps = []
+    for i, (u, v) in enumerate(graph.edges):
+        if find(i) != i:
+            continue
+        for r in reps:
+            a, b = graph.edges[r]
+            sigma = (find_isomorphism(graph, graph, {a: u, b: v})
+                     or find_isomorphism(graph, graph, {a: v, b: u}))
+            if sigma is not None:
+                for j, (x, y) in enumerate(graph.edges):
+                    p, q = find(j), find(index[sigma[x], sigma[y]])
+                    root[max(p, q)] = min(p, q)
                 break
         else:
-            orbits.append([(u, v)])
-    return tuple(map(tuple, orbits))
+            reps.append(i)
+    return tuple(tuple(e for j, e in enumerate(graph.edges) if find(j) == r)
+                 for r in reps)
 
 
 @dataclass(frozen=True)
@@ -427,9 +421,9 @@ def semidirect_product(h1: Graph, independent_set, a: int, h2: Graph,
     """Glue v(H2) copies of H1 along an independent set, wire H2 on the a-copies.
 
     The copies share the vertices of ``independent_set`` and are disjoint
-    otherwise.  Each H2 edge is placed between the corresponding copies of
-    ``a`` and then subdivided ``2*subdivision_k - 1`` times, which makes the
-    result bipartite whenever H1 is.
+    otherwise.  Each H2 edge joins the corresponding copies of ``a`` and is
+    then subdivided ``2*subdivision_k - 1`` times, which makes the result
+    bipartite whenever H1 is.
 
     Vertex numbering: shared vertices first (sorted), then per-copy blocks of
     the remaining H1 vertices (sorted), then subdivision blocks in sorted H2

@@ -61,12 +61,16 @@ def _fraction(x) -> Fraction:
 
 
 def _ratio(x) -> tuple:
-    """A grid value as its reduced (numerator, denominator) plain ints; a
-    bool, Python or NumPy, is refused rather than read as 0 or 1."""
+    """A grid value as (numerator, denominator) plain ints, reduced but for
+    a ``"p/q"`` of ASCII digits; a bool, Python or NumPy, is refused."""
     if type(x) is int:
         return x, 1
     if isinstance(x, float):
         return x.as_integer_ratio()
+    if type(x) is str:
+        p, _, q = x.partition("/")
+        if x.isascii() and p.isdigit() and q.isdigit() and int(q):
+            return int(p), int(q)
     if isinstance(x, (bool, np.bool_)):
         raise ValueError("a graphon value is a boolean, not a number")
     x = _fraction(x)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from sidlab.graphs import (
     complete_multipartite,
     cycle_graph,
     disjoint_union,
+    edge_orbits,
     find_isomorphism,
     flower,
     generalized_theta,
@@ -653,3 +656,94 @@ def test_non_isomorphic_same_degrees():
     g1 = cycle_graph(6)
     g2 = disjoint_union(complete_graph(3), complete_graph(3))
     assert find_isomorphism(g1, g2) is None
+
+
+@pytest.mark.parametrize("fixed, match", [
+    ({5: 0}, "fixed pair 5: 0 is not a vertex of g1 and one of g2"),
+    ({-1: 0}, "fixed pair -1: 0 is not a vertex of g1 and one of g2"),
+    ({0: 3}, "fixed pair 0: 3 is not a vertex of g1 and one of g2"),
+    ({0: -3}, "fixed pair 0: -3 is not a vertex of g1 and one of g2"),
+    ({1.0: 0}, r"fixed pair 1\.0: 0, vertex 1\.0 is not an integer"),
+    ({0: True}, "fixed pair 0: True, vertex True is not an integer"),
+    ({0: "1"}, "fixed pair 0: '1', vertex '1' is not an integer"),
+])
+def test_find_isomorphism_checks_fixed(fixed, match):
+    # {5: 0} was an IndexError and {-1: 0} a KeyError; a negative index
+    # into the joint colouring of both graphs would name a vertex of g2
+    g = path_graph(2)
+    with pytest.raises(ValueError, match=match):
+        find_isomorphism(g, g, fixed)
+
+
+def test_find_isomorphism_reads_fixed_integers():
+    g = path_graph(2)
+    assert find_isomorphism(g, g, {np.int64(0): np.int64(2)}) == {
+        0: 2, 1: 1, 2: 0}
+    # a map that is not injective is not refused: nothing extends it
+    assert find_isomorphism(g, g, {0: 0, 2: 0}) is None
+
+
+def test_isomorphism_search_does_not_recurse():
+    # the search kept one frame per vertex: a RecursionError on long paths
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        RootedGraph(path_graph(300), (0, 300))
+        assert len(edge_orbits.__wrapped__(cycle_graph(300))) == 1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# -- the isomorphism search against all permutations -------------------------
+
+@st.composite
+def small_graphs(draw, n=None):
+    n = draw(st.integers(0, 6)) if n is None else n
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph(n, tuple(e for e, k in zip(pairs, keep) if k))
+
+
+def isomorphisms(g1, g2):
+    """Every isomorphism g1 -> g2, as a tuple p with p[v] the image of v."""
+    if (g1.n, g1.num_edges) != (g2.n, g2.num_edges):
+        return []
+    edges = set(g2.edges)
+    return [p for p in itertools.permutations(range(g1.n))
+            if all((min(p[u], p[v]), max(p[u], p[v])) in edges
+                   for u, v in g1.edges)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_edge_orbits_equal_the_automorphism_group_orbits(g):
+    autos = isomorphisms(g, g)
+    orbits = []
+    for u, v in g.edges:
+        if not any((u, v) in orbit for orbit in orbits):
+            orbits.append(tuple(sorted({(min(p[u], p[v]), max(p[u], p[v]))
+                                        for p in autos})))
+    assert edge_orbits(g) == tuple(orbits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_find_isomorphism_against_all_permutations(data):
+    g1 = data.draw(small_graphs())
+    if data.draw(st.booleans()):
+        g2 = g1.relabel(data.draw(st.permutations(range(g1.n))))
+    else:
+        g2 = data.draw(small_graphs(g1.n) | small_graphs())
+    fixed = {}
+    if g1.n and g2.n:
+        fixed = data.draw(st.dictionaries(st.integers(0, g1.n - 1),
+                                          st.integers(0, g2.n - 1),
+                                          max_size=3))
+    extending = [p for p in isomorphisms(g1, g2)
+                 if all(p[v] == w for v, w in fixed.items())]
+    mapping = find_isomorphism(g1, g2, fixed)
+    assert (mapping is None) == (not extending)
+    if mapping is not None:
+        perm = tuple(mapping[v] for v in range(g1.n))
+        assert len(mapping) == g1.n and perm in extending

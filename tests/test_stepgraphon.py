@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -810,7 +811,13 @@ def symmetric(draw, n, elements):
 @st.composite
 def value_grids(draw):
     n = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(["mixed", "object", "int", "float"]))
+    kind = draw(st.sampled_from(["mixed", "object", "int", "float",
+                                 "string"]))
+    if kind == "string":
+        # "p/q" as a graphon file writes it, and unreduced, such as "2/4"
+        den = st.sampled_from([1, 2, 4, 12, 2 ** 61 - 1])
+        return symmetric(draw, n, den.flatmap(
+            lambda q: st.integers(0, q).map(lambda p: f"{p}/{q}")))
     if kind == "int":
         return np.array(symmetric(draw, n, st.integers(0, 1)), dtype=np.int64)
     if kind == "float":
@@ -826,6 +833,23 @@ def test_value_reader_equals_the_fraction_route(values):
     assert (w.q, w.num) == reference_read(values)
     assert type(w.q) is int
     assert all(type(a) is int for row in w.num for a in row)
+
+
+@pytest.mark.parametrize("text", [
+    " 1/2", "+1/2", "1_0/20", "1/-2", "1/0", "0.5", "1/2/3", "\u00b2/4",
+    "\u0661/\u0662",
+])
+def test_string_values_read_like_fraction(text):
+    # only a "p/q" of ASCII digits skips the Fraction parser: every other
+    # string gives the Fraction route's value or its error and message
+    try:
+        expected = reference_read([[text]])
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            StepGraphon([[text]])
+    else:
+        w = StepGraphon([[text]])
+        assert (w.q, w.num) == expected
 
 
 @pytest.mark.parametrize("values, error, match", [
