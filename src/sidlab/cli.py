@@ -61,17 +61,20 @@ def _parse_rational(text: str, allow_float: bool) -> Fraction:
     return value
 
 
-def _parse_lengths(text: str):
+def _parse_lengths(args):
+    """The ``--lengths`` list; a family run without it is a FormatError."""
+    if args.lengths is None:
+        raise FormatError(f"{args.family} requires --lengths")
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [int(x) for x in args.lengths.split(",") if x != ""]
     except ValueError as exc:
-        raise FormatError(f"bad length list {text!r}") from exc
+        raise FormatError(f"bad length list {args.lengths!r}") from exc
 
 
-def _parse_length(text: str) -> int:
-    lengths = _parse_lengths(text)
+def _parse_length(args) -> int:
+    lengths = _parse_lengths(args)
     if len(lengths) != 1:
-        raise FormatError(f"expected one length, got {text!r}")
+        raise FormatError(f"expected one length, got {args.lengths!r}")
     return lengths[0]
 
 
@@ -138,20 +141,20 @@ def _need(args, *names):
 
 
 def _theta(args):
-    return generalized_theta(_parse_lengths(args.lengths), args.parity)
+    return generalized_theta(_parse_lengths(args), args.parity)
 
 
 # --family name -> what it builds from the parsed arguments
 FAMILIES = {
     "theta": _theta,
-    "flower": lambda args: flower(_parse_lengths(args.lengths)),
-    "complete": lambda args: complete_graph(_parse_length(args.lengths)),
+    "flower": lambda args: flower(_parse_lengths(args)),
+    "complete": lambda args: complete_graph(_parse_length(args)),
     "multipartite": lambda args:
-        complete_multipartite(_parse_lengths(args.lengths)),
-    "path": lambda args: path_graph(_parse_length(args.lengths)),
-    "cycle": lambda args: cycle_graph(_parse_length(args.lengths)),
+        complete_multipartite(_parse_lengths(args)),
+    "path": lambda args: path_graph(_parse_length(args)),
+    "cycle": lambda args: cycle_graph(_parse_length(args)),
     "subdivision": lambda args:
-        subdivide(*_need(args, "graph"), _parse_length(args.lengths)),
+        subdivide(*_need(args, "graph"), _parse_length(args)),
     "replace": lambda args: replace_edges(*_need(args, "graph"), _theta(args)),
     "union": lambda args: disjoint_union(*_need(args, "graph", "other")),
 }
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a graph family member")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--lengths", required=True,
+    p.add_argument("--lengths",
                    help="comma-separated lengths (or a single integer)")
     p.add_argument("--parity", default="any", choices=["even", "odd", "any"])
     p.add_argument("--graph", help="input graph JSON (subdivision/replace/union)")

@@ -73,7 +73,7 @@ import numpy as np
 # ``sidlab/__init__.py`` imports ``stepgraphon`` first, which imports this
 # module: this binds it still initializing, so read its names at call time.
 from . import stepgraphon
-from .graphs import _integer
+from .graphs import _index, _integer
 
 __all__ = [
     "EliminationOrder",
@@ -361,19 +361,11 @@ def _normalize_pins(pins) -> dict:
     return out
 
 
-def _check_index(x, what, bound):
-    """Refuse ``x`` unless ``graphs._integer`` reads it as an index in
-    ``range(bound)``."""
-    x = _integer(x, what)
-    if not 0 <= x < bound:
-        raise ValueError(f"{what} {x} out of range")
-
-
 def _check_edges(n_vertices, edges):
     """Validate every endpoint of the edge list."""
     for u, v in edges:
-        _check_index(u, "endpoint", n_vertices)
-        _check_index(v, "endpoint", n_vertices)
+        _index(u, "endpoint", n_vertices)
+        _index(v, "endpoint", n_vertices)
 
 
 def _check_vertices(n_vertices, pins, keep):
@@ -382,11 +374,11 @@ def _check_vertices(n_vertices, pins, keep):
     n_vertices = _integer(n_vertices, "vertex count", 0)
     pins = pins if isinstance(pins, dict) else _normalize_pins(pins)
     for v in pins:
-        _check_index(v, "pinned vertex", n_vertices)
+        _index(v, "pinned vertex", n_vertices)
     if len(keep) > 2:
         raise ValueError("at most two kept vertices supported")
     for v in keep:
-        _check_index(v, "kept vertex", n_vertices)
+        _index(v, "kept vertex", n_vertices)
     if len(set(keep)) != len(keep):
         raise ValueError(f"kept vertices {keep} repeat a vertex")
     if set(pins) & set(keep):
@@ -404,7 +396,7 @@ def _check_inputs(a, n_steps, pins, stack=False):
         raise ValueError(f"grid of shape {a.shape} is not "
                          f"{n_steps} x {n_steps}")
     for s in pins.values():
-        _check_index(s, "pin target step", n_steps)
+        _index(s, "pin target step", n_steps)
     return n_steps
 
 

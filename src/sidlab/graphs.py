@@ -57,13 +57,10 @@ class Graph:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "vertex count", 0))
         seen = set()
-        for edge in self.edges:
-            u, v = edge
-            u, v = _integer(u, "endpoint"), _integer(v, "endpoint")
+        for u, v in self.edges:
+            u, v = _index(u, "endpoint", self.n), _index(v, "endpoint", self.n)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {tuple(edge)} out of range for n={self.n}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
@@ -108,8 +105,7 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """Apply a vertex permutation given as a sequence (old index -> new)."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("not a permutation of the vertices")
+        perm = _permutation(perm, self.n, "vertex")
         return Graph(self.n, tuple((perm[u], perm[v]) for u, v in self.edges))
 
     def without_edge(self, u: int, v: int) -> "Graph":
@@ -266,12 +262,10 @@ class RootedGraph:
     roots: tuple
 
     def __post_init__(self):
-        r1, r2 = self.roots
+        r1, r2 = (_index(r, "root", self.graph.n) for r in self.roots)
         object.__setattr__(self, "roots", (r1, r2))
         if r1 == r2:
             raise ValueError("roots must be distinct")
-        if not (0 <= r1 < self.graph.n and 0 <= r2 < self.graph.n):
-            raise ValueError("roots out of range")
         if find_isomorphism(self.graph, self.graph, fixed={r1: r2, r2: r1}) is None:
             raise ValueError("no automorphism swapping the two roots")
 
@@ -307,6 +301,24 @@ def _integer(x, what, low=None) -> int:
     if low is not None and x < low:
         raise ValueError(f"{what} {x} is below {low}")
     return x
+
+
+def _index(x, what, bound) -> int:
+    """``x`` read by ``_integer``, the one reader of every vertex and step
+    index: outside ``range(bound)`` it is ``"{what} {x} out of range"``."""
+    x = x if type(x) is int else _integer(x, what)
+    if not 0 <= x < bound:
+        raise ValueError(f"{what} {x} out of range")
+    return x
+
+
+def _permutation(perm, n, what) -> list:
+    """``perm`` as a list, each entry read by ``_integer`` as a ``what``:
+    the one reader of every permutation of ``range(n)``."""
+    perm = [_integer(x, what) for x in perm]
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"not a permutation of the {n} {what} indices")
+    return perm
 
 
 def _lay_path(edges, u, v, length, nxt) -> int:
@@ -429,13 +441,10 @@ def semidirect_product(h1: Graph, independent_set, a: int, h2: Graph,
     the remaining H1 vertices (sorted), then subdivision blocks in sorted H2
     edge order.
     """
-    shared = sorted(set(independent_set))
-    a = _integer(a, "vertex")
+    shared = sorted({_index(w, "independent set vertex", h1.n)
+                     for w in independent_set})
+    a = _index(a, "vertex", h1.n)
     subdivision_k = _integer(subdivision_k, "subdivision parameter", 1)
-    if any(not (0 <= w < h1.n) for w in shared):
-        raise ValueError("independent set contains invalid vertices")
-    if not (0 <= a < h1.n):
-        raise ValueError("vertex a out of range")
     if a in shared:
         raise ValueError("vertex a must not belong to the independent set")
     shared_set = set(shared)

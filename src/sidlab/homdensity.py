@@ -18,7 +18,7 @@ import numpy as np
 from . import contraction
 from .contraction import _normalize_pins
 from .graphs import Graph, ReplacementSpec, complete_graph, edge_orbits
-from .stepgraphon import (StepGraphon, _frac_str, _fraction, constant_graphon,
+from .stepgraphon import (StepGraphon, _frac_str, _unit, constant_graphon,
                           edge_density, hadamard, kernel_power)
 
 __all__ = [
@@ -157,7 +157,7 @@ def deficit(graph: Graph, w: StepGraphon, d=None) -> Fraction:
     violation: t_H(W) - t_K2(W)^e(H), or t_H(W) - d^e(H) against a target
     density d.
     """
-    base = edge_density(w) if d is None else _fraction(d)
+    base = edge_density(w) if d is None else _unit(d, "target density")
     return hom_density(graph, w).value - base ** graph.num_edges
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from . import contraction
 from .graphs import Graph, _integer, edge_orbits
 from .homdensity import _cavity, _gradient_float
-from .stepgraphon import StepGraphon, _frac_str, _fraction, edge_density
+from .stepgraphon import StepGraphon, _frac_str, _unit, edge_density
 
 __all__ = [
     "ProjectionError",
@@ -131,13 +131,6 @@ def _settled(x: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return x
 
 
-def _degree(d) -> Fraction:
-    """The target degree d over plain ints, refused outside [0, 1]."""
-    if not 0 <= (d := _fraction(d)) <= 1:
-        raise ValueError("degree must lie in [0, 1]")
-    return d
-
-
 def project_regular(grid, d, max_iter: int = 5000) -> StepGraphon:
     """Nearest d-regular step graphon in Frobenius distance, to the row-sum
     residual ``PROJECTION_TOL``.
@@ -146,7 +139,7 @@ def project_regular(grid, d, max_iter: int = 5000) -> StepGraphon:
     ProjectionError with the final residual if the iteration cap is hit,
     and ValueError if ``max_iter`` is not an integer of at least 1.
     """
-    d = _degree(d)
+    d = _unit(d, "degree")
     if isinstance(grid, StepGraphon):
         m = grid.float_matrix
     else:
@@ -258,7 +251,7 @@ def search_counterexample(graph: Graph, n: int, d, starts: int = 32,
     if isinstance(step, bool) or not isinstance(step, Real) \
             or not (isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
-    d = _degree(d)
+    d = _unit(d, "degree")
     df = float(d)
 
     raw = np.stack([np.random.default_rng(child).random((n, n))
@@ -386,7 +379,7 @@ def certify_violation(graph: Graph, matrix, d=None,
         raise ValueError(f"witness of shape {m.shape} is not a square grid")
     if not np.isfinite(m).all():
         raise ValueError("witness has an entry that is NaN or infinite")
-    d = None if d is None else _degree(d)
+    d = None if d is None else _unit(d, "degree")
     max_denominator = _integer(max_denominator, "max_denominator", 1)
     n = m.shape[0]
     rational = {v: _rationalize(v, max_denominator)

@@ -27,7 +27,7 @@ from .contraction import _contract_integers
 # Not called here: the benchmark's tracer binds this name in this module
 # (README, "Tests and the acceptance suite").
 from .contraction import contract_exact
-from .graphs import RootedGraph, _integer
+from .graphs import RootedGraph, _integer, _permutation
 
 __all__ = [
     "EXACT_STEP_CAP",
@@ -58,6 +58,16 @@ def _fraction(x) -> Fraction:
         return x
     return Fraction(operator.index(x.numerator),
                     operator.index(x.denominator))
+
+
+def _unit(x, what) -> Fraction:
+    """``x`` read by ``_fraction``, the one reader of every [0, 1] target:
+    a bool or a value outside [0, 1] is a ValueError naming ``what``."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{what} {x!r} is a boolean, not a number")
+    if not 0 <= (x := _fraction(x)) <= 1:
+        raise ValueError(f"{what} must lie in [0, 1]")
+    return x
 
 
 def _ratio(x) -> tuple:
@@ -252,11 +262,8 @@ def hadamard(w1: StepGraphon, w2: StepGraphon) -> StepGraphon:
 
 def permute_steps(w: StepGraphon, perm) -> StepGraphon:
     """Relabel steps by a permutation (old index -> new index)."""
-    n = w.n_steps
-    perm = [_integer(x, "step") for x in perm]
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation of the steps")
-    old = sorted(range(n), key=perm.__getitem__)
+    perm = _permutation(perm, w.n_steps, "step")
+    old = sorted(range(w.n_steps), key=perm.__getitem__)
     return StepGraphon._from_integers(
         [[w.num[i][j] for j in old] for i in old], w.q)
 
@@ -379,9 +386,7 @@ def local_density_deficit(w: StepGraphon, d) -> LocalDensityReport:
     Raises ``ValueError`` for a grid above ``EXACT_STEP_CAP`` steps, before
     any enumeration.
     """
-    d = _fraction(d)
-    if not 0 <= d <= 1:
-        raise ValueError("target density must lie in [0, 1]")
+    d = _unit(d, "target density")
     if w.n_steps > EXACT_STEP_CAP:
         raise ValueError(
             f"{w.n_steps} steps exceed the exact local-density cap of "
@@ -515,10 +520,7 @@ _NOISE_LEVELS = 64
 def pointwise_dense_graphon(n: int, d, noise, seed: int) -> StepGraphon:
     """Entries in [d, 1]: d plus rational noise; d-locally dense pointwise."""
     n, seed = _integer(n, "step count"), _integer(seed, "seed")
-    d = _fraction(d)
-    noise = _fraction(noise)
-    if not 0 <= d <= 1 or not 0 <= noise <= 1:
-        raise ValueError("density and noise must lie in [0, 1]")
+    d, noise = _unit(d, "density"), _unit(noise, "noise")
     rng = random.Random(seed)
     unit = (1 - d) * noise / _NOISE_LEVELS
     q = math.lcm(d.denominator, unit.denominator)

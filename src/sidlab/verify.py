@@ -517,13 +517,12 @@ def _check_holder_inequality(trial_seed, sizes=None):
     w = _random_regular_graphon(rng, n)
     replaced = replace_edges_nonuniform(spec)
     inputs = {"kind": "random-replacement", "spec": spec, "graphon": w}
-    if all(a.denominator == 1 for a in spec.alphas().values()):
-        lhs = hom_density(replaced, w).value
-        rhs = holder_lower_bound(spec, w).value
-        return _decide(lhs, rhs, (n,), inputs)
+    bound = holder_lower_bound(spec, w)
+    lhs = hom_density(replaced, w, mode=bound.mode).value
+    if bound.mode == "exact":
+        return _decide(lhs, bound.value, (n,), inputs)
     # a fractional exponent is decided in float until it has an exact bound
-    lhs = float(hom_density(replaced, w, mode="float").value)
-    rhs = float(holder_lower_bound(spec, w).value)
+    lhs, rhs = float(lhs), float(bound.value)
     gap = lhs - rhs
     record = None
     if not _rel_ok(lhs, rhs, FLOAT_TOL):

@@ -75,7 +75,7 @@ CONSTRUCT_CASES = {
     "replace": (["--lengths", "2,2", "--parity", "even", "--graph", "G"],
                 lambda: replace_edges(cycle_graph(4),
                                       generalized_theta([2, 2], "even"))),
-    "union": (["--lengths", "1", "--graph", "G", "--other", "O"],
+    "union": (["--graph", "G", "--other", "O"],
               lambda: disjoint_union(cycle_graph(4), complete_graph(3))),
 }
 
@@ -96,12 +96,13 @@ def test_construct_matches_the_library(family, c4_path, tmp_path, capsys):
 @pytest.mark.parametrize("args,message", [
     (["--family", "subdivision", "--lengths", "1"], "requires --graph"),
     (["--family", "replace", "--lengths", "2,2"], "requires --graph"),
-    (["--family", "union", "--lengths", "1", "--graph", "G"], "--other"),
+    (["--family", "union", "--graph", "G"], "--other"),
     (["--family", "complete", "--lengths", "2,3"], "expected one length"),
     (["--family", "path", "--lengths", "x"], "bad length list"),
     (["--family", "cycle", "--lengths", ""], "expected one length"),
     (["--family", "subdivision", "--lengths", "1,2", "--graph", "G"],
      "expected one length"),
+    (["--family", "cycle"], "cycle requires --lengths"),
 ])
 def test_construct_format_errors(args, message, c4_path, capsys):
     args = [str(c4_path) if a == "G" else a for a in args]

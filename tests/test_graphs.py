@@ -644,6 +644,13 @@ def test_rooted_graph_requires_swap_automorphism():
     RootedGraph(path_graph(2), (0, 2))
 
 
+def test_rooted_graph_stores_plain_int_roots():
+    # NumPy roots were stored as given, and json.dumps refused them
+    r = RootedGraph(path_graph(2), (np.int64(0), np.int64(2)))
+    assert json.loads(json.dumps(r.to_json_dict()))["roots"] == [0, 2]
+    assert all(type(x) is int for x in r.roots)
+
+
 def test_find_isomorphism_respects_fixed_points():
     g = cycle_graph(4)
     mapping = find_isomorphism(g, g, fixed={0: 2, 2: 0})

@@ -232,8 +232,8 @@ def test_holder_inequality_is_exact_for_integral_exponents(monkeypatch):
     # exponents are all integral is decided and recorded in rationals, the
     # others in float.
     def raised(*args, **kwargs):
-        bound = holder_lower_bound(*args, **kwargs).value
-        return SimpleNamespace(value=bound + 1)
+        bound = holder_lower_bound(*args, **kwargs)
+        return SimpleNamespace(value=bound.value + 1, mode=bound.mode)
 
     monkeypatch.setattr(verify, "holder_lower_bound", raised)
     kinds = []
