@@ -10,7 +10,7 @@ output axes.  One bucket-elimination engine runs on either of two arrays.
 It eliminates the vertices in greedy min-fill order, with each vertex's
 fill updated as vertices go rather than recounted at every pick.  A
 vertex's bucket first multiplies pairs of its factors, without summing,
-while a pair spans fewer variables than the whole bucket; then one einsum
+while a pair spans fewer variables than the whole bucket; then one step
 sums the vertex out of what is left.  The two arrays are:
 
 * exact: the integer grid of a ``StepGraphon`` (the only exact input)
@@ -29,19 +29,27 @@ Each contraction shape (vertex count, edge list, pinned-vertex set, kept
 vertices) is compiled once, in the elimination-order cache, into one
 ``EliminationOrder``: the vertex sequence, one table of pinned reads (the
 grid row, column or entry that each edge with a pinned end reads) and one
-list of einsum steps, pairwise products included, emitted as each min-fill
-vertex is picked.  The steps read one list of operand slots: one per edge,
-one all-ones vector per kept vertex and one per step.  With vertices kept,
-the last step multiplies what is left, and the ones of each kept vertex
-that nothing left spans, into them, so its result spans every kept vertex.
-The engine runs it in either mode; the pin targets are read per call, so
-one order serves every pin target.  Steps that repeat an
-earlier step of the same order (the same subscripts and kind, on operands
-that hold the same values, as each copy of a gadget in a replaced graph
-does) are evaluated once per call, and their result is handed to every
-repeat.  Only ``_contract_integers`` (behind ``contract_exact`` and the
-counting kernels) and ``contract_float`` run the engine, for the density
-gradient too.
+list of steps, pairwise products included, emitted as each min-fill
+vertex is picked, with the kernel that computes each.  A step runs as an
+einsum on its subscripts unless its shape is one of three: a matrix
+product of two factors over two variables each runs as ``np.matmul``, a
+product of two factors over the same two variables as ``*``, and a last
+step that keeps one factor's variables, in its order or reversed, is that
+factor or its ``swapaxes`` view.  Both modes run the same kernels, so an
+exact result is the same integer whichever computes it; a float result
+may differ from the einsum's in its last bits.  The steps read one list
+of operand slots: one per edge, one all-ones vector per kept vertex and
+one per step.  With vertices kept, the last step multiplies what is
+left, and the ones of each kept vertex that nothing left spans, into
+them, so its result spans every kept vertex.  The engine runs it in
+either mode; the pin targets are read per call, so one order serves
+every pin target.  Steps that repeat an earlier step of the same order
+(the same subscripts and kind, on operands that hold the same values, as
+each copy of a gadget in a replaced graph does) are evaluated once per
+call, and their result is handed to every repeat.  Only
+``_contract_integers`` (behind ``contract_exact`` and the counting
+kernels) and ``contract_float`` run the engine, for the density gradient
+too.
 
 The brute-force oracle enumerates every assignment over the same two grids,
 in numpy chunks of assignment indices, and forms each assignment's product
@@ -95,11 +103,14 @@ _EINSUM_MAX_OPERANDS = 32
 # The letters np.einsum gives the integer labels 0, 1, ..., 51 of its
 # sublist form, so a plan's subscript strings run the very same contraction.
 _LABELS = string.ascii_uppercase + string.ascii_lowercase
-# What a plan step does with its einsum result: keep it as a new operand
-# without dividing (a chunk of an oversized bucket, or the product of two of
-# a bucket's factors), divide it by n and keep it, or divide it by n and
+# What a plan step does with its result: keep it as a new operand without
+# dividing (a chunk of an oversized bucket, or the product of two of a
+# bucket's factors), divide it by n and keep it, or divide it by n and
 # multiply it into the constant.
 _FOLD, _FACTOR, _SCALAR = range(3)
+# How a plan step computes its result (see ``_kernel``): np.einsum on its
+# subscripts, np.matmul, an elementwise product, or its one operand as is.
+_EINSUM, _MATMUL, _MULTIPLY, _VIEW = range(4)
 
 
 class EliminationOrder(NamedTuple):
@@ -131,7 +142,13 @@ class EliminationOrder(NamedTuple):
     bucket (a bucket spans only the vertex and its neighbors).  The exact
     engine bounds a step's entries by n to that number times its operands'
     bounds.  ``sums_out`` is the total: an eliminated vertex that no factor
-    spans has none.
+    spans has none.  ``kernels[k]`` says how step k computes its result,
+    as ``_kernel`` picks it from the operand scopes and the output that
+    the step's subscripts spell: a matrix product as ``np.matmul``, a
+    product of two factors over the same two variables elementwise, a
+    one-factor ``_FOLD`` that keeps its factor's variables as that factor
+    or its transposed view, and any other step as ``np.einsum`` on its
+    subscripts.
     """
 
     vertices: tuple
@@ -139,6 +156,7 @@ class EliminationOrder(NamedTuple):
     pinned: tuple
     steps: tuple
     sums_out: int
+    kernels: tuple
 
     @property
     def width(self) -> int:
@@ -160,6 +178,57 @@ def _subscripts(scopes, out_vars):
     parts.append("->...")
     parts += [labels[w] for w in out_vars]
     return sys.intern("".join(parts)[1:])
+
+
+@lru_cache(maxsize=4096)
+def _kernel(subscripts, kind):
+    """How a step of ``kind`` computes its result from the scopes and the
+    output that its ``subscripts`` spell (one label per variable):
+    ``(_EINSUM,)``, on those subscripts, or ``(op, reads, turned)``.
+    ``reads`` lists the operands in the order ``op`` takes them, each as
+    (its position in the step, whether it is read with its last two axes
+    swapped, by a ``swapaxes`` view), and ``turned`` says whether the
+    result of ``op`` is swapped the same way.  ``op`` is
+
+    * ``_VIEW``: a ``_FOLD`` of one factor whose scope is the output or its
+      reverse, which is that factor or its swapped view;
+    * ``_MULTIPLY``: a ``_FOLD`` of two factors over the two variables of
+      the output, each read in output order, multiplied elementwise;
+    * ``_MATMUL``: a step that sums out the one variable v shared by two
+      factors over two distinct variables each, keeping the other two,
+      (x, y) in output order: the factor over x read as (x, v) times the
+      other read as (v, y), by ``np.matmul``.
+
+    When every operand would be read swapped, each is read as it is
+    instead, a matmul's in the other order, and the result is swapped: the
+    same product, with no operand read against its layout.  Any other step
+    is an einsum.  The subscripts and kind are all a step's kernel depends
+    on, so the kernel is cached by them: compiling an order looks it up.
+    """
+    operands, out = subscripts.replace("...", "").split("->")
+    scopes = operands.split(",")
+    if kind == _FOLD and scopes == [out]:
+        return _VIEW, ((0, False),), False
+    if len(out) != 2 or not all(
+            len(scope) == 2 and scope[0] != scope[1] for scope in scopes):
+        return (_EINSUM,)
+    if kind == _FOLD and len(scopes) <= 2 and all(
+            set(scope) == set(out) for scope in scopes):
+        op = _VIEW if len(scopes) == 1 else _MULTIPLY
+        wants = [(i, out) for i in range(len(scopes))]
+    elif kind != _FOLD and len(scopes) == 2:
+        shared = set(scopes[0]) & set(scopes[1])
+        if len(shared) != 1 or set(out) != set(scopes[0]) ^ set(scopes[1]):
+            return (_EINSUM,)
+        (v,), (x, y) = shared, out
+        first = 0 if x in scopes[0] else 1
+        op, wants = _MATMUL, [(first, x + v), (1 - first, v + y)]
+    else:
+        return (_EINSUM,)
+    reads = tuple((i, scopes[i] != want) for i, want in wants)
+    if all(swapped for _, swapped in reads):
+        return op, tuple((i, False) for i, _ in reversed(reads)), True
+    return op, reads, False
 
 
 @lru_cache(maxsize=4096)
@@ -194,15 +263,17 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
             adj[v].add(u)
             sigs.append(-1)
         scopes.append(scope)
-    steps, first = [], {}
+    steps, kernels, first = [], [], {}
 
     def emit(group, out_vars, kind):
-        # append a step contracting ``group`` down to ``out_vars``; a step
-        # that repeats an earlier one takes that step's index as its source
+        # append a step contracting ``group`` down to ``out_vars``, and its
+        # kernel; a step that repeats an earlier one takes that step's
+        # index as its source
         subscripts = _subscripts([scopes[s] for s in group], out_vars)
         key = (subscripts, kind, *[sigs[s] for s in group])
         source = first.setdefault(key, len(steps))
         steps.append((subscripts, kind, source, *group))
+        kernels.append(_kernel(subscripts, kind))
         scopes.append(out_vars)
         sigs.append(source)
 
@@ -238,8 +309,8 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
         # Multiply the two factors of smallest joint scope (the earliest
         # such pair) into one while that product spans fewer variables than
         # the whole bucket: it enumerates fewer index tuples than the
-        # bucket's einsum, which then multiplies one factor fewer per tuple.
-        # A product as wide as the bucket saves nothing.
+        # bucket's last step, which then multiplies one factor fewer per
+        # tuple.  A product as wide as the bucket saves nothing.
         while len(group) > 2:
             size, i, j = min(
                 (len(set(scopes[group[i]]).union(scopes[group[j]])), i, j)
@@ -314,7 +385,8 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
                   for k, (subscripts, kind, source, *group)
                   in enumerate(steps))
     return EliminationOrder(tuple(vertices), tuple(arities), tuple(pinned),
-                            steps, sum(step[1] != _FOLD for step in steps))
+                            steps, sum(step[1] != _FOLD for step in steps),
+                            tuple(kernels))
 
 
 def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
@@ -481,12 +553,12 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(), top=None):
         else:
             if at is None:
                 # the transpose laid out like ``a``: a column of ``a`` then
-                # feeds einsum exactly as a row does
+                # feeds a step exactly as a row does
                 at = np.ascontiguousarray(np.swapaxes(a, -1, -2))
             slots[s] = at[..., pins[column], :]
     saved = {}
-    for k, (subscripts, kind, source, last, *operands) in \
-            enumerate(order.steps):
+    for k, ((subscripts, kind, source, last, *operands), kernel) in \
+            enumerate(zip(order.steps, order.kernels)):
         if exact:
             bound = 1 if kind == _FOLD else n_steps
             for i in operands:
@@ -496,13 +568,14 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(), top=None):
             args = [slots[i] for i in operands]
             if exact and bound >= 1 << 63:
                 args = [x.astype(object, copy=False) for x in args]
-            result = np.einsum(subscripts, *args)
+            result = _run_step(kernel, subscripts, args)
             if kind != _FOLD and not exact:
-                result = result / n_steps
+                # a new array, which no operand or grid shares
+                result /= n_steps
             if not last:
                 saved[k] = result
         else:
-            # the same einsum on equal operands: its source's result
+            # the same step on equal operands: its source's result
             result = saved.pop(source) if last else saved[source]
         for i in operands:
             slots[i] = None
@@ -519,6 +592,25 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(), top=None):
     if batch:
         const = np.reshape(const, batch + (1,) * len(keep))
     return slots[-1] * const, scale
+
+
+def _run_step(kernel, subscripts, args):
+    """The result of one step on its operands ``args``, computed by its
+    ``kernel`` (see ``_kernel``).  A ``_VIEW`` result is an operand or a
+    view of one, and may be the caller's grid; a step that sums a vertex
+    out (a matmul or an einsum) returns a new array or NumPy scalar."""
+    if kernel[0] == _EINSUM:
+        return np.einsum(subscripts, *args)
+    op, reads, turned = kernel
+    x = [np.swapaxes(args[i], -1, -2) if swapped else args[i]
+         for i, swapped in reads]
+    if op == _MATMUL:
+        result = np.matmul(*x)
+    elif op == _MULTIPLY:
+        result = x[0] * x[1]
+    else:
+        result = x[0]
+    return np.swapaxes(result, -1, -2) if turned else result
 
 
 def _contract_integers(n_vertices, edges, values, n_steps, pins=None,
@@ -543,7 +635,7 @@ def contract_exact(n_vertices, edges, values, n_steps, pins=None, keep=()):
 
 
 def contract_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):
-    """Float contraction via einsum; same semantics as contract_exact.
+    """Float contraction by the engine; same semantics as contract_exact.
 
     A stack of grids, shape ``(..., n, n)``, gives an array of results with
     the batch axes in front, each equal to the call on its own grid.

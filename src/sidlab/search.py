@@ -102,9 +102,11 @@ def _project_regular_array(m: np.ndarray, d: float, max_iter: int = 5000):
         y = _affine_project(xp, target)
         p = xp - y
         yq = y + q
-        x = np.clip(yq, 0.0, 1.0)
+        # the method forms run the same ufuncs as np.clip and np.max, with
+        # less dispatch per sweep
+        x = yq.clip(0.0, 1.0)
         q = yq - x
-        residual = np.max(np.abs(x.sum(axis=-1) - target), axis=-1)
+        residual = np.abs(x.sum(axis=-1) - target).max(axis=-1)
         done = residual <= PROJECTION_TOL
         if done.all():
             residual = np.zeros(len(x))

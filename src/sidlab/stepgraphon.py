@@ -406,13 +406,13 @@ def local_density_deficit(w: StepGraphon, d) -> LocalDensityReport:
 
 def constant_graphon(d, n: int) -> StepGraphon:
     n = _integer(n, "step count")
-    d = _fraction(d)
-    return StepGraphon._from_integers([[d.numerator] * n] * n, d.denominator)
+    a, q = _ratio(d)
+    return StepGraphon._from_integers([[a] * n] * n, q)
 
 
 def circulant_graphon(profile) -> StepGraphon:
     """values[i][j] = profile[(i - j) mod n]; regular by construction."""
-    prof = [_fraction(x) for x in profile]
+    prof = [Fraction(*_ratio(x)) for x in profile]
     n = len(prof)
     if n == 0:
         raise ValueError("profile must be nonempty")
@@ -497,7 +497,7 @@ def regular_graph_graphon(n: int, deg: int, seed: int) -> StepGraphon:
 
 def mixture_graphon(graphons, weights) -> StepGraphon:
     """Convex combination; mixing equal-degree regular inputs stays regular."""
-    ws = [_fraction(x) for x in weights]
+    ws = [Fraction(*_ratio(x)) for x in weights]
     if len(ws) != len(graphons) or not graphons:
         raise ValueError("need one weight per graphon")
     if any(x < 0 for x in ws) or sum(ws) != 1:

@@ -695,15 +695,17 @@ def test_repeated_steps_are_evaluated_once(graph, total, distinct, expected):
         assert source <= k
         assert order.steps[source][:3] == (subscripts, kind, source)
         assert last == all(step[2] != source for step in order.steps[k + 1:])
-    calls, einsum = [], np.einsum
+    # every executed step goes through contraction._run_step, whichever
+    # kernel computes it
+    calls, run_step = [], contraction._run_step
 
-    def counted(*args):
-        calls.append(args[0])
-        return einsum(*args)
+    def counted(kernel, subscripts, args):
+        calls.append(subscripts)
+        return run_step(kernel, subscripts, args)
 
     w = random_symmetric(random.Random(graph.n), 3)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np, "einsum", counted)
+        patch.setattr(contraction, "_run_step", counted)
         exact = contract_exact(graph.n, graph.edges, w, 3)
     assert len(calls) == distinct_steps(order)
     assert exact == expected(w)
@@ -739,7 +741,8 @@ def test_width_cap_enforced(monkeypatch):
     grid = np.full((200, 200), 0.5)
     assert contract_float(3, k3.edges, grid, 200) == pytest.approx(0.125)
     assert 8 ** 10 > 200 ** 3 * 2 > STATE_LIMIT >= 200 ** 3
-    monkeypatch.setattr(np, "einsum", None)  # refused before any einsum
+    # refused before any step runs, whichever kernel would run it
+    monkeypatch.setattr(contraction, "_run_step", None)
     for mode in ("exact", "float"):
         with pytest.raises(ValueError, match="refused"):
             hom_density(k10, constant_graphon(F(1, 2), 8), mode=mode)
@@ -838,6 +841,78 @@ def test_a_step_sums_out_one_vertex_unless_it_folds(shape):
         operands, out = subscripts.replace("...", "").split("->")
         summed = set(operands.replace(",", "")) - set(out)
         assert len(summed) == (kind != contraction._FOLD)
+
+
+@st.composite
+def lowered_steps(draw):
+    """A step that ``contraction._kernel`` runs without einsum, and the
+    kernel it must pick: (operand scopes, output, kind, kernel).  The
+    variables are distinct labels from 0..4, each pair drawn in either
+    order, and the operands in either order."""
+    x, y, v = draw(st.permutations(range(5)))[:3]
+
+    def turn(pair):
+        return draw(st.sampled_from([pair, pair[::-1]]))
+
+    shape = draw(st.sampled_from(["matmul", "multiply", "view", "unary"]))
+    if shape == "matmul":
+        scopes = [turn((x, v)), turn((v, y))]
+        kind, op = contraction._FACTOR, contraction._MATMUL
+    else:
+        pair = [(x, y)] if shape == "view" else [(x, y), (x, y)]
+        scopes = [turn(p) for p in pair] if shape != "unary" else [(x,)]
+        kind = contraction._FOLD
+        op = contraction._MULTIPLY if shape == "multiply" \
+            else contraction._VIEW
+    out_vars = (x,) if shape == "unary" else turn((x, y))
+    if draw(st.booleans()):
+        scopes.reverse()
+    return scopes, out_vars, kind, op
+
+
+@settings(max_examples=300, deadline=None)
+@given(lowered_steps(), st.integers(1, 4), st.sampled_from([(), (3,)]),
+       st.sampled_from(["int64", "object", "float64"]),
+       st.lists(st.booleans(), min_size=2, max_size=2),
+       st.integers(0, 2 ** 32 - 1))
+def test_lowered_kernels_equal_einsum(step, n, batch, dtype, transposed,
+                                      seed):
+    # every kernel that _kernel picks over einsum computes the step's
+    # einsum: exactly on int64 and on Python ints past 2^63, to 1e-13 on
+    # float64, on 2-D grids and stacks, with operands laid out as stored
+    # or as transposed views of the same values
+    scopes, out_vars, kind, op = step
+    subscripts = contraction._subscripts(scopes, out_vars)
+    kernel = contraction._kernel(subscripts, kind)
+    assert kernel[0] == op
+    rng = np.random.default_rng(seed)
+    args = []
+    for scope, t in zip(scopes, transposed):
+        shape = batch + (n,) * len(scope)
+        a = rng.random(shape) if dtype == "float64" \
+            else rng.integers(0, 1000, shape)
+        if dtype == "object":
+            a = a.astype(object) * 2 ** 70 + 1
+        if t and len(scope) == 2:
+            a = np.swapaxes(
+                np.ascontiguousarray(np.swapaxes(a, -1, -2)), -1, -2)
+        args.append(a)
+    ref = np.einsum(subscripts, *args)
+    result = contraction._run_step(kernel, subscripts, args)
+    assert result.shape == ref.shape and result.dtype == ref.dtype
+    if dtype == "float64":
+        np.testing.assert_allclose(result, ref, rtol=1e-13)
+    else:
+        assert result.tolist() == ref.tolist()
+    if len(scopes[0]) == 2:
+        # the same shape as a contraction, whose last step keeps its
+        # operand or a swapped view of it: the result is the caller's to
+        # write, and writing it leaves the caller's grid as it was
+        grid = rng.random(batch + (n, n))
+        before = grid.copy()
+        out = contract_float(5, tuple(scopes), grid, n, keep=out_vars)
+        out[...] = -1.0
+        assert same_bits(grid, before)
 
 
 def same_bits(x, y):
@@ -1006,11 +1081,11 @@ def test_engine_at_the_int64_bound(nv, edges, n, pins, keep, above):
     m = engine_bound_edge(order, len(edges), len(keep), n) + above
     bounds = engine_step_bounds(order, len(edges), len(keep), n, m)
     assert (max(bounds) >= 2 ** 63) == above
-    calls, einsum = [], np.einsum
+    calls, run_step = [], contraction._run_step
 
-    def recorded(subscripts, *operands):
-        calls.append({x.dtype for x in operands})
-        return einsum(subscripts, *operands)
+    def recorded(kernel, subscripts, args):
+        calls.append({x.dtype for x in args})
+        return run_step(kernel, subscripts, args)
 
     full = [[m] * n for _ in range(n)]
     mixed = [row[:] for row in full]
@@ -1020,7 +1095,7 @@ def test_engine_at_the_int64_bound(nv, edges, n, pins, keep, above):
         assert (w.q, max(map(max, w.num))) == (m + 1, m)
         calls.clear()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(np, "einsum", recorded)
+            patch.setattr(contraction, "_run_step", recorded)
             exact = contract_exact(nv, edges, w, n, pins=pins, keep=keep)
         assert exact == bruteforce_exact(nv, edges, w, n, pins=pins,
                                          keep=keep)

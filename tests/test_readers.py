@@ -1,6 +1,7 @@
-"""The three argument readers, through every site that reads by them:
+"""The argument readers, through every site that reads by them:
 ``graphs._index`` for a vertex or step index, ``graphs._permutation`` for
-a permutation and ``stepgraphon._unit`` for a target in [0, 1]."""
+a permutation, ``stepgraphon._unit`` for a target in [0, 1] and
+``stepgraphon._ratio`` for a graphon value or mixture weight."""
 
 import json
 from fractions import Fraction as F
@@ -14,8 +15,9 @@ from sidlab.homdensity import deficit
 from sidlab.search import (certify_violation, project_regular,
                            search_counterexample)
 from sidlab.stepgraphon import (LocalDensityReport, StepGraphon,
-                                local_density_deficit, permute_steps,
-                                pointwise_dense_graphon)
+                                circulant_graphon, constant_graphon,
+                                local_density_deficit, mixture_graphon,
+                                permute_steps, pointwise_dense_graphon)
 
 W = StepGraphon([[F(1, 4), F(3, 4)], [F(3, 4), F(1, 4)]])
 C4 = cycle_graph(4)
@@ -33,6 +35,8 @@ REFUSALS = {
              (1.5, "{what} must lie in [0, 1]"),
              (2, "{what} must lie in [0, 1]"),
              (-F(1, 3), "{what} must lie in [0, 1]")],
+    "ratio": [(True, "a graphon value is a boolean, not a number"),
+              (np.True_, "a graphon value is a boolean, not a number")],
 }
 
 # site -> (reader, the name it reads the value under, the call on the
@@ -65,6 +69,12 @@ SITES = {
                           lambda x: pointwise_dense_graphon(2, x, F(1, 2), 0)),
     "pointwise-noise": ("unit", "noise",
                         lambda x: pointwise_dense_graphon(2, F(1, 2), x, 0)),
+    "constant-graphon": ("ratio", "value",
+                         lambda x: constant_graphon(x, 2)),
+    "circulant-graphon": ("ratio", "value",
+                          lambda x: circulant_graphon([x, 0])),
+    "mixture-weight": ("ratio", "weight",
+                       lambda x: mixture_graphon([W, W], [x, 0])),
 }
 
 
@@ -83,7 +93,8 @@ def assert_plain(out):
 def test_each_reader_refuses_alike_at_every_site(site):
     # at the parent of the readers, semidirect_product read {True} and
     # {1.0} as vertex 1, deficit took a target of 2, and RootedGraph kept
-    # NumPy roots, which json.dumps refused
+    # NumPy roots, which json.dumps refused; the graphon generators read a
+    # Python bool as 0 or 1 and failed on a NumPy bool with a TypeError
     reader, what, build = SITES[site]
     for value, message in REFUSALS[reader]:
         with pytest.raises(ValueError) as info:

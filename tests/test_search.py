@@ -146,6 +146,24 @@ def test_projection_runs_the_plain_dykstra_sweeps():
         assert np.array_equal(_project_regular_array(grid, 0.4)[0], out)
 
 
+def test_projection_sweeps_equal_the_np_clip_sweeps_bit_for_bit():
+    # the sweep clips with ndarray.clip and takes its residual with
+    # ndarray.max; plain_dykstra keeps np.clip and np.max as the reference,
+    # and every grid of every stack must agree in every bit, the sign of a
+    # zero included.  Some entries are set to -0.0, 0.0 and 1.0.
+    rng = np.random.default_rng(33)
+    for k in range(60):
+        n, d = 2 + k % 5, (0.25, 0.4, 0.5, 0.75)[k % 4]
+        stack = rng.random((1 + k % 6, n, n)) * (1 + k % 2) - k % 3 / 4
+        stack.flat[rng.integers(0, stack.size, 3)] = (-0.0, 0.0, 1.0)
+        out, residual = _project_regular_array(stack, d)
+        assert np.all(residual == 0)
+        for grid, x in zip(stack, out):
+            ref = plain_dykstra(grid, d)
+            assert x.tobytes() == ref.tobytes()
+            assert np.array_equal(np.signbit(x), np.signbit(ref))
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_projection_rejects_nonpositive_max_iter(max_iter):
     for project in (project_regular, _project_regular_array):
