@@ -27,18 +27,20 @@ sums the vertex out of what is left.  The two arrays are:
 
 Each contraction shape (vertex count, edge list, pinned-vertex set, kept
 vertices) is compiled once, in the elimination-order cache, into one
-``EliminationOrder``: the vertex sequence, one table of pinned reads (the
-grid row, column or entry that each edge with a pinned end reads) and one
-list of steps, pairwise products included, emitted as each min-fill
-vertex is picked, with the kernel that computes each.  A step runs as an
-einsum on its subscripts unless its shape is one of three: a matrix
-product of two factors over two variables each runs as ``np.matmul``, a
-product of two factors over the same two variables as ``*``, and a last
-step that keeps one factor's variables, in its order or reversed, is that
-factor or its ``swapaxes`` view.  Both modes run the same kernels, so an
-exact result is the same integer whichever computes it; a float result
-may differ from the einsum's in its last bits.  The steps read one list
-of operand slots: one per edge, one all-ones vector per kept vertex and
+``EliminationOrder``: the vertex sequence, one table of grid reads (the
+grid row, column or entry that each edge with a pinned end reads, and the
+transposed grid of each edge that a matmul reads reversed) and one list
+of steps, pairwise products included, emitted as each min-fill vertex is
+picked, with the callable that computes each, which the engine calls on
+the step's operands.  A step runs as ``np.einsum`` on its subscripts
+unless its shape is one of three: a matrix product of two factors over
+two variables each runs as ``np.matmul``, a product of two factors over
+the same two variables as ``np.multiply``, and a last step that keeps one
+factor's variables, in its order or reversed, is that factor or its
+``swapaxes`` view.  Both modes run the same kernels, so an exact result
+is the same integer whichever computes it; a float result may differ
+from the einsum's in its last bits.  The steps read one list of operand
+slots: one per edge, one all-ones vector per kept vertex and
 one per step.  With vertices kept, the last step multiplies what is
 left, and the ones of each kept vertex that nothing left spans, into
 them, so its result spans every kept vertex.  The engine runs it in
@@ -72,7 +74,7 @@ import itertools
 import string
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 from typing import NamedTuple
 
@@ -108,9 +110,6 @@ _LABELS = string.ascii_uppercase + string.ascii_lowercase
 # bucket's factors), divide it by n and keep it, or divide it by n and
 # multiply it into the constant.
 _FOLD, _FACTOR, _SCALAR = range(3)
-# How a plan step computes its result (see ``_kernel``): np.einsum on its
-# subscripts, np.matmul, an elementwise product, or its one operand as is.
-_EINSUM, _MATMUL, _MULTIPLY, _VIEW = range(4)
 
 
 class EliminationOrder(NamedTuple):
@@ -125,8 +124,9 @@ class EliminationOrder(NamedTuple):
     holds the grid, except that each ``(s, row, column)`` of ``pinned``
     names the pinned vertices at the ends of edge s (None at a free end):
     slot s holds the grid row at ``row``'s step or the column at
-    ``column``'s, and with both ends pinned the grid entry multiplies into
-    the constant, as a ``_SCALAR`` step's result does.  ``steps`` are
+    ``column``'s, with both ends pinned the grid entry multiplies into
+    the constant, as a ``_SCALAR`` step's result does, and with neither
+    (an edge that a matmul reads reversed) it holds the grid's transpose.  ``steps`` are
     ``(subscripts, kind, source, last, *slots)``, flat to keep a cached
     order small; a bucket's ``_FOLD`` steps, its chunks and then its
     pairwise products, come before the step that sums its vertex out.
@@ -142,13 +142,10 @@ class EliminationOrder(NamedTuple):
     bucket (a bucket spans only the vertex and its neighbors).  The exact
     engine bounds a step's entries by n to that number times its operands'
     bounds.  ``sums_out`` is the total: an eliminated vertex that no factor
-    spans has none.  ``kernels[k]`` says how step k computes its result,
-    as ``_kernel`` picks it from the operand scopes and the output that
-    the step's subscripts spell: a matrix product as ``np.matmul``, a
-    product of two factors over the same two variables elementwise, a
-    one-factor ``_FOLD`` that keeps its factor's variables as that factor
-    or its transposed view, and any other step as ``np.einsum`` on its
-    subscripts.
+    spans has none.  ``kernels[k]`` is the callable that computes step k
+    from its operands, as ``_kernel`` picks it from the operand scopes and
+    the output that the step's subscripts spell; steps that spell the
+    same share one.
     """
 
     vertices: tuple
@@ -183,52 +180,64 @@ def _subscripts(scopes, out_vars):
 @lru_cache(maxsize=4096)
 def _kernel(subscripts, kind):
     """How a step of ``kind`` computes its result from the scopes and the
-    output that its ``subscripts`` spell (one label per variable):
-    ``(_EINSUM,)``, on those subscripts, or ``(op, reads, turned)``.
-    ``reads`` lists the operands in the order ``op`` takes them, each as
-    (its position in the step, whether it is read with its last two axes
-    swapped, by a ``swapaxes`` view), and ``turned`` says whether the
-    result of ``op`` is swapped the same way.  ``op`` is
+    output that its ``subscripts`` spell (one label per variable), as
+    ``(kernel, flip)``: ``kernel`` is the callable that takes the step's
+    operands and returns its result, and it is
 
-    * ``_VIEW``: a ``_FOLD`` of one factor whose scope is the output or its
-      reverse, which is that factor or its swapped view;
-    * ``_MULTIPLY``: a ``_FOLD`` of two factors over the two variables of
-      the output, each read in output order, multiplied elementwise;
-    * ``_MATMUL``: a step that sums out the one variable v shared by two
-      factors over two distinct variables each, keeping the other two,
+    * the factor itself or its ``swapaxes(-1, -2)`` view, for a ``_FOLD``
+      of one factor whose scope is the output or its reverse;
+    * ``np.multiply``, for a ``_FOLD`` of two factors over the two
+      variables of the output, each read in output order;
+    * ``np.matmul``, for a step that sums out the one variable v shared by
+      two factors over two distinct variables each, keeping the other two,
       (x, y) in output order: the factor over x read as (x, v) times the
-      other read as (v, y), by ``np.matmul``.
+      other read as (v, y);
+    * ``partial(np.einsum, subscripts)``, for any other step.
 
-    When every operand would be read swapped, each is read as it is
-    instead, a matmul's in the other order, and the result is swapped: the
-    same product, with no operand read against its layout.  Any other step
-    is an einsum.  The subscripts and kind are all a step's kernel depends
-    on, so the kernel is cached by them: compiling an order looks it up.
+    An operand whose scope runs the other way is read as its swapped view.
+    When every operand would be, each is read as it is instead, a matmul's
+    in the other order, and the result is swapped: the same product, with
+    no operand read against its layout.  ``flip`` is None unless a matmul
+    reads one operand swapped: then it is that operand's position and the
+    subscripts with its scope reversed, whose kernel reads it as stored.
+    The subscripts and kind are all a step's kernel depends on, so the
+    kernel is cached by them, and steps that spell the same share it.
     """
     operands, out = subscripts.replace("...", "").split("->")
     scopes = operands.split(",")
     if kind == _FOLD and scopes == [out]:
-        return _VIEW, ((0, False),), False
+        return (lambda x: x), None
     if len(out) != 2 or not all(
             len(scope) == 2 and scope[0] != scope[1] for scope in scopes):
-        return (_EINSUM,)
+        return partial(np.einsum, subscripts), None
     if kind == _FOLD and len(scopes) <= 2 and all(
             set(scope) == set(out) for scope in scopes):
-        op = _VIEW if len(scopes) == 1 else _MULTIPLY
+        op = None if len(scopes) == 1 else np.multiply
         wants = [(i, out) for i in range(len(scopes))]
     elif kind != _FOLD and len(scopes) == 2:
         shared = set(scopes[0]) & set(scopes[1])
         if len(shared) != 1 or set(out) != set(scopes[0]) ^ set(scopes[1]):
-            return (_EINSUM,)
+            return partial(np.einsum, subscripts), None
         (v,), (x, y) = shared, out
         first = 0 if x in scopes[0] else 1
-        op, wants = _MATMUL, [(first, x + v), (1 - first, v + y)]
+        op, wants = np.matmul, [(first, x + v), (1 - first, v + y)]
     else:
-        return (_EINSUM,)
-    reads = tuple((i, scopes[i] != want) for i, want in wants)
+        return partial(np.einsum, subscripts), None
+    reads = [(i, scopes[i] != want) for i, want in wants]
     if all(swapped for _, swapped in reads):
-        return op, tuple((i, False) for i, _ in reversed(reads)), True
-    return op, reads, False
+        if op is None:
+            return (lambda x: x.swapaxes(-1, -2)), None
+        (j, _), (i, _) = reads
+        return (lambda *x: op(x[i], x[j]).swapaxes(-1, -2)), None
+    (i, swap_i), (j, swap_j) = reads
+    if not (swap_i or swap_j):
+        return (op if i == 0 else lambda x, y: op(y, x)), None
+    k = i if swap_i else j
+    scopes[k] = scopes[k][::-1]
+    flip = (k, _subscripts(scopes, out)) if op is np.matmul else None
+    if swap_i:
+        return (lambda *x: op(x[i].swapaxes(-1, -2), x[j])), flip
+    return (lambda *x: op(x[i], x[j].swapaxes(-1, -2))), flip
 
 
 @lru_cache(maxsize=4096)
@@ -270,10 +279,18 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
         # kernel; a step that repeats an earlier one takes that step's
         # index as its source
         subscripts = _subscripts([scopes[s] for s in group], out_vars)
+        kernel, flip = _kernel(subscripts, kind)
+        if flip is not None and sigs[group[flip[0]]] == -1:
+            # a matmul would read this edge's grid swapped: the edge is
+            # read reversed instead, on the grid's transpose as stored
+            s, subscripts = group[flip[0]], flip[1]
+            scopes[s], sigs[s] = scopes[s][::-1], (None, None)
+            pinned.append((s, None, None))
+            kernel, _ = _kernel(subscripts, kind)
         key = (subscripts, kind, *[sigs[s] for s in group])
         source = first.setdefault(key, len(steps))
         steps.append((subscripts, kind, source, *group))
-        kernels.append(_kernel(subscripts, kind))
+        kernels.append(kernel)
         scopes.append(out_vars)
         sigs.append(source)
 
@@ -552,12 +569,13 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(), top=None):
             slots[s] = a[..., pins[row], :]
         else:
             if at is None:
-                # the transpose laid out like ``a``: a column of ``a`` then
-                # feeds a step exactly as a row does
-                at = np.ascontiguousarray(np.swapaxes(a, -1, -2))
-            slots[s] = at[..., pins[column], :]
+                # the transpose laid out like ``a`` (in exact mode the
+                # symmetric grid itself): a column of ``a`` then feeds a
+                # step exactly as a row does
+                at = a if exact else np.ascontiguousarray(a.swapaxes(-1, -2))
+            slots[s] = at if column is None else at[..., pins[column], :]
     saved = {}
-    for k, ((subscripts, kind, source, last, *operands), kernel) in \
+    for k, ((_, kind, source, last, *operands), kernel) in \
             enumerate(zip(order.steps, order.kernels)):
         if exact:
             bound = 1 if kind == _FOLD else n_steps
@@ -568,7 +586,7 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(), top=None):
             args = [slots[i] for i in operands]
             if exact and bound >= 1 << 63:
                 args = [x.astype(object, copy=False) for x in args]
-            result = _run_step(kernel, subscripts, args)
+            result = kernel(*args)
             if kind != _FOLD and not exact:
                 # a new array, which no operand or grid shares
                 result /= n_steps
@@ -592,25 +610,6 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(), top=None):
     if batch:
         const = np.reshape(const, batch + (1,) * len(keep))
     return slots[-1] * const, scale
-
-
-def _run_step(kernel, subscripts, args):
-    """The result of one step on its operands ``args``, computed by its
-    ``kernel`` (see ``_kernel``).  A ``_VIEW`` result is an operand or a
-    view of one, and may be the caller's grid; a step that sums a vertex
-    out (a matmul or an einsum) returns a new array or NumPy scalar."""
-    if kernel[0] == _EINSUM:
-        return np.einsum(subscripts, *args)
-    op, reads, turned = kernel
-    x = [np.swapaxes(args[i], -1, -2) if swapped else args[i]
-         for i, swapped in reads]
-    if op == _MATMUL:
-        result = np.matmul(*x)
-    elif op == _MULTIPLY:
-        result = x[0] * x[1]
-    else:
-        result = x[0]
-    return np.swapaxes(result, -1, -2) if turned else result
 
 
 def _contract_integers(n_vertices, edges, values, n_steps, pins=None,

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -621,6 +622,24 @@ def test_pinned_second_endpoint_on_a_stack():
                                               keep=(0,)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([(), (1,), (5,), (16,)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_matmul_reads_the_transposed_grid_as_stored(n, batch, seed):
+    # eliminating vertex 1 of the path 0-1-2 is a matmul; where it would
+    # read an edge's grid swapped, the engine reads the edge reversed on
+    # the grid's contiguous transpose.  On non-symmetric grids and stacks
+    # each orientation gives the bits of the matmul on swapped views.
+    g = np.random.default_rng(seed).random(batch + (n, n))
+    t = g.swapaxes(-1, -2)
+    for edges, product in [(((0, 1), (1, 2)), g @ g),
+                           (((0, 1), (2, 1)), g @ t),
+                           (((1, 0), (1, 2)), t @ g),
+                           (((1, 0), (2, 1)), (g @ g).swapaxes(-1, -2))]:
+        out = contract_float(3, edges, g, n, keep=(0, 2))
+        assert same_bits(out, product / n)
+
+
 def test_high_degree_vertex_contracts():
     # the hub collects one factor per leaf: more than one einsum call accepts,
     # so its bucket (or, with the hub kept, the plan's last step, over the
@@ -674,6 +693,31 @@ def distinct_steps(order):
     return sum(step[2] == k for k, step in enumerate(order.steps))
 
 
+@contextlib.contextmanager
+def watched_steps(record):
+    """Inside the block every step that the engine evaluates first calls
+    ``record(subscripts, args)``, whichever kernel computes it: the orders
+    are compiled afresh with each kernel wrapped, and the orders compiled
+    inside the block are dropped when it ends."""
+    kernel = contraction._kernel
+
+    def watched(subscripts, kind):
+        run, flip = kernel(subscripts, kind)
+
+        def step(*args):
+            record(subscripts, args)
+            return run(*args)
+        return step, flip
+
+    contraction._elimination_order_cached.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(contraction, "_kernel", watched)
+            yield
+    finally:
+        contraction._elimination_order_cached.cache_clear()
+
+
 @pytest.mark.parametrize("graph, total, distinct, expected", [
     # each theta(2,2) copy repeats the first copy's kernel steps; the
     # counting identity t(K4 o F, W) = t(K4, W^F) gives the value
@@ -695,17 +739,10 @@ def test_repeated_steps_are_evaluated_once(graph, total, distinct, expected):
         assert source <= k
         assert order.steps[source][:3] == (subscripts, kind, source)
         assert last == all(step[2] != source for step in order.steps[k + 1:])
-    # every executed step goes through contraction._run_step, whichever
-    # kernel computes it
-    calls, run_step = [], contraction._run_step
-
-    def counted(kernel, subscripts, args):
-        calls.append(subscripts)
-        return run_step(kernel, subscripts, args)
-
+    # every executed step is seen, whichever kernel computes it
+    calls = []
     w = random_symmetric(random.Random(graph.n), 3)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(contraction, "_run_step", counted)
+    with watched_steps(lambda subscripts, args: calls.append(subscripts)):
         exact = contract_exact(graph.n, graph.edges, w, 3)
     assert len(calls) == distinct_steps(order)
     assert exact == expected(w)
@@ -729,7 +766,7 @@ def test_pairwise_buckets_match_the_oracle(graph, n, keep):
     assert np.max(np.abs(fl - np.array(exact, dtype=float))) < 1e-12
 
 
-def test_width_cap_enforced(monkeypatch):
+def test_width_cap_enforced():
     # the guard caps n^(width + 1) times the stack size: K10 (width 9) is
     # 2^10 index tuples at 2 steps but 8^10 at 8, and K3 on 200 steps is
     # 8e6 per grid, so a stack of two is refused
@@ -742,12 +779,15 @@ def test_width_cap_enforced(monkeypatch):
     assert contract_float(3, k3.edges, grid, 200) == pytest.approx(0.125)
     assert 8 ** 10 > 200 ** 3 * 2 > STATE_LIMIT >= 200 ** 3
     # refused before any step runs, whichever kernel would run it
-    monkeypatch.setattr(contraction, "_run_step", None)
-    for mode in ("exact", "float"):
+    def ran(subscripts, args):
+        raise AssertionError(f"step {subscripts} ran")
+
+    with watched_steps(ran):
+        for mode in ("exact", "float"):
+            with pytest.raises(ValueError, match="refused"):
+                hom_density(k10, constant_graphon(F(1, 2), 8), mode=mode)
         with pytest.raises(ValueError, match="refused"):
-            hom_density(k10, constant_graphon(F(1, 2), 8), mode=mode)
-    with pytest.raises(ValueError, match="refused"):
-        contract_float(3, k3.edges, np.stack([grid, grid]), 200)
+            contract_float(3, k3.edges, np.stack([grid, grid]), 200)
 
 
 def min_fill_reference(n_vertices, edges, pins, keep):
@@ -846,9 +886,9 @@ def test_a_step_sums_out_one_vertex_unless_it_folds(shape):
 @st.composite
 def lowered_steps(draw):
     """A step that ``contraction._kernel`` runs without einsum, and the
-    kernel it must pick: (operand scopes, output, kind, kernel).  The
-    variables are distinct labels from 0..4, each pair drawn in either
-    order, and the operands in either order."""
+    NumPy function it must run it with, None for a view: (operand scopes,
+    output, kind, op).  The variables are distinct labels from 0..4, each
+    pair drawn in either order, and the operands in either order."""
     x, y, v = draw(st.permutations(range(5)))[:3]
 
     def turn(pair):
@@ -857,17 +897,42 @@ def lowered_steps(draw):
     shape = draw(st.sampled_from(["matmul", "multiply", "view", "unary"]))
     if shape == "matmul":
         scopes = [turn((x, v)), turn((v, y))]
-        kind, op = contraction._FACTOR, contraction._MATMUL
+        kind, op = contraction._FACTOR, "matmul"
     else:
         pair = [(x, y)] if shape == "view" else [(x, y), (x, y)]
         scopes = [turn(p) for p in pair] if shape != "unary" else [(x,)]
         kind = contraction._FOLD
-        op = contraction._MULTIPLY if shape == "multiply" \
-            else contraction._VIEW
+        op = "multiply" if shape == "multiply" else None
     out_vars = (x,) if shape == "unary" else turn((x, y))
     if draw(st.booleans()):
         scopes.reverse()
     return scopes, out_vars, kind, op
+
+
+def run_kernel(subscripts, kind, args):
+    """The result of the kernel that ``contraction._kernel`` picks for a
+    step, on ``args``, and the names of the NumPy functions among einsum,
+    matmul and multiply that it called.  The kernel cache is emptied
+    before and after, so the kernel binds the watched functions and no
+    kernel that binds them outlives the call."""
+    called = []
+
+    def watched(name, f):
+        def call(*a, **k):
+            called.append(name)
+            return f(*a, **k)
+        return call
+
+    contraction._kernel.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("einsum", "matmul", "multiply"):
+                patch.setattr(np, name, watched(name, getattr(np, name)))
+            kernel, _ = contraction._kernel(subscripts, kind)
+            result = kernel(*args)
+    finally:
+        contraction._kernel.cache_clear()
+    return result, called
 
 
 @settings(max_examples=300, deadline=None)
@@ -883,8 +948,6 @@ def test_lowered_kernels_equal_einsum(step, n, batch, dtype, transposed,
     # or as transposed views of the same values
     scopes, out_vars, kind, op = step
     subscripts = contraction._subscripts(scopes, out_vars)
-    kernel = contraction._kernel(subscripts, kind)
-    assert kernel[0] == op
     rng = np.random.default_rng(seed)
     args = []
     for scope, t in zip(scopes, transposed):
@@ -898,12 +961,29 @@ def test_lowered_kernels_equal_einsum(step, n, batch, dtype, transposed,
                 np.ascontiguousarray(np.swapaxes(a, -1, -2)), -1, -2)
         args.append(a)
     ref = np.einsum(subscripts, *args)
-    result = contraction._run_step(kernel, subscripts, args)
+    result, called = run_kernel(subscripts, kind, args)
+    assert called == ([op] if op else [])
     assert result.shape == ref.shape and result.dtype == ref.dtype
+    # a view is its operand's memory, a product a new array
+    assert np.shares_memory(result, args[0]) == (op is None)
     if dtype == "float64":
         np.testing.assert_allclose(result, ref, rtol=1e-13)
     else:
         assert result.tolist() == ref.tolist()
+    _, flip = contraction._kernel(subscripts, kind)
+    if flip is not None:
+        # a matmul that reads operand k swapped gives the very same bits as
+        # the step with k's scope reversed on k's transpose, as stored
+        k, reversed_subscripts = flip
+        assert op == "matmul" and \
+            contraction._kernel(reversed_subscripts, kind)[1] is None
+        args[k] = np.ascontiguousarray(args[k].swapaxes(-1, -2))
+        again, called = run_kernel(reversed_subscripts, kind, args)
+        assert called == ["matmul"]
+        if dtype == "object":
+            assert again.tolist() == result.tolist()
+        else:
+            assert same_bits(again, result)
     if len(scopes[0]) == 2:
         # the same shape as a contraction, whose last step keeps its
         # operand or a swapped view of it: the result is the caller's to
@@ -1081,12 +1161,7 @@ def test_engine_at_the_int64_bound(nv, edges, n, pins, keep, above):
     m = engine_bound_edge(order, len(edges), len(keep), n) + above
     bounds = engine_step_bounds(order, len(edges), len(keep), n, m)
     assert (max(bounds) >= 2 ** 63) == above
-    calls, run_step = [], contraction._run_step
-
-    def recorded(kernel, subscripts, args):
-        calls.append({x.dtype for x in args})
-        return run_step(kernel, subscripts, args)
-
+    calls = []
     full = [[m] * n for _ in range(n)]
     mixed = [row[:] for row in full]
     mixed[0][n - 1] = mixed[n - 1][0] = m - 1
@@ -1094,8 +1169,8 @@ def test_engine_at_the_int64_bound(nv, edges, n, pins, keep, above):
         w = StepGraphon._from_integers(grid, m + 1)
         assert (w.q, max(map(max, w.num))) == (m + 1, m)
         calls.clear()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(contraction, "_run_step", recorded)
+        with watched_steps(lambda subscripts, args:
+                           calls.append({x.dtype for x in args})):
             exact = contract_exact(nv, edges, w, n, pins=pins, keep=keep)
         assert exact == bruteforce_exact(nv, edges, w, n, pins=pins,
                                          keep=keep)
