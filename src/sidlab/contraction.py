@@ -49,9 +49,9 @@ every pin target.  Steps that repeat an earlier step of the same order
 (the same subscripts and kind, on operands that hold the same values, as
 each copy of a gadget in a replaced graph does) are evaluated once per
 call, and their result is handed to every repeat.  Only
-``_contract_integers`` (behind ``contract_exact`` and the counting
-kernels) and ``contract_float`` run the engine, for the density gradient
-too.
+``_contract_integers`` (behind ``contract_exact``, the counting kernels
+and ``homdensity.deficit``) and ``contract_float`` run the engine, for the
+density gradient too.
 
 The brute-force oracle enumerates every assignment over the same two grids,
 in numpy chunks of assignment indices, and forms each assignment's product
@@ -489,11 +489,11 @@ def _check_inputs(a, n_steps, pins, stack=False):
     return n_steps
 
 
-def _graphon(w):
+def _graphon(w, what="exact contraction"):
     """``w``, refused unless it is a ``StepGraphon``, the only exact
-    input."""
+    input; the refusal names the caller ``what``."""
     if not isinstance(w, stepgraphon.StepGraphon):
-        raise ValueError("exact contraction takes a StepGraphon, not "
+        raise ValueError(f"{what} takes a StepGraphon, not "
                          f"{type(w).__name__}")
     return w
 

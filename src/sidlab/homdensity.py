@@ -16,7 +16,7 @@ from functools import reduce
 import numpy as np
 
 from . import contraction
-from .contraction import _normalize_pins
+from .contraction import _graphon, _normalize_pins
 from .graphs import Graph, ReplacementSpec, complete_graph, edge_orbits
 from .stepgraphon import (StepGraphon, _frac_str, _unit, constant_graphon,
                           edge_density, hadamard, kernel_power)
@@ -74,8 +74,10 @@ def hom_density(graph: Graph, w: StepGraphon, mode: str = "exact",
     ``bruteforce`` agree exactly; brute force enumerates every assignment,
     in numpy chunks, and forms each one's product over every edge.  Either
     strategy raises ``ValueError`` on work above
-    ``contraction.STATE_LIMIT`` index tuples.
+    ``contraction.STATE_LIMIT`` index tuples, and so does a ``w`` that is
+    not a ``StepGraphon``.
     """
+    _graphon(w, "hom_density")
     pins = _normalize_pins(pins)
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -156,9 +158,21 @@ def deficit(graph: Graph, w: StepGraphon, d=None) -> Fraction:
     """Exact signed slack of a density lower bound; negative means
     violation: t_H(W) - t_K2(W)^e(H), or t_H(W) - d^e(H) against a target
     density d.
+
+    The density is the exact engine's integer pair raw / den, as
+    ``hom_density`` reads it, and with base = a / b the slack is the one
+    Fraction (raw * b^e - a^e * den) / (den * b^e).  A density outside
+    [0, 1] raises ``ValueError``, as in ``hom_density``.
     """
+    _graphon(w, "deficit")
     base = edge_density(w) if d is None else _unit(d, "target density")
-    return hom_density(graph, w).value - base ** graph.num_edges
+    raw, den = contraction._contract_integers(graph.n, graph.edges, w,
+                                              w.n_steps)
+    if not 0 <= raw <= den:
+        raise ValueError(f"density {Fraction(raw, den)} outside [0, 1]")
+    e = graph.num_edges
+    a, b = base.numerator ** e, base.denominator ** e
+    return Fraction(raw * b - a * den, den * b)
 
 
 def holder_lower_bound(spec: ReplacementSpec, w: StepGraphon) -> DensityValue:

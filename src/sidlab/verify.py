@@ -137,8 +137,9 @@ def _decide(lhs, rhs, sizes, inputs, equal=False, **extra):
     ``lhs >= rhs``, both rationals.  Returns ``(gap, record | None, sizes)``
     with ``gap = -|lhs - rhs|`` for an identity and ``lhs - rhs`` for a
     bound.  Only a failure serializes ``inputs`` and builds its record, with
-    both sides as ``"p/q"`` and ``extra`` appended."""
-    diff = lhs - rhs
+    both sides as ``"p/q"`` and ``extra`` appended.  Against a ``rhs`` of
+    0 (every deficit) ``lhs`` is the difference as it stands."""
+    diff = lhs - rhs if rhs else lhs
     gap = -abs(float(diff)) if equal else float(diff)
     if (diff == 0) if equal else (diff >= 0):
         return gap, None, sizes

@@ -1603,6 +1603,71 @@ def test_flower_triangle_on_constant_is_tight():
     assert deficit(flower([3]), w, F(2, 5)) == 0
 
 
+@st.composite
+def deficit_cases(draw):
+    """A graph on 0 to 7 vertices (edgeless, or with isolated vertices
+    left as drawn), a graphon over q, and a target: None for the edge
+    density, 0, 1, a Fraction or a ``"p/q"`` string.  Over 2^20 + 7 the
+    engine's first steps run in int64 and its later ones pass 2^63; over
+    10^30 every step runs on Python ints."""
+    nv = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(nv), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9)
+                 if pairs else st.just([]))
+    n = draw(st.integers(1, 3))
+    q = draw(st.sampled_from([1, 6, 2 ** 20 + 7, 10 ** 30]))
+    grid = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        grid[i][j] = grid[j][i] = draw(st.integers(0, q))
+    p = draw(st.integers(0, 10 ** 6))
+    d = draw(st.sampled_from([
+        None, 0, 1, F(p, 10 ** 6 + 3), f"{p}/{10 ** 6 + 3}"]))
+    return Graph(nv, tuple(edges)), StepGraphon._from_integers(grid, q), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(deficit_cases())
+@example((Graph(5), StepGraphon._from_integers([[1, 3], [3, 6]], 6), None))
+@example((Graph(6, ((0, 1), (2, 3))),
+          StepGraphon._from_integers([[10 ** 30, 7], [7, 1]], 10 ** 30),
+          "3/7"))
+def test_deficit_is_the_oracle_density_minus_the_bound(case):
+    graph, w, d = case
+    n = w.n_steps
+    t = bruteforce_exact(graph.n, graph.edges, w, n)
+    base = sum(map(sum, w.values)) / n ** 2 if d is None else F(d)
+    out = deficit(graph, w, d)
+    assert out == t - base ** graph.num_edges
+    assert type(out) is F
+    assert type(out.numerator) is int and type(out.denominator) is int
+
+
+def test_deficit_refuses_a_density_outside_the_unit_interval(monkeypatch):
+    # the engine never returns one; the check guards the integer pair
+    real = contraction._contract_integers
+
+    def above(*args, **kwargs):
+        raw, den = real(*args, **kwargs)
+        return den + 1, den
+    monkeypatch.setattr(contraction, "_contract_integers", above)
+    for d in (None, F(1, 2)):
+        with pytest.raises(ValueError, match=r"density 17/16 outside \[0, 1\]"):
+            deficit(cycle_graph(4), BIP, d)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda a: hom_density(cycle_graph(4), a), "hom_density"),
+    (lambda a: hom_density(cycle_graph(4), a, mode="float"), "hom_density"),
+    (lambda a: deficit(cycle_graph(4), a), "deficit"),
+    (lambda a: deficit(cycle_graph(4), a, F(1, 2)), "deficit"),
+])
+def test_density_entry_points_take_a_graphon(call, what):
+    # an ndarray once failed with AttributeError: no attribute 'n_steps'
+    with pytest.raises(ValueError,
+                       match=f"{what} takes a StepGraphon, not ndarray"):
+        call(BIP.float_matrix)
+
+
 def test_unit_length_gadget_replacement_is_identity():
     host = complete_graph(3)
     unit = generalized_theta([1])
