@@ -36,6 +36,7 @@ from .contraction import EliminationOrder
 from .homdensity import (
     DensityValue,
     deficit,
+    deficits,
     density_gradient,
     holder_lower_bound,
     hom_density,

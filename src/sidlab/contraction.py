@@ -49,9 +49,9 @@ every pin target.  Steps that repeat an earlier step of the same order
 (the same subscripts and kind, on operands that hold the same values, as
 each copy of a gadget in a replaced graph does) are evaluated once per
 call, and their result is handed to every repeat.  Only
-``_contract_integers`` (behind ``contract_exact``, the counting kernels
-and ``homdensity.deficit``) and ``contract_float`` run the engine, for the
-density gradient too.
+``_contract_integers`` (behind ``contract_exact`` and the counting
+kernels), ``homdensity.deficits`` and ``contract_float`` run the engine,
+for the density gradient too.
 
 The brute-force oracle enumerates every assignment over the same two grids,
 in numpy chunks of assignment indices, and forms each assignment's product
@@ -145,7 +145,9 @@ class EliminationOrder(NamedTuple):
     spans has none.  ``kernels[k]`` is the callable that computes step k
     from its operands, as ``_kernel`` picks it from the operand scopes and
     the output that the step's subscripts spell; steps that spell the
-    same share one.
+    same share one.  ``scalars`` holds the vertex that each ``_SCALAR``
+    step sums out, in step order: a connected component with an edge ends
+    in exactly one, whose result is the component's whole sum.
     """
 
     vertices: tuple
@@ -154,6 +156,7 @@ class EliminationOrder(NamedTuple):
     steps: tuple
     sums_out: int
     kernels: tuple
+    scalars: tuple
 
     @property
     def width(self) -> int:
@@ -354,7 +357,7 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
     # one all-ones operand per kept vertex, for the last step only
     scopes += [(k,) for k in keep]
     sigs += [None] * len(keep)
-    vertices, arities = [], []
+    vertices, arities, scalars = [], [], []
     while score:
         v = min(score.values())[2]
         del score[v]
@@ -384,6 +387,8 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
         out_vars = tuple(sorted(nbrs))
         group = pair_up(fold(group), len(out_vars) + 1)
         emit(group, out_vars, _FACTOR if out_vars else _SCALAR)
+        if not out_vars:
+            scalars.append(v)
         for w in out_vars:
             factors[w][len(scopes) - 1] = None
 
@@ -403,7 +408,7 @@ def _elimination_order_cached(n_vertices, edges, pins, keep):
                   in enumerate(steps))
     return EliminationOrder(tuple(vertices), tuple(arities), tuple(pinned),
                             steps, sum(step[1] != _FOLD for step in steps),
-                            tuple(kernels))
+                            tuple(kernels), tuple(scalars))
 
 
 def elimination_order(n_vertices, edges, pins=(), keep=()) -> EliminationOrder:
@@ -537,9 +542,10 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(), top=None):
 
     Returns the result (a scalar, or one value per grid, when nothing is
     kept, else an array with one length-n axis per kept vertex, in ``keep``
-    order) and n to the order's ``sums_out``.  Raises ``ValueError`` when
-    the largest step would enumerate more than ``STATE_LIMIT`` index tuples
-    over the whole stack.
+    order), n to the order's ``sums_out``, and an iterator of pairs, each
+    ``_SCALAR`` result after the vertex it sums out, in step order.
+    Raises ``ValueError`` when the largest step would enumerate more than
+    ``STATE_LIMIT`` index tuples over the whole stack.
     """
     keep = tuple(keep)
     exact = top is not None
@@ -574,7 +580,7 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(), top=None):
                 # step exactly as a row does
                 at = a if exact else np.ascontiguousarray(a.swapaxes(-1, -2))
             slots[s] = at if column is None else at[..., pins[column], :]
-    saved = {}
+    saved, parts = {}, []
     for k, ((_, kind, source, last, *operands), kernel) in \
             enumerate(zip(order.steps, order.kernels)):
         if exact:
@@ -599,17 +605,19 @@ def _eliminate(n_vertices, edges, a, n_steps, pins=None, keep=(), top=None):
             slots[i] = None
         slots.append(result)
         if kind == _SCALAR:
-            const = const * (int(result) if exact else result)
+            parts.append(int(result) if exact else result)
+            const = const * parts[-1]
 
     scale = n_steps ** order.sums_out
+    parts = zip(order.scalars, parts)
     if not keep:
-        return const, scale
+        return const, scale, parts
     # the last step spans every kept vertex
     if exact:
-        return slots[-1].astype(object) * const, scale
+        return slots[-1].astype(object) * const, scale, parts
     if batch:
         const = np.reshape(const, batch + (1,) * len(keep))
-    return slots[-1] * const, scale
+    return slots[-1] * const, scale, parts
 
 
 def _contract_integers(n_vertices, edges, values, n_steps, pins=None,
@@ -619,7 +627,8 @@ def _contract_integers(n_vertices, edges, values, n_steps, pins=None,
     q^{#edges} * n^{#summed out}."""
     w = _graphon(values)
     a, top = w._engine_grid
-    raw, scale = _eliminate(n_vertices, edges, a, n_steps, pins, keep, top)
+    raw, scale, _ = _eliminate(n_vertices, edges, a, n_steps, pins, keep,
+                               top)
     return raw, w.q ** len(edges) * scale
 
 
@@ -640,7 +649,7 @@ def contract_float(n_vertices, edges, matrix, n_steps, pins=None, keep=()):
     the batch axes in front, each equal to the call on its own grid.
     """
     a = np.asarray(matrix, dtype=float)
-    raw, _ = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
+    raw, _, _ = _eliminate(n_vertices, edges, a, n_steps, pins, keep)
     return raw if keep or a.ndim > 2 else float(raw)
 
 

@@ -341,7 +341,7 @@ def generalized_theta(lengths, parity: str = "any") -> RootedGraph:
     At most one length may equal 1 (two would create a multi-edge).  With
     parity "even" or "odd" every length must have that parity.  The lengths
     are checked on every call; each distinct tuple is built (and its root
-    swap searched for) once, and the one frozen result is shared.
+    swap checked) once, and the one frozen result is shared.
     """
     lens = [_integer(x, "path length", 1) for x in lengths]
     if not lens:
@@ -359,12 +359,21 @@ def generalized_theta(lengths, parity: str = "any") -> RootedGraph:
 
 @lru_cache(maxsize=256)
 def _theta(lens: tuple) -> RootedGraph:
-    """The theta of validated plain-int ``lens``, one per distinct tuple."""
-    edges = []
-    nxt = 2
+    """The theta of validated plain-int ``lens``, one per distinct tuple:
+    its root swap, every path reversed, is checked in O(E), not searched."""
+    edges, swap = [], [1, 0]
     for length in lens:
-        nxt = _lay_path(edges, 0, 1, length, nxt)
-    return RootedGraph(Graph(nxt, tuple(edges)), (0, 1))
+        nxt = len(swap)
+        _lay_path(edges, 0, 1, length, nxt)
+        swap += range(nxt + length - 2, nxt - 1, -1)
+    graph = Graph(len(swap), tuple(edges))
+    image = {tuple(sorted((swap[u], swap[v]))) for u, v in graph.edges}
+    if image != set(graph.edges):
+        raise AssertionError(f"theta {lens} has no path-reversing swap")
+    theta = object.__new__(RootedGraph)
+    object.__setattr__(theta, "graph", graph)
+    object.__setattr__(theta, "roots", (0, 1))
+    return theta
 
 
 def flower(cycle_lengths) -> Graph:
@@ -472,9 +481,13 @@ def semidirect_product(h1: Graph, independent_set, a: int, h2: Graph,
     return Graph(nxt, tuple(edges))
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    shifted = tuple((u + g1.n, v + g1.n) for u, v in g2.edges)
-    return Graph(g1.n + g2.n, g1.edges + shifted)
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, each numbered after the ones before it."""
+    n, edges = 0, []
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.n
+    return Graph(n, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

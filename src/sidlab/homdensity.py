@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import chain
 
 import numpy as np
 
 from . import contraction
 from .contraction import _graphon, _normalize_pins
-from .graphs import Graph, ReplacementSpec, complete_graph, edge_orbits
+from .graphs import (Graph, ReplacementSpec, complete_graph, disjoint_union,
+                     edge_orbits)
 from .stepgraphon import (StepGraphon, _frac_str, _unit, constant_graphon,
                           edge_density, hadamard, kernel_power)
 
@@ -26,6 +28,7 @@ __all__ = [
     "hom_density",
     "density_gradient",
     "deficit",
+    "deficits",
     "holder_lower_bound",
 ]
 
@@ -157,22 +160,51 @@ def density_gradient(graph: Graph, w: StepGraphon):
 def deficit(graph: Graph, w: StepGraphon, d=None) -> Fraction:
     """Exact signed slack of a density lower bound; negative means
     violation: t_H(W) - t_K2(W)^e(H), or t_H(W) - d^e(H) against a target
-    density d.
+    density d.  The one-graph case of ``deficits``.
+    """
+    return deficits((graph,), w, d)[0]
 
-    The density is the exact engine's integer pair raw / den, as
-    ``hom_density`` reads it, and with base = a / b the slack is the one
-    Fraction (raw * b^e - a^e * den) / (den * b^e).  A density outside
-    [0, 1] raises ``ValueError``, as in ``hom_density``.
+
+@lru_cache(maxsize=64)
+def _union(graphs: tuple):
+    """The union of ``graphs``, the graph of each of its vertices, and each
+    graph's edge count and number of vertices that an edge meets."""
+    owner, sizes = [], []
+    for i, g in enumerate(graphs):
+        owner += [i] * g.n
+        sizes.append((g.num_edges, len(set(chain.from_iterable(g.edges)))))
+    # one graph is its own union, and reads its cached order as it is
+    union = graphs[0] if len(graphs) == 1 else disjoint_union(*graphs)
+    return union, tuple(owner), tuple(sizes)
+
+
+def deficits(graphs, w: StepGraphon, d=None) -> list:
+    """``[deficit(g, w, d) for g in graphs]``, from one exact engine run on
+    the disjoint union of ``graphs``, where a step that repeats across the
+    graphs runs once.  A graph's density is raw / den: raw the product of
+    its components' sums (each the result of the step that sums out its
+    last vertex), den = q^e * n^k with k its vertices that an edge meets.
+    With base = a / b the slack is the one Fraction
+    (raw * b^e - a^e * den) / (den * b^e).  A density outside [0, 1]
+    raises ``ValueError``, as in ``hom_density``.
     """
     _graphon(w, "deficit")
     base = edge_density(w) if d is None else _unit(d, "target density")
-    raw, den = contraction._contract_integers(graph.n, graph.edges, w,
-                                              w.n_steps)
-    if not 0 <= raw <= den:
-        raise ValueError(f"density {Fraction(raw, den)} outside [0, 1]")
-    e = graph.num_edges
-    a, b = base.numerator ** e, base.denominator ** e
-    return Fraction(raw * b - a * den, den * b)
+    union, owner, sizes = _union(tuple(graphs))
+    grid, top = w._engine_grid
+    _, _, parts = contraction._eliminate(union.n, union.edges, grid,
+                                         w.n_steps, top=top)
+    raws = [1] * len(sizes)
+    for v, x in parts:
+        raws[owner[v]] *= x
+    out = []
+    for raw, (e, k) in zip(raws, sizes):
+        den = w.q ** e * w.n_steps ** k
+        if not 0 <= raw <= den:
+            raise ValueError(f"density {Fraction(raw, den)} outside [0, 1]")
+        a, b = base.numerator ** e, base.denominator ** e
+        out.append(Fraction(raw * b - a * den, den * b))
+    return out
 
 
 def holder_lower_bound(spec: ReplacementSpec, w: StepGraphon) -> DensityValue:

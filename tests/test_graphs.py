@@ -169,6 +169,28 @@ def test_theta_memo_shares_one_graph_per_length_tuple():
     assert generalized_theta([4, 2]) != t
 
 
+def test_theta_checks_its_root_swap_without_a_search(monkeypatch):
+    # a theta's root swap reverses every path, so building one searches
+    # for none; the search took seconds on a path of 2,001 edges.  A
+    # RootedGraph built by hand still searches.
+    searches = []
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return find_isomorphism(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "find_isomorphism", counting)
+    graphs._theta.cache_clear()
+    long = generalized_theta([2001])
+    mixed = generalized_theta([400, 600, 800])
+    t = generalized_theta([1, 3, 5])
+    assert searches == []
+    assert (long.n, long.num_edges) == (2002, 2001)
+    assert (mixed.n, mixed.num_edges) == (1799, 1800)
+    assert t == RootedGraph(t.graph, (0, 1)) and len(searches) == 1
+    graphs._theta.cache_clear()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
 def test_theta_always_has_root_swap_automorphism(lengths):

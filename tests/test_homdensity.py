@@ -35,6 +35,7 @@ from sidlab.homdensity import (
     DensityValue,
     _gradient_float,
     deficit,
+    deficits,
     density_gradient,
     holder_lower_bound,
     hom_density,
@@ -48,6 +49,7 @@ from sidlab.stepgraphon import (
     kernel_power,
     pointwise_dense_graphon,
 )
+from sidlab.verify import sidorenko_family_instances
 
 BIP = StepGraphon([[0, 1], [1, 0]])
 
@@ -1643,16 +1645,72 @@ def test_deficit_is_the_oracle_density_minus_the_bound(case):
 
 
 def test_deficit_refuses_a_density_outside_the_unit_interval(monkeypatch):
-    # the engine never returns one; the check guards the integer pair
-    real = contraction._contract_integers
+    # the engine never returns one; the check guards the integer pair.  C4
+    # is one component, and on BIP (q = 1) its denominator is the scale.
+    real = contraction._eliminate
 
     def above(*args, **kwargs):
-        raw, den = real(*args, **kwargs)
-        return den + 1, den
-    monkeypatch.setattr(contraction, "_contract_integers", above)
+        raw, scale, parts = real(*args, **kwargs)
+        return raw, scale, [(v, scale + 1) for v, _ in parts]
+    monkeypatch.setattr(contraction, "_eliminate", above)
     for d in (None, F(1, 2)):
         with pytest.raises(ValueError, match=r"density 17/16 outside \[0, 1\]"):
             deficit(cycle_graph(4), BIP, d)
+
+
+# corollary_union's shape at a size the oracle enumerates on 3 steps: a
+# triangle of 2-paths (a C6) beside a separate edge's bundle of two
+SMALL_COROLLARY = replace_edges_nonuniform(ReplacementSpec(
+    5, {(0, 1): {2: 1}, (0, 2): {2: 1}, (1, 2): {2: 1}, (3, 4): {2: 2}}))
+
+
+@st.composite
+def deficits_cases(draw):
+    """Up to 4 graphs from ``deficit_cases`` (edgeless, with isolated
+    vertices or disconnected) or ``SMALL_COROLLARY``, one repeated at
+    times, with one graphon and target."""
+    _, w, d = draw(deficit_cases())
+    graph = st.one_of(deficit_cases().map(lambda case: case[0]),
+                      st.just(SMALL_COROLLARY))
+    graphs = draw(st.lists(graph, max_size=4))
+    if len(graphs) > 1 and draw(st.booleans()):
+        graphs[-1] = graphs[0]
+    return graphs, w, d
+
+
+@settings(max_examples=100, deadline=None)
+@given(deficits_cases())
+@example(([], BIP, None))
+@example(([Graph(3), SMALL_COROLLARY, Graph(4, ((0, 1), (2, 3))),
+           SMALL_COROLLARY], circulant_graphon([F(1, 3), F(1, 2), F(1, 2)]),
+          F(1, 2)))
+def test_deficits_are_the_oracle_densities_minus_the_bound(case):
+    graphs, w, d = case
+    out = deficits(graphs, w, d)
+    assert len(out) == len(graphs)
+    base = sum(map(sum, w.values)) / w.n_steps ** 2 if d is None else F(d)
+    for graph, x in zip(graphs, out):
+        t = hom_density(graph, w, strategy="bruteforce").value
+        assert x == t - base ** graph.num_edges
+        assert type(x) is F
+        assert deficit(graph, w, d) == deficits((graph,), w, d)[0] == x
+
+
+def test_family_union_shares_steps_across_members():
+    # one order over the disjoint union of the family members has the
+    # members' steps, and runs each step that repeats across members once:
+    # 115 of its 226 steps, against 157 in one call per member
+    members = [graph for _, graph in sidorenko_family_instances()]
+
+    def steps(g):
+        order = elimination_order(g.n, g.edges)
+        return (len(order.steps),
+                sum(step[2] == k for k, step in enumerate(order.steps)))
+
+    union = steps(disjoint_union(*members))
+    apart = [sum(counts) for counts in zip(*map(steps, members))]
+    assert union[0] == apart[0]
+    assert union[1] < apart[1]
 
 
 @pytest.mark.parametrize("call, what", [
